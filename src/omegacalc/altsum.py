@@ -21,7 +21,8 @@ import numpy as np
 _POPCOUNT_CACHE: dict[int, np.ndarray] = {}
 
 
-def _popcounts(n: int) -> np.ndarray:
+def popcounts(n: int) -> np.ndarray:
+    """Popcount of every mask below 2^n, cached per n."""
     cached = _POPCOUNT_CACHE.get(n)
     if cached is None:
         masks = np.arange(1 << n, dtype=np.uint32)
@@ -45,7 +46,7 @@ def alternating_chain_sum(n: int, good: np.ndarray) -> int:
     good[full] = False
     if not good.any():
         return 1
-    pc = _popcounts(n)
+    pc = popcounts(n)
     v = np.zeros(size, dtype=np.int64)
     shape = (2,) * n
     for level in range(1, n):

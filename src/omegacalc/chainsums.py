@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .altsum import alternating_chain_sum
+from .altsum import alternating_chain_sum, popcounts
 from .bitops import popcount
 from .crowding import (
     crowded_flats,
@@ -82,8 +82,6 @@ def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
         raise Infeasible(
             f"{variant.value} enumerates chains of arbitrary subsets; capped at n = {SET_VARIANT_CAP}"
         )
-    if matroid.n <= 14:
-        matroid.ensure_rank_table()
     if variant is Variant.INWARD_SETS:
         value, chains = _sets_global(matroid, Mode.BELOW), None
     elif variant is Variant.OUTWARD_SETS:
@@ -109,11 +107,14 @@ def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
     return ChainSumRun(variant, value, chains, time.perf_counter() - start)
 
 
+def component_sign(matroid: Matroid) -> int:
+    """(-1)^(components - 1): the sign taking a covalue to the invariant."""
+    return -1 if matroid.component_count() % 2 == 0 else 1
+
+
 def omega_by_variant(matroid: Matroid, variant: Variant) -> int:
     """The invariant itself: sign-corrected covalue."""
-    run = covalue(matroid, variant)
-    sign = -1 if matroid.component_count() % 2 == 0 else 1
-    return sign * run.covalue
+    return component_sign(matroid) * covalue(matroid, variant).covalue
 
 
 def schubert_omega(n: int, chain: Sequence[int], profile: Sequence[int]) -> int:
@@ -142,12 +143,7 @@ def _sets_global(matroid: Matroid, mode: Mode) -> int:
     if r == 0 or diagonals > length:
         return 0
     table = np.array(matroid.ensure_rank_table(), dtype=np.int64)
-    pc = np.zeros(1 << n, dtype=np.int64)
-    masks = np.arange(1 << n, dtype=np.uint32)
-    while masks.any():
-        pc += (masks & 1).astype(np.int64)
-        masks >>= 1
-    corank = pc - table
+    corank = popcounts(n) - table
     total = 0
     for positions in combinations(range(length), diagonals):
         prefix = np.zeros(n - r + 1, dtype=np.int64)

@@ -14,7 +14,7 @@ from math import comb
 
 from .bitops import popcount
 from .crowding import crowding, has_overcrowded_set, minimal_crowded_sets
-from .errors import NonIntegralRank4
+from .errors import NonIntegralRank4, OmegacalcError
 from .lattice import flat_lattice
 from .matroid import Matroid
 
@@ -38,8 +38,6 @@ def omega_closed_form(matroid: Matroid) -> int | None:
             else:
                 product *= value
         return None if unknown else product
-    if matroid.n <= 14:
-        matroid.ensure_rank_table()
     if not _has_proper_crowded_flat(matroid):
         return comb(n - r - 1, r - 1)
     if has_overcrowded_set(matroid):
@@ -119,7 +117,10 @@ def _near_middle(matroid: Matroid) -> int:
             return 0
     minimal = minimal_crowded_sets(matroid)
     p = len(minimal)
-    assert p >= 2, "a connected near-middle matroid has at least two minimal crowded sets"
+    if p < 2:
+        raise OmegacalcError(
+            "a connected near-middle matroid has at least two minimal crowded sets"
+        )
     disjoint = all(
         not (minimal[i] & minimal[j])
         for i in range(p)
@@ -132,6 +133,10 @@ def _near_middle(matroid: Matroid) -> int:
         for i in range(p)
         for j in range(i + 1, p)
     )
-    assert covering, "minimal crowded sets must be pairwise disjoint or pairwise covering"
-    assert p % 2 == 1
+    if not covering:
+        raise OmegacalcError(
+            "minimal crowded sets must be pairwise disjoint or pairwise covering"
+        )
+    if p % 2 == 0:
+        raise OmegacalcError("pairwise covering minimal crowded sets must be odd in number")
     return (p - 1) // 2

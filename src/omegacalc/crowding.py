@@ -43,7 +43,6 @@ def is_crowding_record(matroid: Matroid, mask: int) -> bool:
     cached = matroid._records.get(mask)
     if cached is not None:
         return cached
-    matroid.ensure_rank_table()
     rank = matroid.rank
     sw = popcount(mask) - 2 * rank(mask)
     rw = rank(mask)
@@ -97,7 +96,6 @@ def crowding_split(matroid: Matroid, mask: int) -> tuple[int, int]:
 
 def crowded_sets(matroid: Matroid) -> list[int]:
     """All crowded subsets, ascending by cardinality then value."""
-    matroid.ensure_rank_table()
     out = [
         mask
         for mask in range(1 << matroid.n)
@@ -128,7 +126,6 @@ def minimal_crowded_sets(matroid: Matroid) -> list[int]:
 
 def has_overcrowded_set(matroid: Matroid) -> bool:
     """Any set overcrowded in the full ground set forces the invariant to 0."""
-    matroid.ensure_rank_table()
     full = matroid.full_mask
     top = crowding(matroid, full)
     rank = matroid.rank
@@ -153,7 +150,6 @@ class CrowdingProfile:
 
 
 def crowding_profile(matroid: Matroid) -> CrowdingProfile:
-    matroid.ensure_rank_table()
     stress = {mask: crowding(matroid, mask) for mask in range(1 << matroid.n)}
     csets = crowded_sets(matroid)
     cflats = crowded_flats(matroid)

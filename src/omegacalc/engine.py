@@ -17,6 +17,7 @@ from .chainsums import (
     FLAT_VARIANTS,
     ChainSumRun,
     Variant,
+    component_sign,
     covalue,
     schubert_omega,
 )
@@ -61,16 +62,12 @@ class OmegaReport:
         return self
 
 
-def _component_sign(matroid: Matroid) -> int:
-    return -1 if matroid.component_count() % 2 == 0 else 1
-
-
 def _run_variant(matroid: Matroid, variant: Variant) -> MethodResult:
     if variant in FLAT_VARIANTS and matroid.has_loops():
         # flats sums are undefined with loops; the invariant is 0 outright
         return MethodResult(variant.value, 0, chains=0, note="loops")
     run: ChainSumRun = covalue(matroid, variant)
-    sign = _component_sign(matroid)
+    sign = component_sign(matroid)
     return MethodResult(variant.value, sign * run.covalue, run.chains, run.seconds)
 
 

@@ -1,9 +1,9 @@
 """Exact matroids on small ground sets, represented by explicit basis lists.
 
 Ground sets are {0, ..., n-1} with n <= 16; subsets are integer bitmasks
-(see bitops).  A Matroid is immutable after construction; rank queries go
-through a lazily filled memo table, with a full-table precompute used by
-the summation engines for n <= 14.
+(see bitops).  A Matroid is immutable after construction.  Every rank
+query reads one table of all 2^n ranks, filled on the first query; the
+closure, connectivity and minor operations are all rank queries.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
 )
 
 GROUND_SET_CAP = 16
-FULL_TABLE_LIMIT = 14
 
 
 class Matroid:
@@ -35,18 +34,13 @@ class Matroid:
         "bases",
         "_bases_set",
         "_rank_table",
-        "_rank_memo",
         "_flat_lattice",
-        "_components",
         "_restriction_components",
         "_records",
     )
 
     def __init__(self, n: int, bases: Iterable[int], *, _validated: bool = False):
-        if n < 1:
-            raise EmptyGroundSet("ground set must be nonempty")
-        if n > GROUND_SET_CAP:
-            raise OmegacalcError(f"ground sets larger than {GROUND_SET_CAP} are not supported")
+        _check_ground_size(n)
         basis_list = sorted(set(bases))
         if not basis_list:
             raise NotAMatroid("a matroid must have at least one basis")
@@ -61,9 +55,7 @@ class Matroid:
         self.bases: tuple[int, ...] = tuple(basis_list)
         self._bases_set = frozenset(basis_list)
         self._rank_table: list[int] | None = None
-        self._rank_memo: dict[int, int] = {}
         self._flat_lattice = None
-        self._components: tuple[int, ...] | None = None
         self._restriction_components: dict[int, tuple[int, ...]] = {}
         self._records: dict[int, bool] = {}
         if not _validated:
@@ -109,7 +101,7 @@ class Matroid:
     # -- rank and closure ---------------------------------------------------
 
     def ensure_rank_table(self) -> Sequence[int]:
-        """Fill the full 2^n rank table (used by the summation engines)."""
+        """The table of all 2^n ranks, filled on the first call."""
         if self._rank_table is None:
             n = self.n
             size = 1 << n
@@ -144,15 +136,10 @@ class Matroid:
         """Rank of a subset: the largest intersection with a basis."""
         if mask & ~self.full_mask:
             raise OmegacalcError("subset outside the ground set")
-        if self._rank_table is not None:
-            return self._rank_table[mask]
-        if self.n <= FULL_TABLE_LIMIT:
-            return self.ensure_rank_table()[mask]
-        cached = self._rank_memo.get(mask)
-        if cached is None:
-            cached = max(popcount(b & mask) for b in self.bases)
-            self._rank_memo[mask] = cached
-        return cached
+        table = self._rank_table
+        if table is None:
+            table = self.ensure_rank_table()
+        return table[mask]
 
     def corank(self, mask: int) -> int:
         return popcount(mask) - self.rank(mask)
@@ -188,39 +175,17 @@ class Matroid:
         return self.loops() != 0
 
     def connected_components(self) -> tuple[int, ...]:
-        """Partition of the ground set into connected components.
-
-        Union-find over exchange pairs: e and f are merged whenever some
-        basis B has e in B, f outside B and B - e + f again a basis.  Loops
-        and coloops end up as singleton components.
-        """
-        if self._components is None:
-            self._components = _exchange_components(
-                self.n, self.bases, self._bases_set.__contains__
-            )
-        return self._components
+        """Partition of the ground set into connected components."""
+        return self.restriction_components(self.full_mask)
 
     def component_count(self, mask: int | None = None) -> int:
-        if mask is None:
-            mask = self.full_mask
-        if mask == 0:
-            return 0
-        if mask == self.full_mask:
-            return len(self.connected_components())
-        return len(self.restriction_components(mask))
+        return len(self.restriction_components(self.full_mask if mask is None else mask))
 
     def restriction_components(self, mask: int) -> tuple[int, ...]:
         """Connected components of the restriction to mask, in original labels."""
         cached = self._restriction_components.get(mask)
         if cached is None:
-            rk = self.rank(mask)
-            rbases = self._minor_bases(mask, 0, rk)
-            rset = set(rbases)
-
-            def is_rbasis(m: int) -> bool:
-                return m in rset
-
-            cached = _exchange_components(self.n, rbases, is_rbasis, ground=mask)
+            cached = _components(self.rank, mask)
             self._restriction_components[mask] = cached
         return cached
 
@@ -339,12 +304,19 @@ def _relabel(n: int, bases: Iterable[int], keep: int) -> Matroid:
     return Matroid(len(positions), out, _validated=True)
 
 
-def _exchange_components(
-    n: int, bases: Sequence[int], is_basis, ground: int | None = None
-) -> tuple[int, ...]:
-    if ground is None:
-        ground = (1 << n) - 1
-    parent = list(range(n))
+def _components(rank, ground: int) -> tuple[int, ...]:
+    """Connected components of the restriction to ground.
+
+    They are the components of the fundamental graph of any one basis B of
+    the restriction: e in B and f in ground - B are joined whenever
+    B - e + f is again a basis.  Loops and coloops end up as singletons.
+    """
+    basis = size = 0
+    for e in bits(ground):
+        if rank(basis | (1 << e)) > size:
+            basis |= 1 << e
+            size += 1
+    parent = list(range(ground.bit_length()))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -357,13 +329,12 @@ def _exchange_components(
         if ra != rb:
             parent[ra] = rb
 
-    for b in bases:
-        outside = ground & ~b
-        for e in bits(b):
-            removed = b ^ (1 << e)
-            for f in bits(outside):
-                if is_basis(removed | (1 << f)):
-                    union(e, f)
+    outside = ground & ~basis
+    for e in bits(basis):
+        removed = basis ^ (1 << e)
+        for f in bits(outside):
+            if rank(removed | (1 << f)) == size:
+                union(e, f)
     comps: dict[int, int] = {}
     for e in bits(ground):
         root = find(e)
@@ -374,14 +345,21 @@ def _exchange_components(
 # -- constructors ------------------------------------------------------------
 
 
+def _check_ground_size(n: int) -> None:
+    """Reject a ground-set size before anything is enumerated over it."""
+    if n < 1:
+        raise EmptyGroundSet("ground set must be nonempty")
+    if n > GROUND_SET_CAP:
+        raise OmegacalcError(f"ground sets larger than {GROUND_SET_CAP} are not supported")
+
+
 def from_bases(n: int, bases: Iterable[int]) -> Matroid:
     """Build a matroid from an explicit basis list, validating the exchange axiom."""
     return Matroid(n, bases)
 
 
 def uniform(r: int, n: int) -> Matroid:
-    if n < 1:
-        raise EmptyGroundSet("ground set must be nonempty")
+    _check_ground_size(n)
     if r < 0 or r > n:
         raise InvalidRank(f"rank {r} out of range for n={n}")
     bases = [mask_of(c) for c in combinations(range(n), r)]
@@ -389,6 +367,7 @@ def uniform(r: int, n: int) -> Matroid:
 
 
 def _check_chain(n: int, chain: Sequence[int]) -> None:
+    _check_ground_size(n)
     full = (1 << n) - 1
     if not chain or chain[-1] != full:
         raise InvalidProfile("chain must end with the full ground set")
@@ -439,11 +418,22 @@ def schubert_upper(n: int, chain: Sequence[int], profile: Sequence[int]) -> Matr
     _check_chain(n, chain)
     if len(profile) != len(chain) + 1:
         raise InvalidProfile("profile must have one more entry than the chain")
+    return schubert_lower(n, *upper_as_lower(n, chain, profile))
+
+
+def upper_as_lower(
+    n: int, chain: Sequence[int], profile: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lower-Schubert (chain, profile) of the upper-Schubert data.
+
+    |B & S| >= a for a basis B of rank r is |B & (E - S)| <= r - a, so the
+    complemented chain, read in reverse, carries the reversed profile.
+    """
     full = (1 << n) - 1
     r = profile[-1]
-    rev_chain = [full & ~s for s in reversed([0, *chain[:-1]])]
-    rev_profile = [r - a for a in reversed(profile)]
-    return schubert_lower(n, rev_chain, rev_profile)
+    rev_chain = tuple(full & ~s for s in reversed((0, *chain[:-1])))
+    rev_profile = tuple(r - a for a in reversed(profile))
+    return rev_chain, rev_profile
 
 
 def schubert_from_order(order: Sequence[int], subset: int) -> Matroid:
@@ -453,6 +443,7 @@ def schubert_from_order(order: Sequence[int], subset: int) -> Matroid:
     iff, after sorting both by the order, b_i >= a_i elementwise.
     """
     n = len(order)
+    _check_ground_size(n)
     if sorted(order) != list(range(n)):
         raise OmegacalcError("order must be a permutation of the ground set")
     position = {e: i for i, e in enumerate(order)}

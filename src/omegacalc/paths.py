@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bitops import popcount
 from .errors import ConstraintOutOfRange
@@ -191,6 +191,3 @@ def chain_points(
         out.append((popcount(mask) - a, a))
     return out
 
-
-def constraints_at(points: Iterable[tuple[int, int]], mode: Mode) -> tuple[PathConstraint, ...]:
-    return tuple(PathConstraint(x, y, mode) for x, y in points)

@@ -118,7 +118,6 @@ def check_identity(
         raise ValueError("point dimension mismatch")
     if kind in (IdentityKind.INNER_FLATS, IdentityKind.OUTER_FLATS) and matroid.has_loops():
         raise VariantInapplicable("flats identities require a loop-free matroid")
-    matroid.ensure_rank_table()
     sums = subset_sums(point)
     full = matroid.full_mask
     in_box = all(0 <= c <= 1 for c in point) and sums[full] == r

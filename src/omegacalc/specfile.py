@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bitops import elements_of, mask_of
+from .bitops import mask_of
 from .errors import OmegacalcError, SpecFileError
 from .matroid import (
     Matroid,
@@ -39,6 +39,7 @@ from .matroid import (
     schubert_lower,
     schubert_upper,
     uniform,
+    upper_as_lower,
 )
 
 SchubertData = tuple[int, tuple[int, ...], tuple[int, ...]]
@@ -102,11 +103,7 @@ def _build(obj: dict, kind) -> tuple[Matroid, SchubertData | None]:
         if kind == "schubert_lower":
             return schubert_lower(n, chain, profile), (n, chain, profile)
         matroid = schubert_upper(n, chain, profile)
-        full = (1 << n) - 1
-        r = profile[-1]
-        rev_chain = tuple(full & ~s for s in reversed((0, *chain[:-1])))
-        rev_profile = tuple(r - a for a in reversed(profile))
-        return matroid, (n, rev_chain, rev_profile)
+        return matroid, (n, *upper_as_lower(n, chain, profile))
     if kind == "schubert_order":
         n = _require(obj, "n", kind)
         order = _require(obj, "order", kind)
@@ -147,10 +144,6 @@ def _build_of(obj: dict, kind: str) -> tuple[Matroid, None]:
 
 def spec_to_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def mask_to_list(mask: int) -> list[int]:
-    return elements_of(mask)
 
 
 def load_matroid_file(path: str | Path) -> list[LoadedMatroid]:

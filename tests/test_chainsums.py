@@ -154,3 +154,29 @@ def test_schubert_value_equals_covalue():
             continue
         assert omega_by_variant(m, Variant.FINAL_FLATS) == direct
         assert covalue(m, Variant.OUTWARD_FLATS).covalue == direct
+
+
+@pytest.mark.parametrize(
+    "corpus_args, top",
+    [(("schubert", 4, 1, 13, 5), 35), (("schubert", 3, 94, 16, 5), 25)],
+)
+def test_cross_route_agreement_n13_to_n16(corpus_args, top):
+    # auto, the closed form where one applies and the five flats routes
+    # against the Schubert path count, above n = 12
+    from omegacalc.chainsums import FLAT_VARIANTS
+    from omegacalc.closedform import omega_closed_form
+    from omegacalc.corpus import generate_corpus
+    from omegacalc.specfile import matroid_from_spec
+
+    values = []
+    for spec in generate_corpus(*corpus_args):
+        loaded = matroid_from_spec(spec)
+        m = loaded.matroid
+        expected = schubert_omega(*loaded.schubert)
+        values.append(expected)
+        assert omega_closed_form(m) in (None, expected), spec["id"]
+        methods = ["auto"] + sorted(v.value for v in FLAT_VARIANTS)
+        results = compute_omega(m, methods).results
+        assert len(results) == 6
+        assert all(res.omega == expected for res in results), (spec["id"], results)
+    assert max(values) == top

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import omegacalc
 from omegacalc.cli import main
 from omegacalc.specfile import load_matroid_file
 
@@ -62,6 +67,21 @@ def test_infeasible_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "uniform", "n": 13, "r": 6}))
     rc = main(["compute", "-i", str(path), "--method", "inward-sets"])
     assert rc == 3
+
+
+def test_oversized_ground_set_rejected_before_enumeration(tmp_path):
+    # U(20, 40) has ~1.4e11 bases; the cap must be checked before listing them
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "uniform", "n": 40, "r": 20}))
+    src = str(Path(omegacalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "omegacalc.cli", "compute", "-i", str(path)],
+        env=env,
+        capture_output=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2, proc.stderr
 
 
 def test_random_deterministic(tmp_path):

@@ -1,11 +1,14 @@
 import random
 from math import comb
 
+import pytest
+
 from helpers import omega_of
 from omegacalc.bitops import mask_of, popcount
 from omegacalc.chainsums import Variant, omega_by_variant
 from omegacalc.closedform import omega_closed_form
 from omegacalc.corpus import random_schubert, random_simple_matroid
+from omegacalc.errors import OmegacalcError
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
 
@@ -140,3 +143,20 @@ def test_parallel_extension_invariance():
             continue
         extended = m.parallel_extend(rng.choice(non_loops))
         assert omega_of(m) == omega_of(extended)
+
+
+@pytest.mark.parametrize(
+    "minimal, message",
+    [
+        ([0b1], "at least two"),
+        ([0b011, 0b110, 0b101], "disjoint or pairwise covering"),
+        ([0b00000111111, 0b11111110000], "odd in number"),
+    ],
+)
+def test_near_middle_dichotomy_errors(monkeypatch, minimal, message):
+    # a broken dichotomy is a typed error, not an assert that python -O drops
+    from omegacalc import closedform
+
+    monkeypatch.setattr(closedform, "minimal_crowded_sets", lambda m: minimal)
+    with pytest.raises(OmegacalcError, match=message):
+        closedform._near_middle(uniform(5, 11))

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from omegacalc.bitops import bits, mask_of, popcount
+from omegacalc.bitops import bits, mask_of, popcount, submasks
 from omegacalc.errors import (
     EmptyGroundSet,
     InvalidProfile,
@@ -241,27 +241,44 @@ def test_components():
     assert s.component_count(0) == 0
 
 
+def _assert_components_separate(m, s):
+    # unions of components of M|S are exactly the T inside S with
+    # rank(T) + rank(S - T) == rank(S)
+    comps = m.restriction_components(s)
+    assert sum(comps) == s and all(comps)  # nonempty, disjoint, cover S
+    unions = set()
+    for pick in range(1 << len(comps)):
+        u = 0
+        for i, c in enumerate(comps):
+            if pick >> i & 1:
+                u |= c
+        unions.add(u)
+    for t in submasks(s):
+        separator = m.rank(t) + m.rank(s & ~t) == m.rank(s)
+        assert separator == (t in unions), (m, s, t)
+
+
 def test_component_separator_agreement():
-    # union of components iff rank(T) + rank(E-T) == rank(E), all subsets
     rng = random.Random(9)
+    matroids = []
     for _ in range(15):
         n = rng.randint(2, 8)
         r = rng.randint(1, n)
         m = uniform(r, n) if rng.random() < 0.4 else schubert_from_order(
             list(range(n)), mask_of(sorted(rng.sample(range(n), r)))
         )
-        comps = m.connected_components()
-        full = m.full_mask
-        unions = set()
-        for pick in range(1 << len(comps)):
-            u = 0
-            for i, c in enumerate(comps):
-                if pick >> i & 1:
-                    u |= c
-            unions.add(u)
-        for t in range(full + 1):
-            separator = m.rank(t) + m.rank(full & ~t) == m.r
-            assert separator == (t in unions), (m, t)
+        matroids.append(m)
+    for _ in range(8):
+        a, b = rng.sample(matroids, 2)
+        if a.n + b.n <= 10:
+            s = a.direct_sum(b)
+            assert s.component_count() == a.component_count() + b.component_count()
+            matroids.append(s)
+    for m in matroids:
+        assert m.connected_components() == m.restriction_components(m.full_mask)
+        _assert_components_separate(m, m.full_mask)
+        for _ in range(6):
+            _assert_components_separate(m, rng.getrandbits(m.n))
 
 
 def test_direct_sum_basis_count_multiplies():
@@ -317,12 +334,16 @@ def test_ground_set_cap():
         uniform(2, 17)
 
 
-def test_lazy_rank_beyond_table_limit():
-    m = uniform(2, 15)
-    assert m._rank_table is None
-    assert m.rank(0b111) == 2
-    assert m.rank(1 << 14) == 1
-    assert m._rank_table is None  # still on the memo path
+def test_rank_table_at_n15_n16():
+    # the full table answers every rank query, up to the ground-set cap
+    rng = random.Random(16)
+    for n in (15, 16):
+        order = rng.sample(range(n), n)
+        m = schubert_from_order(order, mask_of(rng.sample(range(n), 5)))
+        masks = [0, m.full_mask] + [rng.getrandbits(n) for _ in range(100)]
+        for s in masks:
+            assert m.rank(s) == max(popcount(b & s) for b in m.bases), (n, s)
+        assert type(m._rank_table) is list and len(m._rank_table) == 1 << n
 
 
 def test_dual_rank_identity():
