@@ -10,7 +10,7 @@ class EmptyGroundSet(OmegacalcError):
 
 
 class NotAMatroid(OmegacalcError):
-    """A basis list fails the exchange axiom."""
+    """A basis list is not the basis family of any matroid."""
 
 
 class InvalidRank(OmegacalcError):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bitops import mask_of
+from .bitops import mask_of, popcount
 from .errors import OmegacalcError, SpecFileError
 from .matroid import (
     Matroid,
@@ -52,19 +52,34 @@ class LoadedMatroid:
     schubert: SchubertData | None = None
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: bool is an int subclass, but true is not 1 here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_mask(obj, n: int, what: str) -> int:
-    if not isinstance(obj, list) or not all(
-        isinstance(e, int) and 0 <= e < n for e in obj
-    ):
+    if not isinstance(obj, list) or not all(_is_int(e) and 0 <= e < n for e in obj):
         raise SpecFileError(f"{what} must be a list of elements in [0, {n})")
     if len(set(obj)) != len(obj):
         raise SpecFileError(f"{what} has repeated elements")
     return mask_of(obj)
 
 
+_INT = (_is_int, "an integer")
+_LIST = (lambda v: isinstance(v, list), "a list")
+_INTS = (lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+# the JSON type of every field that _require hands out ("set" and "of" are
+# checked where they are read)
+_FIELD_TYPES = {"n": _INT, "r": _INT, "bases": _LIST, "chain": _LIST,
+                "profile": _INTS, "order": _INTS, "parts": _LIST}
+
+
 def _require(obj: dict, key: str, kind: str):
     if key not in obj:
         raise SpecFileError(f"kind {kind!r} requires field {key!r}")
+    check, what = _FIELD_TYPES.get(key, (lambda v: True, ""))
+    if not check(obj[key]):
+        raise SpecFileError(f"{kind}: field {key!r} must be {what}")
     return obj[key]
 
 
@@ -86,20 +101,14 @@ def _build(obj: dict, kind) -> tuple[Matroid, SchubertData | None]:
     if kind == "bases":
         n = _require(obj, "n", kind)
         bases = _require(obj, "bases", kind)
-        if not isinstance(bases, list):
-            raise SpecFileError("bases must be a list of subsets")
         return from_bases(n, [_as_mask(b, n, "basis") for b in bases]), None
     if kind == "uniform":
         n = _require(obj, "n", kind)
         return uniform(_require(obj, "r", kind), n), None
     if kind in ("schubert_lower", "schubert_upper"):
         n = _require(obj, "n", kind)
-        chain = tuple(
-            _as_mask(s, n, "chain member") for s in _require(obj, "chain", kind)
-        )
+        chain = tuple(_as_mask(s, n, "chain member") for s in _require(obj, "chain", kind))
         profile = tuple(_require(obj, "profile", kind))
-        if not all(isinstance(a, int) for a in profile):
-            raise SpecFileError("profile must be a list of integers")
         if kind == "schubert_lower":
             return schubert_lower(n, chain, profile), (n, chain, profile)
         matroid = schubert_upper(n, chain, profile)
@@ -112,22 +121,19 @@ def _build(obj: dict, kind) -> tuple[Matroid, SchubertData | None]:
         subset = _as_mask(_require(obj, "set", kind), n, "set")
         matroid = schubert_from_order(order, subset)
         chain = tuple(mask_of(order[: i + 1]) for i in range(n))
-        profile = tuple(
-            len([e for e in order[:i] if subset >> e & 1]) for i in range(n + 1)
-        )
+        profile = tuple(popcount(subset & s) for s in (0, *chain))
         return matroid, (n, chain, profile)
-    if kind == "dual":
-        inner, _ = _build_of(obj, kind)
-        return inner.dual(), None
-    if kind in ("delete", "contract"):
-        inner, _ = _build_of(obj, kind)
+    if kind in ("dual", "delete", "contract"):
+        inner = _build_spec(_require(obj, "of", kind), f"{kind}: field 'of'")
+        if kind == "dual":
+            return inner.dual(), None
         mask = _as_mask(_require(obj, "set", kind), inner.n, "set")
         return (inner.delete(mask) if kind == "delete" else inner.contract(mask)), None
     if kind == "direct_sum":
         parts = _require(obj, "parts", kind)
-        if not isinstance(parts, list) or len(parts) < 2:
+        if len(parts) < 2:
             raise SpecFileError("direct_sum needs at least two parts")
-        built = [_build(p, p.get("kind"))[0] for p in parts]
+        built = [_build_spec(p, "direct_sum part") for p in parts]
         out = built[0]
         for nxt in built[1:]:
             out = out.direct_sum(nxt)
@@ -135,11 +141,10 @@ def _build(obj: dict, kind) -> tuple[Matroid, SchubertData | None]:
     raise SpecFileError(f"unknown matroid kind {kind!r}")
 
 
-def _build_of(obj: dict, kind: str) -> tuple[Matroid, None]:
-    inner = _require(obj, "of", kind)
+def _build_spec(inner, what: str) -> Matroid:
     if not isinstance(inner, dict):
-        raise SpecFileError(f"{kind}: field 'of' must be a matroid spec object")
-    return _build(inner, inner.get("kind"))[0], None
+        raise SpecFileError(f"{what} must be a matroid spec object")
+    return _build(inner, inner.get("kind"))[0]
 
 
 def spec_to_json(obj: dict) -> str:

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import BAD_FIELD_SPECS
 
 import omegacalc
 from omegacalc.cli import main
@@ -60,6 +61,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
     assert main(["compute", "-i", str(path)]) == 2
+
+
+@pytest.mark.parametrize("spec", BAD_FIELD_SPECS.values(), ids=BAD_FIELD_SPECS.keys())
+def test_wrongly_typed_spec_exits_2(spec, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["compute", "-i", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_infeasible_exit_code(tmp_path, capsys):

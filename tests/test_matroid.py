@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -37,6 +38,90 @@ def test_from_bases_accepts_uniform():
 def test_from_bases_rejects_exchange_failure():
     with pytest.raises(NotAMatroid):
         from_bases(4, [0b1100, 0b0011])
+
+
+def _exchange_holds(bases: set[int]) -> bool:
+    """Brute-force basis exchange: for all B1, B2 and e in B1 - B2 there is
+    an f in B2 - B1 with B1 - e + f a basis."""
+    return all(
+        any((b1 ^ (1 << e)) | (1 << f) in bases for f in bits(b2 & ~b1))
+        for b1 in bases
+        for b2 in bases
+        for e in bits(b1 & ~b2)
+    )
+
+
+def _max_meet(bases, s: int) -> int:
+    return max(popcount(b & s) for b in bases)
+
+
+def _random_family(rng: random.Random) -> tuple[int, set[int]]:
+    """An equal-size family on n <= 7: a matroid's bases, possibly with one
+    r-subset toggled, or a random sample of r-subsets."""
+    from omegacalc.corpus import random_derived_matroid
+
+    if rng.random() < 0.5:
+        m = random_derived_matroid(rng, 7)
+        n, r, family = m.n, m.r, set(m.bases)
+        if rng.random() > 0.6:
+            return n, family
+    else:
+        # below rank 2 or corank 2 every equal-size family is a matroid
+        n = rng.randint(4, 7)
+        r = rng.randint(2, n - 2)
+        family = set()
+    subsets = [mask_of(c) for c in combinations(range(n), r)]
+    if family:
+        family ^= {rng.choice(subsets)}
+    else:
+        family = set(rng.sample(subsets, rng.randint(1, len(subsets))))
+    return n, family or {subsets[0]}
+
+
+def test_validation_matches_exchange_oracle():
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    for _ in range(2500):
+        n, family = _random_family(rng)
+        try:
+            m = from_bases(n, family)
+        except NotAMatroid:
+            accepted = False
+        else:
+            accepted = True
+            for s in (0, m.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
+                assert m.rank(s) == _max_meet(family, s)
+        assert accepted == _exchange_holds(family), (n, sorted(family))
+        verdicts[accepted] += 1
+    assert min(verdicts.values()) >= 500, verdicts
+
+
+def test_non_matroid_error_names_its_witness():
+    # rank 2 on {0,1,2,3}: {2,3} cannot trade 2 for 0 or 1, since {0,3} and
+    # {1,3} are missing
+    family = {0b0011, 0b0101, 0b0110, 0b1100}
+    assert not _exchange_holds(family)
+    with pytest.raises(NotAMatroid) as info:
+        from_bases(4, family)
+    found = re.search(r"S=\[([\d, ]*)\], e=(\d+), f=(\d+)", str(info.value))
+    assert found, str(info.value)
+    s = mask_of(int(x) for x in found[1].split(",") if x.strip())
+    e, f = 1 << int(found[2]), 1 << int(found[3])
+    assert not s & (e | f) and e != f
+
+    def r(x):
+        return _max_meet(family, x)
+
+    assert r(s | e) + r(s | f) < r(s | e | f) + r(s)
+
+
+def test_rank_table_entries_are_python_ints():
+    base = from_bases(4, [0b0011, 0b0101, 0b0110, 0b1001, 0b1010])
+    minor = rank4_example().contract(0b1).delete(0b10)
+    for m in (base, minor, rank4_example()):
+        table = m.ensure_rank_table()
+        assert type(table) is list and len(table) == 1 << m.n
+        assert all(type(v) is int for v in table), m
 
 
 def test_from_bases_accepts_single_loop():
