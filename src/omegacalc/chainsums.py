@@ -10,9 +10,11 @@ the sign rule.
 The two sums over chains of arbitrary subsets are evaluated by exchanging
 the order of summation: for each path, the signed number of chains whose
 constraint points the path satisfies is an alternating chain count in a
-marked subposet of the boolean lattice (see altsum).  All other variants
-enumerate chains by depth-first search with incremental path counting,
-pruning any prefix whose constraints already exclude every path.
+marked subposet of the boolean lattice (see altsum).  The other eight
+are one transfer recursion over the route's members (`_chain_sum`): each
+route only supplies its members, its path bound and the signs (and, for
+inward-flats, the Mobius values) with which a chain enters, steps between
+and leaves them, so no chain is ever enumerated.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .crowding import (
 from .errors import Infeasible, VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
-from .paths import ChainPathCounter, Mode
+from .paths import ChainPathCounter, Mode, advance, restrict
 
 SET_VARIANT_CAP = 12
 
@@ -87,21 +89,21 @@ def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
     elif variant is Variant.OUTWARD_SETS:
         value, chains = _sets_global(matroid, Mode.ABOVE), None
     elif variant is Variant.CROWDED_SETS:
-        value, chains = _poset_dfs(matroid, _crowded_set_poset(matroid))
+        value, chains = _poset_sum(matroid, crowded_sets(matroid))
     elif variant is Variant.RECORD_SETS:
-        value, chains = _poset_dfs(matroid, _record_set_poset(matroid))
+        value, chains = _poset_sum(matroid, crowded_sets(matroid), records_only=True)
     elif variant is Variant.CROWDED_FLATS:
-        value, chains = _poset_dfs(matroid, _crowded_flat_poset(matroid))
+        value, chains = _poset_sum(matroid, crowded_flats(matroid))
     elif variant is Variant.RECORD_FLATS:
-        value, chains = _poset_dfs(matroid, _record_flat_poset(matroid))
+        value, chains = _poset_sum(matroid, crowded_flats(matroid), records_only=True)
     elif variant is Variant.OUTWARD_FLATS:
-        value, chains = _flats_dfs(matroid, Mode.ABOVE)
+        value, chains = _poset_sum(matroid, flat_lattice(matroid).flats)
     elif variant is Variant.INWARD_FLATS:
-        value, chains = _flats_dfs(matroid, Mode.BELOW)
+        value, chains = _inward_flats_sum(matroid)
     elif variant is Variant.FINAL_SETS:
-        value, chains = _final_dfs(matroid, flats_only=False)
+        value, chains = _final_sum(matroid, flats_only=False)
     elif variant is Variant.FINAL_FLATS:
-        value, chains = _final_dfs(matroid, flats_only=True)
+        value, chains = _final_sum(matroid, flats_only=True)
     else:  # pragma: no cover
         raise ValueError(f"unknown variant {variant}")
     return ChainSumRun(variant, value, chains, time.perf_counter() - start)
@@ -162,174 +164,191 @@ def _sets_global(matroid: Matroid, mode: Mode) -> int:
     return total
 
 
-# -- generic chain DFS over a poset of crowded or record sets/flats ----------
+# -- the chain-sum kernel -----------------------------------------------------
 
 
-def _crowded_set_poset(matroid: Matroid) -> list[int]:
-    return crowded_sets(matroid)
+def _chain_sum(
+    matroid: Matroid,
+    members: Sequence[int],
+    mode: Mode,
+    start: Callable[[int], int],
+    edge: Callable[[int, int], int],
+    finish: Callable[[int], int],
+    root: int,
+    scale: Callable[[int, int], int] | None = None,
+) -> tuple[int, int]:
+    """Signed path counts summed over the chains 0 < t_1 < ... < t_k < E.
 
+    `members` are the route's interior members, subsets before supersets.
+    A chain enters at t with sign start(t), steps from s to t with sign
+    edge(s, t) (s a proper subset of t) and leaves t for E with sign
+    finish(t); a sign of 0 means no such link.  `root` is the sign of the
+    chain without interior members.  `scale(lower, upper)`, when given,
+    multiplies the sign of every link (lower = 0 on entry, upper = E on
+    exit); it is read only for terms whose path count is nonzero.
 
-def _record_set_poset(matroid: Matroid) -> list[int]:
-    return [m for m in crowded_sets(matroid) if is_crowding_record(matroid, m)]
+    A chain's path state is linear in its predecessor's, so the sum is a
+    transfer recursion over members rather than a walk over chains: with
+    x_t the clamped corank of t and A^k the free advance by k columns,
 
+        W(t) = mask_t(start(t) A^{x_t} e_0
+                      + sum over s < t of edge(s, t) A^{x_t - x_s} W(s))
 
-def _crowded_flat_poset(matroid: Matroid) -> list[int]:
-    return crowded_flats(matroid)
-
-
-def _record_flat_poset(matroid: Matroid) -> list[int]:
-    return [m for m in crowded_flats(matroid) if is_crowding_record(matroid, m)]
-
-
-def _poset_dfs(matroid: Matroid, poset: list[int]) -> tuple[int, int]:
-    """Sum over chains of poset members from the empty set to the ground
-    set, with sign (-1)^(length-1) and weakly-above path counts."""
+    and the covalue is root * completed(e_0) plus the sum over t of
+    finish(t) times the last coordinate of A^{L - x_t} W(t).  A member
+    admits a path prefix by its own constraint alone (the push from e_0),
+    so the chain count, the chains whose every member admits a path, is
+    the same recursion on counts: C(t) = [start(t) != 0] + sum of C(s).
+    """
+    counter = ChainPathCounter(matroid.n, matroid.r)
+    factor = scale or (lambda lower, upper: 1)
     full = matroid.full_mask
-    if 0 not in poset or full not in poset:
+    total = chains = 0
+    if root:
+        chains = 1
+        term = counter.completed_count()
+        if term:
+            total = root * factor(0, full) * term
+    if not counter.feasible:
+        return total, chains
+    length = counter.length
+    rank = matroid.rank
+    # (mask, column, W or None when zero, C) of every member a chain can
+    # reach, with the masks also in an array to find a member's subsets
+    reached: list[tuple[int, int, list[int] | None, int]] = []
+    reached_masks = np.empty(len(members), dtype=np.int64)
+    for t in members:
+        rk = rank(t)
+        probe = ChainPathCounter(matroid.n, matroid.r)
+        if not probe.push(popcount(t) - rk, rk, mode):
+            continue
+        col, entry = probe.column, probe.state
+        sign = start(t)
+        count = 1 if sign else 0
+        state = [sign * factor(0, t) * v for v in entry] if sign else None
+        by_column: dict[int, list[int]] = {}
+        below = np.flatnonzero((reached_masks[: len(reached)] & ~t) == 0)
+        for i in below.tolist():
+            s, s_col, s_state, s_count = reached[i]
+            sign = edge(s, t)
+            if not sign:
+                continue
+            count += s_count
+            if s_state is None:
+                continue
+            weight = sign * factor(s, t)
+            acc = by_column.get(s_col)
+            if acc is None:
+                by_column[s_col] = [weight * v for v in s_state]
+            else:
+                for d, v in enumerate(s_state):
+                    acc[d] += weight * v
+        if by_column:
+            moved = [0] * len(entry)
+            for s_col, acc in by_column.items():
+                for d, v in enumerate(advance(acc, col - s_col)):
+                    moved[d] += v
+            restrict(moved, rk, mode)
+            state = moved if state is None else [a + b for a, b in zip(state, moved)]
+        if state is not None and not any(state):
+            state = None
+        if not count:
+            continue
+        reached_masks[len(reached)] = t
+        reached.append((t, col, state, count))
+        sign = finish(t)
+        if sign:
+            chains += count
+            term = advance(state, length - col)[-1] if state is not None else 0
+            if term:
+                total += sign * factor(t, full) * term
+    return total, chains
+
+
+def _poset_sum(
+    matroid: Matroid, poset: list[int], records_only: bool = False
+) -> tuple[int, int]:
+    """Chains of poset members (of its crowding records only, if asked)
+    from the empty set to the ground set, with sign (-1)^(length-1) and
+    weakly-above path counts."""
+    full = matroid.full_mask
+
+    def sign(t: int) -> int:
+        # record status is scanned only for members a chain can reach
+        return -1 if not records_only or is_crowding_record(matroid, t) else 0
+
+    if 0 not in poset or full not in poset or not (sign(0) and sign(full)):
         return 0, 0
     interior = [m for m in poset if m not in (0, full)]
-    counter = ChainPathCounter(matroid.n, matroid.r)
-    rank = matroid.rank
-    total = 0
-    chains = 0
-
-    def dfs(cands: list[int], depth: int) -> None:
-        nonlocal total, chains
-        # complete the chain with the ground set (no constraint point)
-        chains += 1
-        term = counter.completed_count()
-        if term:
-            total += term if depth % 2 == 0 else -term
-        for i, t in enumerate(cands):
-            rk = rank(t)
-            alive = counter.push(popcount(t) - rk, rk, Mode.ABOVE)
-            if alive:
-                dfs([u for u in cands[i + 1 :] if (t & ~u) == 0], depth + 1)
-            counter.pop()
-
-    dfs(interior, 0)
-    return total, chains
+    return _chain_sum(
+        matroid, interior, Mode.ABOVE,
+        start=sign, edge=lambda s, t: sign(t), finish=lambda t: 1, root=1,
+    )
 
 
-def _flats_dfs(matroid: Matroid, mode: Mode) -> tuple[int, int]:
-    """Sum over all chains of flats.
-
-    Weakly-above counts carry sign (-1)^(length-1); strictly-below counts
-    carry (-1)^length times the product of interval Mobius values along
-    the chain.
-    """
+def _inward_flats_sum(matroid: Matroid) -> tuple[int, int]:
+    """All chains of flats, with strictly-below path counts and sign
+    (-1)^length times the product of interval Mobius values along the
+    chain."""
     lattice = flat_lattice(matroid)
-    full = matroid.full_mask
-    counter = ChainPathCounter(matroid.n, matroid.r)
-    rank = matroid.rank
-    mobius = lattice.mobius if mode is Mode.BELOW else None
-    total = 0
-    chains = 0
-
-    def dfs(cur: int, depth: int, weight: int) -> None:
-        nonlocal total, chains
-        chains += 1
-        term = counter.completed_count()
-        if term:
-            if mode is Mode.ABOVE:
-                total += term if depth % 2 == 0 else -term
-            else:
-                edge = weight * mobius(cur, full)
-                total += -edge * term if depth % 2 == 0 else edge * term
-        for t in lattice.flats_above(cur):
-            if t == full:
-                continue
-            rk = rank(t)
-            alive = counter.push(popcount(t) - rk, rk, mode)
-            if alive:
-                dfs(t, depth + 1, weight if mobius is None else weight * mobius(cur, t))
-            counter.pop()
-
-    bottom = lattice.bottom
-    if bottom != 0:  # loops would make the bottom flat nonempty
+    if lattice.bottom != 0:  # loops would make the bottom flat nonempty
         raise VariantInapplicable("flats chains require a loop-free matroid")
-    dfs(0, 0, 1)
-    return total, chains
+    full = matroid.full_mask
+    interior = [f for f in lattice.flats if f not in (0, full)]
+    return _chain_sum(
+        matroid, interior, Mode.BELOW,
+        start=lambda t: -1, edge=lambda s, t: -1, finish=lambda t: -1, root=-1,
+        scale=lattice.mobius,
+    )
 
 
 # -- the fully cancelled sums -------------------------------------------------
 
 
-def _final_dfs(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
+def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
     """Chains H_0 < H_1 < ... < H_m = E of crowding records with strictly
     increasing crowding starting at 0, nested zero parts, and sign
     (-1)^(c(H_0) + m - 1); paths are bounded weakly above at every chain
     member except the empty set and the ground set."""
     full = matroid.full_mask
     if flats_only:
-        lattice = flat_lattice(matroid)
-        if lattice.bottom != 0:
+        if flat_lattice(matroid).bottom != 0:
             raise VariantInapplicable("flats chains require a loop-free matroid")
-        universe = lattice.flats
+        universe = crowded_flats(matroid)
     else:
         universe = crowded_sets(matroid)
-    records = [
-        m
-        for m in universe
-        if crowding(matroid, m) >= 0 and is_crowding_record(matroid, m)
-    ]
-    if full not in records:
+    if full not in universe or not is_crowding_record(matroid, full):
         return 0, 0
-    rank = matroid.rank
+    from_empty = is_crowding_record(matroid, 0)
     top_crowding = crowding(matroid, full)
-    counter = ChainPathCounter(matroid.n, matroid.r)
-    total = 0
-    chains = 0
+    zeros: dict[int, int] = {}
 
-    zero_full, _ = crowding_split(matroid, full)
+    def zero(mask: int) -> int:
+        if mask not in zeros:
+            zeros[mask] = crowding_split(matroid, mask)[0]
+        return zeros[mask]
 
-    def complete(start_components: int, edges: int, prev_zero: int) -> None:
-        nonlocal total, chains
-        if zero_full & ~prev_zero:
-            return
-        chains += 1
-        term = counter.completed_count()
-        if term:
-            sign = -1 if (start_components + edges - 1) % 2 else 1
-            total += sign * term
+    # record status and zero parts are read only for members a chain can reach
+    def start(t: int) -> int:
+        if not is_crowding_record(matroid, t):
+            return 0
+        c = crowding(matroid, t)
+        if c == 0:  # t is H_0
+            return -1 if matroid.component_count(t) % 2 else 1
+        return -1 if from_empty and zero(t) == 0 else 0
 
-    def dfs(cur: int, start_components: int, edges: int, cur_crowding: int, cur_zero: int) -> None:
-        if top_crowding > cur_crowding:
-            complete(start_components, edges + 1, cur_zero)
-        for t in records:
-            if t == full or (cur & ~t) != 0 or t == cur:
-                continue
-            s = crowding(matroid, t)
-            if s <= cur_crowding:
-                continue
-            zero_t, _ = crowding_split(matroid, t)
-            if zero_t & ~cur_zero:
-                continue
-            rk = rank(t)
-            alive = counter.push(popcount(t) - rk, rk, Mode.ABOVE)
-            if alive:
-                dfs(t, start_components, edges + 1, s, zero_t)
-            counter.pop()
+    def edge(s: int, t: int) -> int:
+        if crowding(matroid, t) <= crowding(matroid, s) or not is_crowding_record(matroid, t):
+            return 0
+        return -1 if zero(t) & ~zero(s) == 0 else 0
 
-    for h0 in records:
-        if crowding(matroid, h0) != 0:
-            continue
-        if h0 == full:
-            # the one-element chain (E), admissible only at crowding 0
-            chains += 1
-            term = counter.completed_count()
-            if term:
-                c = matroid.component_count()
-                total += term if (c - 1) % 2 == 0 else -term
-            continue
-        comp0 = matroid.component_count(h0) if h0 else 0
-        zero0, _ = crowding_split(matroid, h0) if h0 else (0, 0)
-        if h0 == 0:
-            dfs(0, comp0, 0, 0, 0)
-        else:
-            rk = rank(h0)
-            alive = counter.push(popcount(h0) - rk, rk, Mode.ABOVE)
-            if alive:
-                dfs(h0, comp0, 0, 0, zero0)
-            counter.pop()
-    return total, chains
+    def finish(t: int) -> int:
+        below_top = top_crowding > crowding(matroid, t)
+        return 1 if below_top and zero(full) & ~zero(t) == 0 else 0
+
+    if top_crowding == 0:  # the one-element chain (E)
+        root = component_sign(matroid)
+    else:  # the chain 0 < E
+        root = 1 if from_empty and zero(full) == 0 else 0
+    interior = [m for m in universe if m not in (0, full)]
+    return _chain_sum(matroid, interior, Mode.ABOVE, start, edge, finish, root)

@@ -2,16 +2,22 @@
 
 Mobius values are computed by the direct recursion mu(F, F) = 1,
 mu(F, G) = -sum of mu(F, H) over flats F <= H < G.  For a fixed F the
-whole column mu(F, -) is filled in one ascending pass and memoized, since
-chain enumeration tends to ask for many intervals above the same flat.
+whole column mu(F, -) is filled in one ascending pass, one rank level at
+a time, and memoized, since chain sums tend to ask for many intervals
+above the same flat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bitops import bits, popcount
 from .matroid import Matroid
+
+
+_CHUNK = 1 << 18  # comparisons per block when filling a Mobius column
 
 
 @dataclass
@@ -23,8 +29,11 @@ class FlatLattice:
     bottom: int
     top: int
     _flat_set: frozenset[int] = field(repr=False)
-    _above: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
     _mu: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+    _level_masks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._level_masks = tuple(np.array(level, dtype=np.int64) for level in self.flats_by_rank)
 
     @property
     def flats(self) -> list[int]:
@@ -35,19 +44,6 @@ class FlatLattice:
 
     def is_flat(self, mask: int) -> bool:
         return mask in self._flat_set
-
-    def flats_above(self, flat: int) -> tuple[int, ...]:
-        """Flats strictly containing `flat`, ordered by rank then mask."""
-        cached = self._above.get(flat)
-        if cached is None:
-            cached = tuple(
-                g
-                for level in self.flats_by_rank
-                for g in level
-                if g != flat and (flat & ~g) == 0
-            )
-            self._above[flat] = cached
-        return cached
 
     def mobius(self, lower: int, upper: int) -> int:
         """Mobius value of the interval [lower, upper] in the lattice of flats."""
@@ -63,17 +59,24 @@ class FlatLattice:
         return cached
 
     def _fill_column(self, lower: int) -> None:
-        above = self.flats_above(lower)
-        mu = self._mu
-        known: list[tuple[int, int]] = []
-        for g in above:
-            total = 1  # mu(lower, lower)
-            for h, value in known:
-                if (h & ~g) == 0:
-                    total += value
-            value = -total
-            mu[(lower, g)] = value
-            known.append((g, value))
+        # the flats above `lower`, level by level; flats of one rank are
+        # incomparable, so a whole level is summed against the levels below
+        # it at once.  |mu| on an interval is at most its number of bases
+        # (< 2^14 for n <= 16), so every partial sum fits an int64.
+        levels = [
+            level[((level & lower) == lower) & (level != lower)] for level in self._level_masks
+        ]
+        above = np.concatenate(levels)
+        values = np.empty(len(above), dtype=np.int64)
+        done = 0
+        for level in levels:
+            rows = max(1, _CHUNK // max(done, 1))
+            for lo in range(0, len(level), rows):
+                part = level[lo : lo + rows]
+                inside = (above[None, :done] & ~part[:, None]) == 0
+                values[done + lo : done + lo + len(part)] = -1 - inside @ values[:done]
+            done += len(level)
+        self._mu.update(zip(((lower, g) for g in above.tolist()), values.tolist()))
 
 
 def flat_lattice(matroid: Matroid) -> FlatLattice:

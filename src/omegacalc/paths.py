@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from math import comb
 from typing import Sequence
 
 from .bitops import popcount
@@ -42,43 +43,41 @@ class PathProblem:
 
 def count_paths(problem: PathProblem) -> int:
     """Number of paths satisfying every constraint; exact big integer."""
-    n, r = problem.n, problem.r
-    if r == 0:
+    counter = ChainPathCounter(problem.n, problem.r)
+    if not counter.feasible:
         return 0
-    length = n - r - 1
-    diagonals = r - 1
-    if diagonals > length:
-        return 0
-    per_column: dict[int, list[PathConstraint]] = {}
+    last = problem.n - problem.r
     for c in problem.constraints:
-        if c.x < 0 or c.x > n - r:
-            raise ConstraintOutOfRange(f"column {c.x} outside [0, {n - r}]")
-        per_column.setdefault(min(c.x, length), []).append(c)
+        if c.x < 0 or c.x > last:
+            raise ConstraintOutOfRange(f"column {c.x} outside [0, {last}]")
+    for c in sorted(problem.constraints, key=lambda c: min(c.x, counter.length)):
+        if not counter.push(c.x, c.y, c.mode):
+            return 0
+    return counter.completed_count()
 
-    def apply(column: int, state: list[int]) -> None:
-        for c in per_column.get(column, ()):
-            if c.mode is Mode.BELOW:
-                for d in range(c.y, len(state)):
-                    state[d] = 0
-            else:
-                for d in range(min(c.y, len(state))):
-                    state[d] = 0
 
-    # state[d] = number of admissible prefixes with d diagonal steps
-    state = [0] * (diagonals + 1)
-    state[0] = 1
-    apply(0, state)
-    for step in range(1, length + 1):
-        nxt = [0] * (diagonals + 1)
-        for d, v in enumerate(state):
-            if not v:
-                continue
-            nxt[d] += v
-            if d + 1 <= diagonals:
-                nxt[d + 1] += v
-        apply(step, nxt)
-        state = nxt
-    return state[diagonals]
+def advance(state: list[int], steps: int) -> list[int]:
+    """The per-diagonal counts `steps` free columns further on: A^steps.
+
+    (A^k v)[d] = sum_j C(k, d - j) v[j], truncated at the last diagonal.
+    """
+    if not steps:
+        return list(state)
+    binom = [comb(steps, i) for i in range(len(state))]
+    return [
+        sum(binom[d - j] * v for j, v in enumerate(state[: d + 1]) if v)
+        for d in range(len(state))
+    ]
+
+
+def restrict(state: list[int], y: int, mode: Mode) -> None:
+    """Zero, in place, the diagonal counts that a constraint of height y
+    at the state's column excludes."""
+    y = max(y, 0)
+    if mode is Mode.BELOW:
+        state[y:] = [0] * (len(state) - y)
+    else:
+        state[:y] = [0] * min(y, len(state))
 
 
 def count_paths_brute(problem: PathProblem) -> int:
@@ -113,64 +112,38 @@ def count_paths_brute(problem: PathProblem) -> int:
 
 
 class ChainPathCounter:
-    """Incremental path counting for chain searches.
+    """Path counting along the constraints of one chain.
 
     Constraints are pushed with weakly increasing clamped column (coranks
-    grow along a chain), and popped on backtrack.  The running state is the
-    per-diagonal prefix count at the last constrained column; completing a
-    chain advances the state freely to the end.
+    grow along a chain).  The state is the per-diagonal prefix count at
+    the last constrained column; completing the chain advances it freely
+    to the end.
     """
 
     def __init__(self, n: int, r: int):
         self.length = n - r - 1
         self.diagonals = r - 1
         self.feasible = r >= 1 and 0 <= self.diagonals <= self.length
-        state = [0] * (self.diagonals + 1) if self.feasible else [0]
-        if self.feasible:
-            state[0] = 1
-        self._stack: list[tuple[int, list[int]]] = [(0, state)]
-
-    def _advance(self, state: list[int], steps: int) -> list[int]:
-        top = self.diagonals
-        for _ in range(steps):
-            nxt = [0] * (top + 1)
-            for d, v in enumerate(state):
-                if v:
-                    nxt[d] += v
-                    if d < top:
-                        nxt[d + 1] += v
-            state = nxt
-        return state
+        self.column = 0
+        self.state = [1] + [0] * self.diagonals if self.feasible else [0]
 
     def push(self, x: int, y: int, mode: Mode) -> bool:
         """Apply one constraint; returns False when no path can survive."""
         if not self.feasible:
-            self._stack.append(self._stack[-1])
             return False
-        col, state = self._stack[-1]
         target = min(x, self.length)
-        if target < col:
+        if target < self.column:
             raise ValueError("constraints must arrive in column order")
-        state = self._advance(list(state), target - col)
-        if mode is Mode.BELOW:
-            for d in range(y, self.diagonals + 1):
-                state[d] = 0
-        else:
-            for d in range(min(y, self.diagonals + 1)):
-                state[d] = 0
-        self._stack.append((target, state))
+        state = advance(self.state, target - self.column)
+        restrict(state, y, mode)
+        self.column, self.state = target, state
         return any(state)
-
-    def pop(self) -> None:
-        self._stack.pop()
 
     def completed_count(self) -> int:
         """Paths consistent with every pushed constraint."""
         if not self.feasible:
             return 0
-        col, state = self._stack[-1]
-        state = self._advance(list(state), self.length - col)
-        return state[self.diagonals]
+        return advance(self.state, self.length - self.column)[self.diagonals]
 
 
 def chain_points(

@@ -1,19 +1,24 @@
 import random
+import time
 from math import comb
 
 import pytest
 
-from omegacalc.bitops import mask_of
+from omegacalc.bitops import mask_of, popcount
 from omegacalc.chainsums import (
     Variant,
     covalue,
     omega_by_variant,
     schubert_omega,
 )
-from omegacalc.corpus import random_derived_matroid
+from omegacalc.corpus import generate_corpus, random_derived_matroid, random_schubert
+from omegacalc.crowding import crowded_flats, crowded_sets, crowding, crowding_split, is_crowding_record
 from omegacalc.engine import compute_omega
 from omegacalc.errors import Infeasible, VariantInapplicable
+from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
+from omegacalc.paths import Mode, PathConstraint, PathProblem, count_paths_brute
+from omegacalc.specfile import matroid_from_spec
 
 EXAMPLE_CHAIN = (mask_of(range(2)), mask_of(range(7)), mask_of(range(10)))
 EXAMPLE_PROFILE = (0, 1, 3, 4)
@@ -112,8 +117,6 @@ def test_uniform_4_10_all_methods():
 
 
 def test_flats_variants_agree_above_nine():
-    from omegacalc.corpus import random_schubert
-
     rng = random.Random(1012)
     flats = (
         Variant.INWARD_FLATS,
@@ -140,6 +143,19 @@ def test_cross_method_agreement_random():
         assert rep.agree, (m, {r.method: r.omega for r in rep.results})
 
 
+@pytest.mark.parametrize("ident", ["closure-1-0035", "closure-1-0090"])
+def test_all_routes_at_n10_within_budget(ident):
+    # crowded-sets counts over 20 million chains here: the sum must not walk them
+    spec = next(s for s in generate_corpus("closure", 100, 1, 10) if s["id"] == ident)
+    m = matroid_from_spec(spec).matroid
+    start = time.perf_counter()
+    rep = compute_omega(m, "all", ident)
+    elapsed = time.perf_counter() - start
+    assert rep.agree and len({res.omega for res in rep.results}) == 1, rep.results
+    assert len(rep.results) == 11
+    assert elapsed < 10, elapsed
+
+
 def test_schubert_value_equals_covalue():
     rng = random.Random(15)
     from omegacalc.corpus import random_schubert_data
@@ -158,15 +174,20 @@ def test_schubert_value_equals_covalue():
 
 @pytest.mark.parametrize(
     "corpus_args, top",
-    [(("schubert", 4, 1, 13, 5), 35), (("schubert", 3, 94, 16, 5), 25)],
+    [
+        (("schubert", 4, 1, 13, 5), 35),
+        (("schubert", 3, 94, 16, 5), 25),
+        (("schubert", 6, 2, 13), 56),
+        (("schubert", 6, 3, 14), 84),
+        (("schubert", 6, 4, 15), 126),
+        (("schubert", 6, 5, 16), 66),
+    ],
 )
 def test_cross_route_agreement_n13_to_n16(corpus_args, top):
     # auto, the closed form where one applies and the five flats routes
     # against the Schubert path count, above n = 12
     from omegacalc.chainsums import FLAT_VARIANTS
     from omegacalc.closedform import omega_closed_form
-    from omegacalc.corpus import generate_corpus
-    from omegacalc.specfile import matroid_from_spec
 
     values = []
     for spec in generate_corpus(*corpus_args):
@@ -180,3 +201,159 @@ def test_cross_route_agreement_n13_to_n16(corpus_args, top):
         assert len(results) == 6
         assert all(res.omega == expected for res in results), (spec["id"], results)
     assert max(values) == top
+
+
+# -- brute-force chain oracle for the eight chain-sum routes ----------------
+
+
+def _chains_between(members, lo, hi):
+    """Every chain lo < t_1 < ... < t_k < hi of members, as (t_1, ..., t_k)."""
+    inner = [t for t in members if t not in (lo, hi) and lo & ~t == 0 and t & ~hi == 0]
+    above = {t: [u for u in inner if u != t and t & ~u == 0] for t in [lo] + inner}
+    out = []
+    stack = [((), lo)]
+    while stack:
+        prefix, last = stack.pop()
+        out.append(prefix)
+        stack.extend((prefix + (t,), t) for t in above[last])
+    return out
+
+
+def _admits_prefix(m, t, mode):
+    """Some path prefix of min(x, L) steps meets t's own bound."""
+    length, top = m.n - m.r - 1, m.r - 1
+    if m.r == 0 or top > length:
+        return False
+    rk = m.rank(t)
+    column = min(popcount(t) - rk, length)
+    return any(d < rk if mode is Mode.BELOW else d >= rk for d in range(min(column, top) + 1))
+
+
+def _oracle(m, terms, mode):
+    """(sum of sign times the brute path count, number of chains whose every
+    constrained member admits a path prefix) over (sign, members) terms."""
+    total = chains = 0
+    members = {}  # member -> (its constraint, whether it admits a prefix)
+    brute = {}  # member tuple -> brute-force path count
+    for sign, constrained in terms:
+        key = tuple(constrained)
+        if key not in brute:
+            for t in key:
+                if t not in members:
+                    rk = m.rank(t)
+                    point = PathConstraint(popcount(t) - rk, rk, mode)
+                    members[t] = (point, _admits_prefix(m, t, mode))
+            points = tuple(members[t][0] for t in key)
+            brute[key] = count_paths_brute(PathProblem(m.n, m.r, points))
+        total += sign * brute[key]
+        chains += all(members[t][1] for t in constrained)
+    return total, chains
+
+
+def _oracle_poset(m, poset, mode=Mode.ABOVE, weight=None):
+    full = m.full_mask
+    if 0 not in poset or full not in poset:
+        return 0, 0
+    terms = []
+    for chain in _chains_between(poset, 0, full):
+        sign = -1 if len(chain) % 2 else 1
+        if weight is not None:
+            links = (0,) + chain + (full,)
+            sign = -sign
+            for lo, hi in zip(links, links[1:]):
+                sign *= weight(lo, hi)
+        terms.append((sign, chain))
+    return _oracle(m, terms, mode)
+
+
+def _hall_mobius(flats):
+    """mu(s, t) by Philip Hall: the alternating count of chains from s to t."""
+    cache = {}
+
+    def mu(s, t):
+        if (s, t) not in cache:
+            cache[s, t] = 1 if s == t else sum(
+                -1 if len(c) % 2 == 0 else 1 for c in _chains_between(flats, s, t)
+            )
+        return cache[s, t]
+
+    return mu
+
+
+def _oracle_final(m, universe):
+    full = m.full_mask
+    records = [t for t in universe if crowding(m, t) >= 0 and is_crowding_record(m, t)]
+    if full not in records:
+        return 0, 0
+
+    crowd = {t: crowding(m, t) for t in records}
+    zero = {t: crowding_split(m, t)[0] for t in records}
+
+    def comps(t):
+        return m.component_count(t) if t else 0
+
+    def admissible(h):
+        steps = zip(h, h[1:])
+        return crowd[h[0]] == 0 and all(
+            crowd[b] > crowd[a] and zero[b] & ~zero[a] == 0 for a, b in steps
+        )
+
+    terms = []
+    for chain in _chains_between(records, 0, full):
+        # read the chain once from H_0 = 0 and once from H_0 = its first member
+        for h in ((0,) + chain + (full,), chain + (full,)):
+            if h[0] in records and admissible(h):
+                sign = -1 if (comps(h[0]) + len(h) - 2) % 2 else 1
+                terms.append((sign, [t for t in h if t not in (0, full)]))
+    return _oracle(m, terms, Mode.ABOVE)
+
+
+def _oracle_routes(m):
+    sets = crowded_sets(m)
+    out = {
+        Variant.CROWDED_SETS: _oracle_poset(m, sets),
+        Variant.RECORD_SETS: _oracle_poset(m, [t for t in sets if is_crowding_record(m, t)]),
+        Variant.FINAL_SETS: _oracle_final(m, sets),
+    }
+    if m.has_loops():
+        return out
+    flats = flat_lattice(m).flats
+    cflats = crowded_flats(m)
+    out[Variant.CROWDED_FLATS] = _oracle_poset(m, cflats)
+    out[Variant.RECORD_FLATS] = _oracle_poset(m, [t for t in cflats if is_crowding_record(m, t)])
+    out[Variant.OUTWARD_FLATS] = _oracle_poset(m, flats)
+    out[Variant.INWARD_FLATS] = _oracle_poset(m, flats, Mode.BELOW, _hall_mobius(flats))
+    out[Variant.FINAL_FLATS] = _oracle_final(m, flats)
+    return out
+
+
+def _oracle_matroids():
+    rng = random.Random(4711)
+    found = [random_derived_matroid(rng, 7) for _ in range(170)]
+    found += [random_schubert(rng, rng.randint(3, 7)) for _ in range(20)]
+    for seed in (8, 9):
+        found += [matroid_from_spec(spec).matroid for spec in generate_corpus("closure", 10, seed, 6)]
+    found += [
+        uniform(4, 6),  # r - 1 > n - r - 1: no path exists
+        uniform(3, 7),
+        uniform(2, 4).direct_sum(uniform(1, 1)),  # a coloop
+        uniform(2, 4).direct_sum(uniform(0, 1)),  # a loop
+        uniform(1, 3).direct_sum(uniform(1, 3)),
+        schubert_lower(7, (0b11, 0b1111111), (0, 1, 3)),
+    ]
+    return found
+
+
+def test_kernel_matches_brute_force_chain_oracle():
+    matroids = _oracle_matroids()
+    assert len(matroids) >= 200
+    assert any(m.has_loops() for m in matroids)
+    assert any(m.rank(m.full_mask & ~(1 << e)) == m.r - 1
+               for m in matroids for e in range(m.n))  # a coloop
+    assert any(m.component_count() > 1 for m in matroids)
+    assert any(m.r - 1 > m.n - m.r - 1 for m in matroids)
+    for m in matroids:
+        assert m.n <= 7
+        for variant, expected in _oracle_routes(m).items():
+            run = covalue(m, variant)
+            assert (run.covalue, run.chains) == expected, (m, variant)

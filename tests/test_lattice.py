@@ -72,3 +72,30 @@ def test_bottom_is_closure_of_empty():
     m = from_bases(2, [0b10])  # element 0 is a loop
     lat = flat_lattice(m)
     assert lat.bottom == 0b01
+
+
+def _mobius_reference(lat, lower):
+    """mu(lower, -) by the defining recursion, one flat at a time."""
+    above = [g for g in lat.flats if g != lower and lower & ~g == 0]
+    known = {}
+    for g in above:
+        known[g] = -1 - sum(v for h, v in known.items() if h & ~g == 0)
+    return known
+
+
+def test_mobius_matches_the_recursion_in_python_ints():
+    from omegacalc.corpus import generate_corpus
+    from omegacalc.specfile import matroid_from_spec
+
+    specs = generate_corpus("closure", 30, 2, 9) + generate_corpus("schubert", 4, 5, 11)
+    checked = 0
+    for spec in specs:
+        m = matroid_from_spec(spec).matroid
+        if m.has_loops():
+            continue
+        lat = flat_lattice(m)
+        for f in lat.flats:
+            for g, value in _mobius_reference(lat, f).items():
+                assert lat.mobius(f, g) == value, (spec["id"], f, g)
+                checked += 1
+    assert checked > 10_000
