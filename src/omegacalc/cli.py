@@ -21,7 +21,7 @@ from .corpus import generate_corpus, sample_points
 from .engine import ALL_METHOD_NAMES, METHOD_ALL, METHOD_AUTO, OmegaReport, compute_omega
 from .errors import Infeasible, OmegacalcError, SpecFileError
 from .matroid import uniform
-from .polytopes import IdentityKind, check_identity
+from .polytopes import IDENTITY_CAP, IdentityKind, check_identity, subset_sums
 from .specfile import (
     LoadedMatroid,
     load_matroid_file,
@@ -144,18 +144,22 @@ def _identities_one(payload) -> tuple[list[str], list[dict], int]:
     else:
         rng = random.Random(seed)
         points = sample_points(rng, m.n, m.r, samples, bases=m.bases)
-    for kind in kinds:
-        bad_here = 0
-        for z in points:
-            lhs, rhs = check_identity(m, kind, z)
+    # one subset-sum transform per point serves every kind
+    mismatches: dict[IdentityKind, list[str]] = {kind: [] for kind in kinds}
+    for z in points:
+        sums = subset_sums(z)
+        for kind in kinds:
+            lhs, rhs = check_identity(m, kind, z, sums)
             if lhs != rhs:
-                failures += 1
-                bad_here += 1
                 coords = [[c.numerator, c.denominator] for c in z]
-                lines.append(
+                mismatches[kind].append(
                     f"MISMATCH id={item.matroid_id} kind={kind.value} "
                     f"point={json.dumps(coords)} lhs={lhs} rhs={rhs}"
                 )
+    for kind in kinds:
+        bad_here = len(mismatches[kind])
+        failures += bad_here
+        lines.extend(mismatches[kind])
         records.append(
             {
                 "id": item.matroid_id,
@@ -177,8 +181,16 @@ def cmd_check_identities(args) -> int:
     except SpecFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    from .polytopes import IDENTITY_CAP
-
+    if explicit is not None:
+        for item in loaded:
+            wrong = next((z for z in explicit if len(z) != item.matroid.n), None)
+            if wrong is not None:
+                print(
+                    f"error: a point of dimension {len(wrong)} does not fit "
+                    f"{item.matroid_id} (n = {item.matroid.n})",
+                    file=sys.stderr,
+                )
+                return EXIT_PARSE
     oversized = [item for item in loaded if item.matroid.n > IDENTITY_CAP]
     if oversized:
         print(

@@ -175,7 +175,9 @@ def sample_points(
     preserving the coordinate sum), and normalized random positive
     rationals with bounded denominators.  When basis masks are supplied,
     midpoints of basis-vertex pairs are mixed in as well; those land on
-    faces of the base polytope itself, probing its closed facets.
+    faces of the base polytope itself, probing its closed facets.  A
+    nudge needs two coordinates, so at n = 1 its draws become random
+    rationals instead.
     """
     vertices = [
         tuple(Fraction(1 if e in c else 0) for e in range(n))
@@ -197,7 +199,7 @@ def sample_points(
             points.append(
                 tuple((x + y) / 2 for x, y in zip(basis_vertices[a], basis_vertices[b]))
             )
-        elif style < 0.65:
+        elif style < 0.65 and n >= 2:
             base = list(rng.choice(vertices))
             i, j = rng.sample(range(n), 2)
             eps = Fraction(1, rng.choice([31, 61, 97, max_denominator]))

@@ -4,7 +4,8 @@ Mobius values are computed by the direct recursion mu(F, F) = 1,
 mu(F, G) = -sum of mu(F, H) over flats F <= H < G.  For a fixed F the
 whole column mu(F, -) is filled in one ascending pass, one rank level at
 a time, and memoized, since chain sums tend to ask for many intervals
-above the same flat.
+above the same flat.  The pointwise flats identities read every flat's
+predecessors with their Mobius values from one list, built on demand.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ class FlatLattice:
     top: int
     _flat_set: frozenset[int] = field(repr=False)
     _mu: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+    _predecessors: tuple | None = field(default=None, init=False, repr=False)
     _level_masks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -57,6 +59,22 @@ class FlatLattice:
             self._fill_column(lower)
             cached = self._mu[key]
         return cached
+
+    def weighted_predecessors(
+        self,
+    ) -> tuple[np.ndarray, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]]:
+        """The flats in rank order and, for the flat at each position, the
+        positions of the flats strictly below it with their Mobius values
+        mu(F, G).  Built on the first call and kept."""
+        if self._predecessors is None:
+            order = np.concatenate(self._level_masks)
+            flats = order.tolist()
+            below = []
+            for i, g in enumerate(flats):
+                lower = np.flatnonzero((order[:i] & ~g) == 0).tolist()
+                below.append((tuple(lower), tuple(self.mobius(flats[j], g) for j in lower)))
+            self._predecessors = (order, tuple(below))
+        return self._predecessors
 
     def _fill_column(self, lower: int) -> None:
         # the flats above `lower`, level by level; flats of one rank are

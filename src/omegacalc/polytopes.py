@@ -1,26 +1,36 @@
 """Exact rational membership tests and pointwise decomposition identities.
 
-Everything here works over Fraction coordinates; no floating point.  The
-four identity kinds express the indicator of a matroid base polytope as a
+Points are tuples of Fraction coordinates; no floating point.  The four
+identity kinds express the indicator of a matroid base polytope as a
 signed sum of indicators of Schubert-type polytopes over chains of
 subsets or flats; check_identity evaluates both sides at one point.
 
+Every rank inequality is decided in exact integers: subset_sums scales a
+point by the LCM D of its denominators, builds all 2^n scaled subset sums
+S in one subset transform over Python ints, and compares ceil(S/D) with
+the rank table as a vector.  Python ints have no bound, so a point with
+any numerator or denominator takes the same path.  One SubsetSums serves
+every identity kind at its point.
+
 The sums over chains of arbitrary subsets reduce, at a fixed point, to an
 alternating chain count over the subsets whose inequality the point
-satisfies (altsum); the sums over chains of flats are evaluated by a
-rank-ordered pass over the lattice of flats.
+satisfies (altsum); the sums over chains of flats are one rank-ordered
+pass over the lattice of flats, with each flat's predecessors and their
+Mobius values prepared once per lattice.
 """
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .altsum import alternating_chain_sum
-from .bitops import popcount
+from .bitops import bits
 from .errors import Infeasible, VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
@@ -41,14 +51,38 @@ def as_point(coords: Sequence) -> RationalPoint:
     return tuple(Fraction(c) for c in coords)
 
 
-def subset_sums(point: RationalPoint) -> list[Fraction]:
-    """Coordinate sums over every subset mask, by one-bit recursion."""
+class SubsetSums(NamedTuple):
+    """The coordinate sums of one point over every subset mask, scaled.
+
+    `scaled[S]` is `scale` times the sum over S, an exact Python int.
+    `ceiling[S]` is ceil(scaled[S] / scale) clipped to [-1, n + 1]; every
+    rank lies in [0, n], so the sum over S is at most r(S) exactly when
+    `ceiling[S] <= r(S)`.  `in_box` says every coordinate is in [0, 1].
+    """
+
+    scale: int
+    scaled: np.ndarray
+    ceiling: np.ndarray
+    in_box: bool
+
+    def sums_to(self, r: int) -> bool:
+        return self.scaled[-1] == self.scale * r
+
+    def within_rank(self, matroid: Matroid) -> np.ndarray:
+        """Booleans by mask: the sum over S is at most r(S)."""
+        return self.ceiling <= np.asarray(matroid.ensure_rank_table(), dtype=np.int64)
+
+
+def subset_sums(point: RationalPoint) -> SubsetSums:
+    """Scale by the LCM of the denominators, then one subset transform."""
     n = len(point)
-    sums: list[Fraction] = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + point[low.bit_length() - 1]
-    return sums
+    scale = lcm(*(c.denominator for c in point))
+    coords = [c.numerator * (scale // c.denominator) for c in point]
+    scaled = np.zeros(1, dtype=object)
+    for c in coords:
+        scaled = np.concatenate((scaled, scaled + c))
+    ceiling = np.clip(-(-scaled // scale), -1, n + 1).astype(np.int64)
+    return SubsetSums(scale, scaled, ceiling, all(0 <= c <= scale for c in coords))
 
 
 def in_hypersimplex(n: int, r: int, point: RationalPoint) -> bool:
@@ -63,53 +97,54 @@ def in_base_polytope(matroid: Matroid, point: RationalPoint) -> bool:
     if len(point) != matroid.n:
         raise ValueError("point dimension mismatch")
     sums = subset_sums(point)
-    if sums[matroid.full_mask] != matroid.r:
+    return sums.sums_to(matroid.r) and bool(sums.within_rank(matroid).all())
+
+
+def _in_chain_polytope(
+    holds: Callable[[Fraction, int], bool],
+    n: int,
+    chain: Sequence[int],
+    profile: Sequence[int],
+    point: RationalPoint,
+) -> bool:
+    """Hypersimplex cut by `holds(sum over S, a)` along the interior chain."""
+    if not in_hypersimplex(n, profile[-1], point):
         return False
-    rank = matroid.rank
-    return all(sums[mask] <= rank(mask) for mask in range(1, matroid.full_mask))
+    return all(
+        holds(sum(point[e] for e in bits(s)), a) for s, a in zip(chain[:-1], profile[1:-1])
+    )
 
 
 def in_schubert_lower(
     n: int, chain: Sequence[int], profile: Sequence[int], point: RationalPoint
 ) -> bool:
-    if not in_hypersimplex(n, profile[-1], point):
-        return False
-    return all(
-        sum(point[e] for e in range(n) if s >> e & 1) <= a
-        for s, a in zip(chain[:-1], profile[1:-1])
-    )
+    return _in_chain_polytope(operator.le, n, chain, profile, point)
 
 
 def in_schubert_upper(
     n: int, chain: Sequence[int], profile: Sequence[int], point: RationalPoint
 ) -> bool:
-    if not in_hypersimplex(n, profile[-1], point):
-        return False
-    return all(
-        sum(point[e] for e in range(n) if s >> e & 1) >= a
-        for s, a in zip(chain[:-1], profile[1:-1])
-    )
+    return _in_chain_polytope(operator.ge, n, chain, profile, point)
 
 
 def in_halfopen(
     n: int, chain: Sequence[int], profile: Sequence[int], point: RationalPoint
 ) -> bool:
     """Hypersimplex cut by strict lower bounds along the interior chain."""
-    if not in_hypersimplex(n, profile[-1], point):
-        return False
-    return all(
-        sum(point[e] for e in range(n) if s >> e & 1) > a
-        for s, a in zip(chain[:-1], profile[1:-1])
-    )
+    return _in_chain_polytope(operator.gt, n, chain, profile, point)
 
 
 def check_identity(
-    matroid: Matroid, kind: IdentityKind, point: RationalPoint
+    matroid: Matroid,
+    kind: IdentityKind,
+    point: RationalPoint,
+    sums: SubsetSums | None = None,
 ) -> tuple[int, int]:
     """(lhs, rhs) of the chosen decomposition identity at one point.
 
     lhs is the indicator of the base polytope; rhs the signed sum of
     member indicators.  Both are exact integers and must coincide.
+    `sums`, when given, is `subset_sums(point)`, shared between kinds.
     """
     n, r = matroid.n, matroid.r
     if n > IDENTITY_CAP:
@@ -118,61 +153,40 @@ def check_identity(
         raise ValueError("point dimension mismatch")
     if kind in (IdentityKind.INNER_FLATS, IdentityKind.OUTER_FLATS) and matroid.has_loops():
         raise VariantInapplicable("flats identities require a loop-free matroid")
-    sums = subset_sums(point)
-    full = matroid.full_mask
-    in_box = all(0 <= c <= 1 for c in point) and sums[full] == r
-    rank = matroid.rank
-    lhs = int(
-        sums[full] == r
-        and all(sums[mask] <= rank(mask) for mask in range(1, full))
-    )
-    if not in_box:
+    if sums is None:
+        sums = subset_sums(point)
+    within = sums.within_rank(matroid)
+    on_plane = sums.sums_to(r)
+    lhs = int(on_plane and bool(within.all()))
+    if not (on_plane and sums.in_box):
         return lhs, 0
     if kind is IdentityKind.INWARD_SETS:
-        good = np.fromiter(
-            (sums[mask] <= rank(mask) for mask in range(full + 1)),
-            dtype=bool,
-            count=full + 1,
-        )
-        term = alternating_chain_sum(n, good)
+        term = alternating_chain_sum(n, within)
         rhs = term if n % 2 == 1 else -term
     elif kind is IdentityKind.OUTWARD_SETS:
-        good = np.fromiter(
-            (sums[mask] > rank(mask) for mask in range(full + 1)),
-            dtype=bool,
-            count=full + 1,
-        )
-        rhs = alternating_chain_sum(n, good)
+        rhs = alternating_chain_sum(n, ~within)
     else:
-        rhs = _flats_identity_sum(matroid, kind, sums)
+        rhs = _flats_identity_sum(matroid, kind, within)
     return lhs, rhs
 
 
-def _flats_identity_sum(matroid: Matroid, kind: IdentityKind, sums) -> int:
-    lattice = flat_lattice(matroid)
-    full = matroid.full_mask
-    rank = matroid.rank
-    strict = kind is IdentityKind.OUTER_FLATS
-    mobius = lattice.mobius
-
-    def good(flat: int) -> bool:
-        if strict:
-            return sums[flat] > rank(flat)
-        return sums[flat] <= rank(flat)
-
+def _flats_identity_sum(matroid: Matroid, kind: IdentityKind, within: np.ndarray) -> int:
     # t(G) = signed, weighted sum over chains from the bottom flat to G
-    # whose interior flats all satisfy their inequality
-    order = [f for level in lattice.flats_by_rank for f in level]
-    t: dict[int, int] = {0: 1}
-    for g in order:
-        if g == 0:
-            continue
-        if g != full and not good(g):
-            continue
-        acc = 0
-        for f, tf in t.items():
-            if (f & ~g) == 0 and f != g:
-                acc += tf * (mobius(f, g) if not strict else 1)
-        t[g] = -acc
-    total = t.get(full, 0)
-    return total if not strict else -total
+    # whose interior flats all satisfy their inequality: t(bottom) = 1 and
+    # t(G) = -sum of t(F) * w(F, G) over flats F < G, with w = mu(F, G)
+    # for inner flats and w = 1 for outer flats; t is 0 at a flat that
+    # fails its inequality, except at the top, where it is always summed
+    order, below = flat_lattice(matroid).weighted_predecessors()
+    strict = kind is IdentityKind.OUTER_FLATS
+    good = (~within if strict else within)[order].tolist()
+    good[-1] = True
+    t = [1] + [0] * (len(order) - 1)
+    at = t.__getitem__
+    for i in range(1, len(order)):
+        if good[i]:
+            lower, mu = below[i]
+            if strict:
+                t[i] = -sum(map(at, lower))
+            else:
+                t[i] = -sum(map(operator.mul, map(at, lower), mu))
+    return -t[-1] if strict else t[-1]

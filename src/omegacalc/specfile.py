@@ -203,7 +203,7 @@ def load_points_file(path: str | Path) -> list[tuple[Fraction, ...]]:
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2
-                or not all(isinstance(v, int) for v in pair)
+                or not all(_is_int(v) for v in pair)
                 or pair[1] == 0
             ):
                 raise SpecFileError("each coordinate must be [numerator, denominator]")

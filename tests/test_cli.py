@@ -146,6 +146,26 @@ def test_check_identities_malformed_points(tmp_path):
     assert main(["check-identities", "-i", str(spec), "--points", str(pts)]) == 2
 
 
+def test_check_identities_wrong_dimension_points_exit_2(tmp_path, capsys):
+    spec = tmp_path / "u48.json"
+    spec.write_text(json.dumps({"kind": "uniform", "n": 8, "r": 4, "id": "u48"}))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[[1, 2], [1, 2]]]))
+    assert main(["check-identities", "-i", str(spec), "--points", str(pts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "u48" in captured.err
+    assert captured.out == ""
+
+
+def test_check_identities_one_element_ground_set(tmp_path, capsys):
+    path = tmp_path / "u11.json"
+    path.write_text(json.dumps({"kind": "uniform", "n": 1, "r": 1, "id": "u11"}))
+    rc = main(["check-identities", "-i", str(path), "--samples", "20"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("21 points, 0 failures") == 4
+
+
 def test_unknown_method_exit_code(tmp_path):
     path = tmp_path / "u.json"
     path.write_text(json.dumps({"kind": "uniform", "n": 4, "r": 2}))

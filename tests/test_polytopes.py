@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from omegacalc.altsum import alternating_chain_sum
 from omegacalc.bitops import bits, mask_of
-from omegacalc.corpus import random_schubert, sample_points
+from omegacalc.corpus import generate_corpus, random_schubert, sample_points
 from omegacalc.errors import VariantInapplicable
+from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
 from omegacalc.polytopes import (
     IdentityKind,
@@ -17,7 +20,9 @@ from omegacalc.polytopes import (
     in_hypersimplex,
     in_schubert_lower,
     in_schubert_upper,
+    subset_sums,
 )
+from omegacalc.specfile import matroid_from_spec
 
 HALF = Fraction(1, 2)
 
@@ -140,3 +145,162 @@ def test_sampler_includes_all_vertices():
     assert vertices.issubset(set(pts))
     for z in pts:
         assert sum(z) == 2
+
+
+# -- differential test against the Fraction evaluation ---------------------
+#
+# The reference below is the earlier Fraction evaluation: every inequality
+# in Fraction arithmetic, one subset and one flat at a time, with no
+# scaling and nothing shared between kinds.  check_identity must give the
+# same (lhs, rhs) on every kind, and in_base_polytope the same verdict as
+# its lhs.
+
+
+def _fraction_subset_sums(point):
+    sums = [Fraction(0)] * (1 << len(point))
+    for mask in range(1, 1 << len(point)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + point[low.bit_length() - 1]
+    return sums
+
+
+def _fraction_identity(matroid, kind, point):
+    n, r = matroid.n, matroid.r
+    sums = _fraction_subset_sums(point)
+    full = matroid.full_mask
+    in_box = all(0 <= c <= 1 for c in point) and sums[full] == r
+    rank = matroid.rank
+    lhs = int(sums[full] == r and all(sums[mask] <= rank(mask) for mask in range(1, full)))
+    if not in_box:
+        return lhs, 0
+    if kind is IdentityKind.INWARD_SETS:
+        good = np.fromiter(
+            (sums[mask] <= rank(mask) for mask in range(full + 1)), dtype=bool, count=full + 1
+        )
+        term = alternating_chain_sum(n, good)
+        rhs = term if n % 2 == 1 else -term
+    elif kind is IdentityKind.OUTWARD_SETS:
+        good = np.fromiter(
+            (sums[mask] > rank(mask) for mask in range(full + 1)), dtype=bool, count=full + 1
+        )
+        rhs = alternating_chain_sum(n, good)
+    else:
+        rhs = _fraction_flats_sum(matroid, kind, sums)
+    return lhs, rhs
+
+
+def _fraction_flats_sum(matroid, kind, sums):
+    lattice = flat_lattice(matroid)
+    full = matroid.full_mask
+    rank = matroid.rank
+    strict = kind is IdentityKind.OUTER_FLATS
+    mobius = lattice.mobius
+
+    def good(flat):
+        if strict:
+            return sums[flat] > rank(flat)
+        return sums[flat] <= rank(flat)
+
+    order = [f for level in lattice.flats_by_rank for f in level]
+    t = {0: 1}
+    for g in order:
+        if g == 0:
+            continue
+        if g != full and not good(g):
+            continue
+        acc = 0
+        for f, tf in t.items():
+            if (f & ~g) == 0 and f != g:
+                acc += tf * (mobius(f, g) if not strict else 1)
+        t[g] = -acc
+    total = t.get(full, 0)
+    return total if not strict else -total
+
+
+def _nudged(vertex, i, j, eps):
+    point = list(vertex)
+    point[i] += eps
+    point[j] -= eps
+    return tuple(point)
+
+
+def _probe_points(rng, m, samples):
+    """Sampled points plus points off the hyperplane, outside the box (with
+    and without negative coordinates) and with denominators whose LCM
+    exceeds 2^64."""
+    n, r = m.n, m.r
+    points = sample_points(rng, n, r, samples, bases=m.bases)
+    vertex = as_point([1 if m.bases[0] >> e & 1 else 0 for e in range(n)])
+    primes = [(1 << 61) - 1, (1 << 31) - 1, 2**127 - 1]
+    for _ in range(4):
+        points.append(as_point([Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(n)]))
+        points.append(as_point([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]))
+        if n >= 2:
+            i, j = rng.sample(range(n), 2)
+            points.append(_nudged(vertex, i, j, Fraction(rng.randint(2, 5), 2)))
+            points.append(_nudged(vertex, i, j, Fraction(1, 1 << 70)))
+            points.append(_nudged(vertex, i, j, Fraction(1, primes[0] * primes[2])))
+        if r >= 2:  # nonnegative, on the hyperplane, one coordinate above 1
+            i, j = rng.sample([e for e in range(n) if vertex[e]], 2)
+            points.append(_nudged(vertex, i, j, Fraction(rng.randint(1, 6), 7)))
+        weights = [Fraction(rng.randint(1, 99), rng.choice(primes)) for _ in range(n)]
+        total = sum(weights)
+        points.append(tuple(w * r / total for w in weights))
+        points.append(tuple(Fraction(rng.randint(-(1 << 80), 1 << 80), rng.choice(primes)) for _ in range(n)))
+    return points
+
+
+def _identity_matroids():
+    rng = random.Random(2024)
+    # closure corpus n = 8, seed 5: two of its six matroids have loops
+    matroids = [matroid_from_spec(spec).matroid for spec in generate_corpus("closure", 6, 5, 8)]
+    matroids += [random_schubert(rng, rng.randint(1, 7)) for _ in range(8)]
+    matroids.append(uniform(2, 4).direct_sum(from_bases(1, [0])))  # a loop
+    matroids.append(uniform(2, 5).direct_sum(uniform(1, 3)))
+    return matroids
+
+
+def test_integer_identities_match_fraction_evaluation():
+    rng = random.Random(77)
+    matroids = _identity_matroids()
+    assert sum(m.has_loops() for m in matroids if m.n == 8) == 2
+    big_lcm = in_box_on_plane = in_polytope = 0
+    for m in matroids:
+        kinds = list(IdentityKind)[:2] if m.has_loops() else list(IdentityKind)
+        for z in _probe_points(rng, m, 15):
+            sums = subset_sums(z)
+            big_lcm += sums.scale > 1 << 64
+            expected = {kind: _fraction_identity(m, kind, z) for kind in kinds}
+            for kind in kinds:
+                assert check_identity(m, kind, z) == expected[kind], (m, kind, z)
+                assert check_identity(m, kind, z, sums) == expected[kind], (m, kind, z)
+            lhs = expected[kinds[0]][0]
+            assert in_base_polytope(m, z) == bool(lhs), (m, z)
+            in_box_on_plane += sums.in_box and sums.sums_to(m.r)
+            in_polytope += lhs
+    assert big_lcm >= 100 and in_box_on_plane >= 500 and in_polytope >= 200
+
+
+def test_integer_identities_match_fraction_evaluation_n12():
+    rng = random.Random(12)
+    for spec in generate_corpus("closure", 2, 4, 12):
+        m = matroid_from_spec(spec).matroid
+        kinds = list(IdentityKind)[:2] if m.has_loops() else list(IdentityKind)
+        points = sample_points(rng, m.n, m.r, 2, bases=m.bases)[-2:]
+        points += _probe_points(rng, m, 0)[-3:]
+        for z in points:
+            for kind in kinds:
+                assert check_identity(m, kind, z) == _fraction_identity(m, kind, z), (m, kind, z)
+
+
+def test_subset_sums_scaled_exactly():
+    rng = random.Random(5)
+    big = (1 << 89) - 1
+    point = tuple(Fraction(rng.randint(-big, big), rng.choice([big, 3, 1 << 70])) for _ in range(6))
+    sums = subset_sums(point)
+    reference = _fraction_subset_sums(point)
+    assert sums.scale > 1 << 64
+    for mask in range(1 << 6):
+        assert Fraction(sums.scaled[mask], sums.scale) == reference[mask]
+        ceiling = -(-reference[mask].numerator // reference[mask].denominator)
+        assert sums.ceiling[mask] == min(max(ceiling, -1), 7)

@@ -132,6 +132,14 @@ def test_points_file(tmp_path):
         load_points_file(bad)
 
 
+def test_points_file_rejects_bools(tmp_path):
+    for row in ([[True, 2], [1, 2]], [[1, 2], [1, False]], [[1, True]]):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps([row]))
+        with pytest.raises(SpecFileError):
+            load_points_file(path)
+
+
 @pytest.mark.parametrize("spec", BAD_FIELD_SPECS.values(), ids=BAD_FIELD_SPECS.keys())
 def test_wrongly_typed_fields_rejected(spec):
     with pytest.raises(SpecFileError):
