@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bitops import bits
+
 _POPCOUNT_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -32,6 +34,15 @@ def popcounts(n: int) -> np.ndarray:
             masks >>= 1
         _POPCOUNT_CACHE[n] = cached
     return cached
+
+
+def submask_array(mask: int) -> np.ndarray:
+    """Every submask of mask, ascending, as an int64 array: one doubling
+    per element, each new (higher) bit appended to all the submasks so far."""
+    out = np.zeros(1, dtype=np.int64)
+    for e in bits(mask):
+        out = np.concatenate((out, out | (1 << e)))
+    return out
 
 
 def alternating_chain_sum(n: int, good: np.ndarray) -> int:

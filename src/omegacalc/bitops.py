@@ -30,13 +30,3 @@ def mask_of(elements) -> int:
 
 def elements_of(mask: int) -> list[int]:
     return list(bits(mask))
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

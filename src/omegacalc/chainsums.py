@@ -144,7 +144,7 @@ def _sets_global(matroid: Matroid, mode: Mode) -> int:
     diagonals = r - 1
     if r == 0 or diagonals > length:
         return 0
-    table = np.array(matroid.ensure_rank_table(), dtype=np.int64)
+    table = matroid.rank_array()
     corank = popcounts(n) - table
     total = 0
     for positions in combinations(range(length), diagonals):

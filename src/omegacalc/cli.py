@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -20,7 +21,7 @@ from .chainsums import SET_VARIANT_CAP, Variant
 from .corpus import generate_corpus, sample_points
 from .engine import ALL_METHOD_NAMES, METHOD_ALL, METHOD_AUTO, OmegaReport, compute_omega
 from .errors import Infeasible, OmegacalcError, SpecFileError
-from .matroid import uniform
+from .matroid import GROUND_SET_CAP, uniform
 from .polytopes import IDENTITY_CAP, IdentityKind, check_identity, subset_sums
 from .specfile import (
     LoadedMatroid,
@@ -49,6 +50,21 @@ def _load_inputs(paths: list[str]) -> list[LoadedMatroid]:
     for path in paths:
         loaded.extend(load_matroid_file(path))
     return loaded
+
+
+def worker_count(jobs: int, inputs: int) -> int:
+    """Processes for a pool over `inputs` items: min(jobs, inputs, CPUs), at least 1."""
+    return max(1, min(jobs, inputs, os.cpu_count() or 1))
+
+
+def _map_inputs(fn, payloads: list, jobs: int) -> list:
+    """fn over the payloads, in order; in a process pool when it has more
+    than one worker."""
+    workers = worker_count(jobs, len(payloads))
+    if workers == 1:
+        return [fn(p) for p in payloads]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, payloads))
 
 
 def _compute_one(payload: tuple[LoadedMatroid, str]) -> OmegaReport:
@@ -103,11 +119,7 @@ def cmd_compute(args) -> int:
         return EXIT_PARSE
     payloads = [(item, args.method) for item in loaded]
     try:
-        if args.jobs > 1 and len(payloads) > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(_compute_one, payloads))
-        else:
-            reports = [_compute_one(p) for p in payloads]
+        reports = _map_inputs(_compute_one, payloads, args.jobs)
     except Infeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -200,11 +212,7 @@ def cmd_check_identities(args) -> int:
         )
         return EXIT_INFEASIBLE
     payloads = [(item, args.samples, args.seed, explicit) for item in loaded]
-    if args.jobs > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = list(pool.map(_identities_one, payloads))
-    else:
-        chunks = [_identities_one(p) for p in payloads]
+    chunks = _map_inputs(_identities_one, payloads, args.jobs)
     lines = [line for chunk in chunks for line in chunk[0]]
     records = [rec for chunk in chunks for rec in chunk[1]]
     failures = sum(chunk[2] for chunk in chunks)
@@ -217,14 +225,20 @@ def cmd_check_identities(args) -> int:
 
 
 def cmd_random(args) -> int:
+    if not 1 <= args.n <= GROUND_SET_CAP:
+        print(f"error: --n must lie in [1, {GROUND_SET_CAP}], got {args.n}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.r is not None and not 0 <= args.r <= args.n:
+        print(f"error: --r must lie in [0, --n = {args.n}], got {args.r}", file=sys.stderr)
+        return EXIT_PARSE
     try:
         specs = generate_corpus(args.family, args.count, args.seed, args.n, args.r)
+        for spec in specs:
+            # every generated spec must load back into a valid matroid
+            matroid_from_spec(spec)
     except (ValueError, OmegacalcError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    for spec in specs:
-        # every generated spec must load back into a valid matroid
-        matroid_from_spec(spec)
     lines = [spec_to_json(spec) for spec in specs]
     _write_lines(lines, args.out)
     return EXIT_OK
@@ -314,6 +328,21 @@ def cmd_bench(args) -> int:
     return EXIT_OK if all_agree else EXIT_DISAGREE
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omega", description="Exact computation of the omega invariant of matroids"
@@ -329,23 +358,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", default=None, help="write output to a file")
-    p.add_argument("--jobs", type=int, default=1, help="process-level parallelism over inputs")
+    p.add_argument(
+        "--jobs", type=_int_at_least(1), default=1, help="process-level parallelism over inputs"
+    )
     p.add_argument("--timings", action="store_true", help="include seconds in JSON records")
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("check-identities", help="verify decomposition identities pointwise")
     p.add_argument("-i", "--input", action="append", required=True)
-    p.add_argument("--samples", type=int, default=500, help="sampled points per matroid")
+    p.add_argument(
+        "--samples", type=_int_at_least(0), default=500, help="sampled points per matroid"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", default=None, help="explicit point batch file (JSON)")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1, help="process-level parallelism over inputs")
+    p.add_argument(
+        "--jobs", type=_int_at_least(1), default=1, help="process-level parallelism over inputs"
+    )
     p.set_defaults(func=cmd_check_identities)
 
     p = sub.add_parser("random", help="generate a reproducible corpus of matroid specs")
     p.add_argument("--family", choices=["schubert", "closure"], required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--r", type=int, default=None)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .bitops import popcount
-from .crowding import crowding, has_overcrowded_set, minimal_crowded_sets
+from .crowding import crowding, crowding_array, has_overcrowded_set, minimal_crowded_sets
 from .errors import NonIntegralRank4, OmegacalcError
 from .lattice import flat_lattice
 from .matroid import Matroid
@@ -62,12 +62,7 @@ def _has_proper_crowded_flat(matroid: Matroid) -> bool:
 
 
 def _has_proper_crowded_subset(matroid: Matroid) -> bool:
-    full = matroid.full_mask
-    rank = matroid.rank
-    for mask in range(1, full):
-        if popcount(mask) - 2 * rank(mask) >= 0:
-            return True
-    return False
+    return bool((crowding_array(matroid)[1 : matroid.full_mask] >= 0).any())
 
 
 def _low_rank(matroid: Matroid) -> int:
@@ -111,10 +106,8 @@ def _near_middle(matroid: Matroid) -> int:
     or pairwise cover the ground set (value (p - 1) / 2, p odd).
     """
     full = matroid.full_mask
-    rank = matroid.rank
-    for mask in range(1, full):
-        if popcount(mask) - 2 * rank(mask) > 0:
-            return 0
+    if (crowding_array(matroid)[1:full] > 0).any():
+        return 0
     minimal = minimal_crowded_sets(matroid)
     p = len(minimal)
     if p < 2:

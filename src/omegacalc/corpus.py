@@ -123,43 +123,6 @@ def generate_corpus(
     return out
 
 
-def random_derived_matroid(rng: Rng, n_max: int) -> Matroid:
-    """A matroid from the mixed family, as an object (for tests)."""
-    n = rng.randint(2, n_max)
-    m = random_schubert(rng, n)
-    op = rng.choice(["none", "dual", "delete", "contract", "sum", "parallel"])
-    if op == "dual":
-        m = m.dual()
-    elif op == "delete" and m.n > 1:
-        m = m.delete(1 << rng.randrange(m.n))
-    elif op == "contract" and m.n > 1:
-        m = m.contract(1 << rng.randrange(m.n))
-    elif op == "sum" and m.n + 2 <= n_max:
-        m = m.direct_sum(random_schubert(rng, rng.randint(2, n_max - m.n)))
-    elif op == "parallel" and m.n < n_max:
-        non_loops = [e for e in range(m.n) if m.rank(1 << e) == 1]
-        if non_loops:
-            m = m.parallel_extend(rng.choice(non_loops))
-    return m
-
-
-def random_simple_matroid(rng: Rng, n: int, r: int, tries: int = 200) -> Matroid | None:
-    """A loop-free simple connected matroid of the requested rank and size."""
-    for _ in range(tries):
-        m = random_schubert(rng, n, r, loop_free=True)
-        if m.r != r or m.has_loops():
-            continue
-        if m.coloops():
-            continue
-        simple = m.simplify().matroid
-        if simple.n != m.n:
-            continue
-        if len(m.connected_components()) != 1:
-            continue
-        return m
-    return None
-
-
 def sample_points(
     rng: Rng,
     n: int,

@@ -1,6 +1,9 @@
 """Lattice of flats of a matroid, with interval Mobius values.
 
-Mobius values are computed by the direct recursion mu(F, F) = 1,
+The flats are read off the rank array in one pass per element: S is a
+flat iff r(S + e) > r(S) for every e not in S (Oxley, Matroid Theory,
+section 1.4); flats_by_rank[k] lists the flats of rank k in ascending
+order.  Mobius values are computed by the direct recursion mu(F, F) = 1,
 mu(F, G) = -sum of mu(F, H) over flats F <= H < G.  For a fixed F the
 whole column mu(F, -) is filled in one ascending pass, one rank level at
 a time, and memoized, since chain sums tend to ask for many intervals
@@ -14,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitops import bits, popcount
 from .matroid import Matroid
 
 
@@ -29,7 +31,6 @@ class FlatLattice:
     flats_by_rank: tuple[tuple[int, ...], ...]
     bottom: int
     top: int
-    _flat_set: frozenset[int] = field(repr=False)
     _mu: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     _predecessors: tuple | None = field(default=None, init=False, repr=False)
     _level_masks: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -43,9 +44,6 @@ class FlatLattice:
 
     def __len__(self) -> int:
         return sum(len(level) for level in self.flats_by_rank)
-
-    def is_flat(self, mask: int) -> bool:
-        return mask in self._flat_set
 
     def mobius(self, lower: int, upper: int) -> int:
         """Mobius value of the interval [lower, upper] in the lattice of flats."""
@@ -101,31 +99,21 @@ def flat_lattice(matroid: Matroid) -> FlatLattice:
     """Compute all flats, graded by rank, plus the Mobius machinery."""
     if matroid._flat_lattice is not None:
         return matroid._flat_lattice
-    n = matroid.n
-    full = matroid.full_mask
-    bottom = matroid.closure(0)
-    levels: list[tuple[int, ...]] = [(bottom,)]
-    current = {bottom}
-    seen = {bottom}
-    while current:
-        nxt = set()
-        for f in current:
-            rest = full & ~f
-            for e in bits(rest):
-                g = matroid.closure(f | (1 << e))
-                if g not in seen:
-                    seen.add(g)
-                    nxt.add(g)
-        if not nxt:
-            break
-        levels.append(tuple(sorted(nxt)))
-        current = nxt
+    rank = matroid.rank_array()
+    is_flat = np.ones(len(rank), dtype=np.bool_)
+    for e in range(matroid.n):
+        # axes: bits above e, bit e, bits below e; only S without e is tested
+        v = rank.reshape(-1, 2, 1 << e)
+        is_flat.reshape(-1, 2, 1 << e)[:, 0, :] &= v[:, 1, :] > v[:, 0, :]
+    flats = np.flatnonzero(is_flat)
+    flat_ranks = rank[flats]
     lattice = FlatLattice(
         matroid=matroid,
-        flats_by_rank=tuple(levels),
-        bottom=bottom,
-        top=full,
-        _flat_set=frozenset(seen),
+        flats_by_rank=tuple(
+            tuple(flats[flat_ranks == k].tolist()) for k in range(matroid.r + 1)
+        ),
+        bottom=matroid.closure(0),
+        top=matroid.full_mask,
     )
     matroid._flat_lattice = lattice
     return lattice

@@ -2,9 +2,12 @@
 
 Ground sets are {0, ..., n-1} with n <= 16; subsets are integer bitmasks
 (see bitops).  A Matroid is immutable after construction.  Every rank
-query reads one table of all 2^n ranks, filled on the first query; the
-closure, connectivity and minor operations are all rank queries.  A basis
-list from outside (from_bases) is checked on that table for submodularity.
+query reads one table of all 2^n ranks, filled on the first query and
+kept in two forms: a list of Python ints for single lookups (rank,
+closure, connectivity) and a read-only int8 numpy array for questions
+about many subsets at once (minors here; flats, crowding scans and
+identity checks elsewhere).  A basis list from outside (from_bases) is
+checked on that array for submodularity.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .altsum import popcounts
+from .altsum import popcounts, submask_array
 from .bitops import bits, elements_of, mask_of, popcount
 from .errors import (
     EmptyGroundSet,
@@ -37,6 +40,7 @@ class Matroid:
         "r",
         "bases",
         "_rank_table",
+        "_rank_array",
         "_flat_lattice",
         "_restriction_components",
         "_records",
@@ -57,11 +61,12 @@ class Matroid:
         self.r = r
         self.bases: tuple[int, ...] = tuple(basis_list)
         self._rank_table: list[int] | None = None
+        self._rank_array: np.ndarray | None = None
         self._flat_lattice = None
         self._restriction_components: dict[int, tuple[int, ...]] = {}
         self._records: dict[int, bool] = {}
         if not _validated:
-            _check_submodular(n, np.array(self.ensure_rank_table(), dtype=np.int8))
+            _check_submodular(n, self.rank_array())
 
     @property
     def full_mask(self) -> int:
@@ -83,8 +88,17 @@ class Matroid:
     def ensure_rank_table(self) -> Sequence[int]:
         """The table of all 2^n ranks, filled on the first call."""
         if self._rank_table is None:
-            self._rank_table = _rank_array(self.n, self.bases).tolist()
+            array = _rank_array(self.n, self.bases)
+            array.flags.writeable = False
+            self._rank_array = array
+            self._rank_table = array.tolist()
         return self._rank_table
+
+    def rank_array(self) -> np.ndarray:
+        """The same table as a read-only int8 array indexed by mask."""
+        if self._rank_array is None:
+            self.ensure_rank_table()
+        return self._rank_array
 
     def rank(self, mask: int) -> int:
         """Rank of a subset: the largest intersection with a basis."""
@@ -94,9 +108,6 @@ class Matroid:
         if table is None:
             table = self.ensure_rank_table()
         return table[mask]
-
-    def corank(self, mask: int) -> int:
-        return popcount(mask) - self.rank(mask)
 
     def closure(self, mask: int) -> int:
         """Largest superset with the same rank."""
@@ -143,25 +154,14 @@ class Matroid:
     # -- minors, dual, sums ---------------------------------------------------
 
     def _minor_bases(self, keep: int, contracted: int, size: int) -> list[int]:
-        """Bases of (M | (keep|contracted)) / contracted as masks inside keep."""
-        base_rank = self.rank(contracted)
-        elems = elements_of(keep)
-        out: list[int] = []
-
-        def extend(idx: int, cur: int, cur_size: int) -> None:
-            if cur_size == size:
-                out.append(cur)
-                return
-            remaining = len(elems) - idx
-            if remaining < size - cur_size:
-                return
-            for j in range(idx, len(elems)):
-                bit = 1 << elems[j]
-                if self.rank(contracted | cur | bit) == base_rank + cur_size + 1:
-                    extend(j + 1, cur | bit, cur_size + 1)
-
-        extend(0, 0, 0)
-        return out
+        """Bases of (M | (keep|contracted)) / contracted as masks inside keep:
+        the size-element S inside keep with r(S | contracted) = r(contracted) + size."""
+        subs = submask_array(keep)
+        rank = self.rank_array()
+        hit = (popcounts(self.n)[subs] == size) & (
+            rank[subs | contracted] == rank[contracted] + size
+        )
+        return subs[hit].tolist()
 
     def dual(self) -> "Matroid":
         full = self.full_mask

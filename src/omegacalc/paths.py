@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
-from typing import Sequence
 
-from .bitops import popcount
 from .errors import ConstraintOutOfRange
 
 
@@ -144,23 +142,3 @@ class ChainPathCounter:
         if not self.feasible:
             return 0
         return advance(self.state, self.length - self.column)[self.diagonals]
-
-
-def chain_points(
-    chain: Sequence[int], ranks: Sequence[int], n: int
-) -> list[tuple[int, int]]:
-    """Constraint points (|S| - a, a) for the interior members of a chain.
-
-    The chain lists subset masks from bottom to top; members equal to the
-    empty set or the full ground set never contribute a point.
-    """
-    full = (1 << n) - 1
-    if len(chain) != len(ranks):
-        raise ValueError("chain and rank sequence must align")
-    out = []
-    for mask, a in zip(chain, ranks):
-        if mask == 0 or mask == full:
-            continue
-        out.append((popcount(mask) - a, a))
-    return out
-

@@ -70,7 +70,7 @@ class SubsetSums(NamedTuple):
 
     def within_rank(self, matroid: Matroid) -> np.ndarray:
         """Booleans by mask: the sum over S is at most r(S)."""
-        return self.ceiling <= np.asarray(matroid.ensure_rank_table(), dtype=np.int64)
+        return self.ceiling <= matroid.rank_array()
 
 
 def subset_sums(point: RationalPoint) -> SubsetSums:

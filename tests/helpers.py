@@ -1,5 +1,8 @@
 """Shared helpers for the test suite."""
 
+import random
+
+from omegacalc.corpus import random_schubert
 from omegacalc.engine import compute_omega
 from omegacalc.matroid import Matroid
 
@@ -18,3 +21,41 @@ BAD_FIELD_SPECS = {
     "non-object-parts": {"kind": "direct_sum", "parts": [1, 2]},
     "bool-element": {"kind": "bases", "n": 2, "bases": [[True]]},
 }
+
+
+def random_derived_matroid(rng: random.Random, n_max: int) -> Matroid:
+    """A matroid from the mixed family (duals, minors, sums, parallel
+    extensions of Schubert cores), as an object."""
+    n = rng.randint(2, n_max)
+    m = random_schubert(rng, n)
+    op = rng.choice(["none", "dual", "delete", "contract", "sum", "parallel"])
+    if op == "dual":
+        m = m.dual()
+    elif op == "delete" and m.n > 1:
+        m = m.delete(1 << rng.randrange(m.n))
+    elif op == "contract" and m.n > 1:
+        m = m.contract(1 << rng.randrange(m.n))
+    elif op == "sum" and m.n + 2 <= n_max:
+        m = m.direct_sum(random_schubert(rng, rng.randint(2, n_max - m.n)))
+    elif op == "parallel" and m.n < n_max:
+        non_loops = [e for e in range(m.n) if m.rank(1 << e) == 1]
+        if non_loops:
+            m = m.parallel_extend(rng.choice(non_loops))
+    return m
+
+
+def random_simple_matroid(rng: random.Random, n: int, r: int, tries: int = 200) -> Matroid | None:
+    """A loop-free simple connected matroid of the requested rank and size."""
+    for _ in range(tries):
+        m = random_schubert(rng, n, r, loop_free=True)
+        if m.r != r or m.has_loops():
+            continue
+        if m.coloops():
+            continue
+        simple = m.simplify().matroid
+        if simple.n != m.n:
+            continue
+        if len(m.connected_components()) != 1:
+            continue
+        return m
+    return None

@@ -10,18 +10,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from helpers import omega_of
+from helpers import omega_of, random_derived_matroid, random_simple_matroid
 from omegacalc.bergman import as_weights, bergman_contains, graded_matroid, x_values, y_values
 from omegacalc.bitops import bits, mask_of, popcount
 from omegacalc.chainsums import Variant, covalue, schubert_omega
 from omegacalc.closedform import omega_closed_form
-from omegacalc.corpus import (
-    random_derived_matroid,
-    random_schubert,
-    random_schubert_data,
-    random_simple_matroid,
-    sample_points,
-)
+from omegacalc.corpus import random_schubert, random_schubert_data, sample_points
 from omegacalc.crowding import has_overcrowded_set
 from omegacalc.engine import compute_omega
 from omegacalc.lattice import flat_lattice

@@ -3,6 +3,7 @@ import time
 from math import comb
 
 import pytest
+from helpers import random_derived_matroid
 
 from omegacalc.bitops import mask_of, popcount
 from omegacalc.chainsums import (
@@ -11,7 +12,7 @@ from omegacalc.chainsums import (
     omega_by_variant,
     schubert_omega,
 )
-from omegacalc.corpus import generate_corpus, random_derived_matroid, random_schubert
+from omegacalc.corpus import generate_corpus, random_schubert
 from omegacalc.crowding import crowded_flats, crowded_sets, crowding, crowding_split, is_crowding_record
 from omegacalc.engine import compute_omega
 from omegacalc.errors import Infeasible, VariantInapplicable

@@ -8,7 +8,7 @@ import pytest
 from helpers import BAD_FIELD_SPECS
 
 import omegacalc
-from omegacalc.cli import main
+from omegacalc.cli import main, worker_count
 from omegacalc.specfile import load_matroid_file
 
 EXAMPLE_SPEC = {
@@ -118,6 +118,63 @@ def test_random_empty_corpus(tmp_path):
     rc = main(["random", "--family", "schubert", "--count", "0", "--seed", "1", "--out", str(out)])
     assert rc == 0
     assert out.read_text() == ""
+
+
+def _exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--family", "schubert", "--n", "17", "--count", "2"],
+        ["--family", "schubert", "--n", "0", "--count", "2"],
+        ["--family", "schubert", "--n", "8", "--r", "20", "--count", "2"],
+        ["--family", "closure", "--n", "0", "--count", "2"],
+        ["--family", "closure", "--n", "17", "--count", "2"],
+        ["--family", "closure", "--n", "6", "--count", "-1"],
+    ],
+    ids=["schubert-n17", "schubert-n0", "schubert-r20", "closure-n0", "closure-n17", "count-neg"],
+)
+def test_random_bad_arguments_exit_2(flags, tmp_path, capsys):
+    out = tmp_path / "never.jsonl"
+    assert _exit_code(["random", *flags, "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-identities", "--samples", "-5"],
+        ["check-identities", "--jobs", "0"],
+        ["check-identities", "--jobs", "-2"],
+        ["compute", "--jobs", "0"],
+        ["compute", "--jobs", "-2"],
+    ],
+    ids=["samples-neg", "identities-jobs0", "identities-jobs-neg", "compute-jobs0", "compute-jobs-neg"],
+)
+def test_bad_samples_and_jobs_exit_2(argv, example_file, capsys):
+    assert _exit_code([*argv, "-i", example_file]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_worker_count_clamps_to_inputs_and_cpus():
+    # computed only: no pool is started here
+    cpus = os.cpu_count() or 1
+    assert worker_count(1, 50) == 1
+    assert worker_count(2, 2) == min(2, cpus)
+    assert worker_count(10**6, 3) == min(3, cpus)
+    assert worker_count(10**6, 10**6) == cpus
+    assert worker_count(4, 1) == 1
+    assert worker_count(4, 0) == 1
 
 
 def test_check_identities_clean(tmp_path, capsys):

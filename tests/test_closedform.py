@@ -3,11 +3,11 @@ from math import comb
 
 import pytest
 
-from helpers import omega_of
+from helpers import omega_of, random_simple_matroid
 from omegacalc.bitops import mask_of, popcount
 from omegacalc.chainsums import Variant, omega_by_variant
 from omegacalc.closedform import omega_closed_form
-from omegacalc.corpus import random_schubert, random_simple_matroid
+from omegacalc.corpus import random_schubert
 from omegacalc.errors import OmegacalcError
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform

@@ -1,17 +1,15 @@
 import random
 from itertools import combinations
 
-from omegacalc.bitops import mask_of, popcount, submasks
+from omegacalc.altsum import submask_array
+from omegacalc.bitops import mask_of, popcount
 from omegacalc.crowding import (
-    crowd_hull,
-    crowd_hull_minimal,
+    crowded_flats,
+    crowded_sets,
     crowding,
-    crowding_profile,
     crowding_split,
     has_overcrowded_set,
     is_crowding_record,
-    is_overcrowded_in,
-    is_summand,
     minimal_crowded_sets,
 )
 from omegacalc.matroid import from_bases, uniform
@@ -26,13 +24,14 @@ def test_crowding_values():
 
 
 def test_overcrowded_basics():
+    # neither the empty set nor the whole set is overcrowded in the whole
+    # set, and no 3-subset of U(2,4) is: both ground sets are records
     m = uniform(2, 5)
-    assert not is_overcrowded_in(m, 0, m.full_mask)
-    assert not is_overcrowded_in(m, m.full_mask, m.full_mask)
+    assert is_crowding_record(m, m.full_mask) and not has_overcrowded_set(m)
     m24 = uniform(2, 4)
-    full = m24.full_mask
+    assert is_crowding_record(m24, m24.full_mask) and not has_overcrowded_set(m24)
     for c in combinations(range(4), 3):
-        assert not is_overcrowded_in(m24, mask_of(c), full)
+        assert crowding(m24, mask_of(c)) < crowding(m24, m24.full_mask)
 
 
 def test_overcrowded_against_definition_scan():
@@ -45,13 +44,18 @@ def test_overcrowded_against_definition_scan():
         full = m.full_mask
         for whole in (full, rng.randint(1, full)):
             sw = popcount(whole) - 2 * m.rank(whole)
-            for part in submasks(whole):
+            overcrowded = []
+            for part in submask_array(whole).tolist():
                 sp = popcount(part) - 2 * m.rank(part)
-                expect = sp > sw or (
+                if sp > sw or (
                     sp == sw
                     and m.rank(part) + m.rank(whole & ~part) != m.rank(whole)
-                )
-                assert is_overcrowded_in(m, part, whole) == expect
+                ):
+                    overcrowded.append(part)
+            assert is_crowding_record(m, whole) == (not overcrowded)
+            if whole == full:
+                proper = [t for t in overcrowded if t not in (0, full)]
+                assert has_overcrowded_set(m) == bool(proper)
 
 
 def test_crowding_records():
@@ -60,27 +64,6 @@ def test_crowding_records():
     for c in combinations(range(5), 4):
         assert is_crowding_record(m, mask_of(c))
     assert is_crowding_record(m, m.full_mask)
-
-
-def test_crowd_hull():
-    # strictly increasing crowding: unchanged
-    chain = [0b000, 0b001, 0b011, 0b111]
-    crowd = [0, 1, 2, 3]
-    assert crowd_hull(chain, crowd) == chain
-    # equal crowding drops the earlier member; empty set kept only when
-    # every later crowding is positive
-    chain = [0b000, 0b011, 0b111]
-    assert crowd_hull(chain, [0, 1, 1]) == [0b000, 0b111]
-    assert crowd_hull(chain, [0, 0, 0]) == [0b111]
-    assert crowd_hull([0b111], [2]) == [0b111]
-
-
-def test_crowd_hull_minimal_drops_same_rank():
-    chain = [0b0000, 0b0111, 0b1111, 0b111111]
-    crowd = [0, 1, 2, 3]
-    ranks = [0, 1, 1, 2]
-    # two members share a rank: the later one imposes a weaker bound and goes
-    assert crowd_hull_minimal(chain, crowd, ranks) == [0b0000, 0b0111, 0b111111]
 
 
 def test_minimal_crowded_sets():
@@ -103,10 +86,11 @@ def test_crowding_split():
 
 
 def test_summand_detection():
+    # the summands of the restriction are the unions of its components
     s = uniform(1, 2).direct_sum(uniform(2, 3))
-    assert is_summand(s, 0b00011, s.full_mask)
-    assert is_summand(s, 0b11100, s.full_mask)
-    assert not is_summand(s, 0b00111, s.full_mask)
+    assert s.restriction_components(s.full_mask) == (0b00011, 0b11100)
+    assert s.rank(0b00011) + s.rank(0b11100) == s.rank(s.full_mask)
+    assert s.rank(0b00111) + s.rank(0b11000) != s.rank(s.full_mask)
 
 
 def test_overcrowded_set_detector():
@@ -118,8 +102,8 @@ def test_overcrowded_set_detector():
 
 def test_profile_bundle():
     m = uniform(2, 5)
-    prof = crowding_profile(m)
-    assert prof.crowding[m.full_mask] == 1
-    assert len(prof.minimal_crowded) == 5
-    assert 0 in prof.record_sets and m.full_mask in prof.record_sets
-    assert set(prof.crowded_flats) == {0, m.full_mask}
+    assert crowding(m, m.full_mask) == 1
+    assert len(minimal_crowded_sets(m)) == 5
+    records = [t for t in crowded_sets(m) if is_crowding_record(m, t)]
+    assert 0 in records and m.full_mask in records
+    assert set(crowded_flats(m)) == {0, m.full_mask}

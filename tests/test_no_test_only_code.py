@@ -1,0 +1,83 @@
+"""Every function and method in src/omegacalc is used by src/omegacalc.
+
+A helper that only its own tests call is code to maintain that the
+program never runs.  This test parses the package with `ast` and fails on
+any module-level function or class method whose name nothing else in the
+package refers to (as a name or an attribute), unless the name is on the
+allowlist below with its reason.  Command-line entry points need no entry:
+`main` is called under `__main__` and every `cmd_*` is bound with
+`set_defaults(func=...)`.  Dunder methods are called by Python itself.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import omegacalc
+
+PACKAGE = Path(omegacalc.__file__).parent
+
+ALLOWED = {
+    # oracles the tests compare the program against
+    "count_paths_brute": "brute-force path oracle for the path-count kernel",
+    # exact polytope membership, the descriptions the identities rest on
+    "as_point": "builds exact rational points for the membership tests",
+    "in_base_polytope": "base-polytope membership test",
+    "in_schubert_lower": "lower Schubert polytope membership test",
+    "in_schubert_upper": "upper Schubert polytope membership test",
+    "in_halfopen": "half-open Schubert cut membership test",
+    # the Bergman-fan layer, exercised by acceptance criterion 8
+    "as_weights": "Bergman: integer weight vectors",
+    "z_max_basis": "Bergman: a maximum-weight basis",
+    "x_values": "Bergman: the x-profile of a weight vector",
+    "y_values": "Bergman: the y-profile of a weight vector",
+    "bergman_contains": "Bergman fan membership",
+    "thickened_bergman_contains": "thickened Bergman fan membership",
+    # public API
+    "omega_by_variant": "exported in omegacalc.__all__: the invariant by one route",
+    "coloops": "Matroid API, the dual of loops(); tests pick coloop inputs with it",
+}
+
+
+def _references(node: ast.AST) -> Counter:
+    out: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def _definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item
+
+
+def _unreferenced() -> set[str]:
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
+    everywhere = sum((_references(t) for t in trees.values()), Counter())
+    found = set()
+    for tree in trees.values():
+        for fn in _definitions(tree):
+            if fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            # a recursive call inside the function itself is not a use
+            if everywhere[fn.name] - _references(fn)[fn.name] <= 0:
+                found.add(fn.name)
+    return found
+
+
+def test_no_function_is_used_by_tests_alone():
+    unused = _unreferenced() - ALLOWED.keys()
+    assert not unused, f"defined in src/omegacalc but never used there: {sorted(unused)}"
+
+
+def test_allowlist_names_only_unreferenced_functions():
+    stale = ALLOWED.keys() - _unreferenced()
+    assert not stale, f"allowlisted but now used in src/omegacalc: {sorted(stale)}"

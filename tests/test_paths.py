@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegacalc.bitops import mask_of
 from omegacalc.errors import ConstraintOutOfRange
 from omegacalc.paths import (
     ChainPathCounter,
     Mode,
     PathConstraint,
     PathProblem,
-    chain_points,
     count_paths,
     count_paths_brute,
 )
@@ -126,14 +124,3 @@ def test_incremental_counter_matches_batch(data):
         counter.push(x, y, mode)
     cs = tuple(PathConstraint(x, y, m) for (x, y), m in zip(chosen, modes))
     assert counter.completed_count() == count_paths(PathProblem(n, r, cs))
-
-
-def test_chain_points_worked_example():
-    chain = (0, mask_of(range(2)), mask_of(range(7)), mask_of(range(10)))
-    ranks = (0, 1, 3, 4)
-    assert chain_points(chain, ranks, 10) == [(1, 1), (4, 3)]
-
-
-def test_chain_points_skip_endpoints():
-    assert chain_points((0, 0b11), (0, 1), 2) == []
-    assert chain_points((0b1111,), (2,), 4) == []
