@@ -59,18 +59,14 @@ def alternating_chain_sum(n: int, good: np.ndarray) -> int:
         return 1
     pc = popcounts(n)
     v = np.zeros(size, dtype=np.int64)
-    shape = (2,) * n
     for level in range(1, n):
         marked = good & (pc == level)
         if not marked.any():
             continue
-        zeta = v.copy().reshape(shape)
-        for axis in range(n):
-            lo = [slice(None)] * n
-            hi = [slice(None)] * n
-            lo[axis] = 0
-            hi[axis] = 1
-            zeta[tuple(hi)] += zeta[tuple(lo)]
-        zeta = zeta.reshape(size)
+        # subset sums of v: one pass per element e, adding S - e into S + e
+        zeta = v.copy()
+        for e in range(n):
+            z = zeta.reshape(-1, 2, 1 << e)
+            z[:, 1, :] += z[:, 0, :]
         v[marked] = -1 - zeta[marked]
     return 1 + int(v.sum())

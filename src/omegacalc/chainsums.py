@@ -76,7 +76,12 @@ class ChainSumRun:
 
 
 def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
-    """The covaluative invariant of the matroid by the chosen route."""
+    """The covaluative invariant of the matroid by the chosen route.
+
+    The one test of whether a route applies: VariantInapplicable for a
+    flats route on a matroid with loops, Infeasible for a set route above
+    SET_VARIANT_CAP.
+    """
     start = time.perf_counter()
     if variant in FLAT_VARIANTS and matroid.has_loops():
         raise VariantInapplicable(f"{variant.value} requires a loop-free matroid")
@@ -291,8 +296,6 @@ def _inward_flats_sum(matroid: Matroid) -> tuple[int, int]:
     (-1)^length times the product of interval Mobius values along the
     chain."""
     lattice = flat_lattice(matroid)
-    if lattice.bottom != 0:  # loops would make the bottom flat nonempty
-        raise VariantInapplicable("flats chains require a loop-free matroid")
     full = matroid.full_mask
     interior = [f for f in lattice.flats if f not in (0, full)]
     return _chain_sum(
@@ -311,12 +314,7 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
     (-1)^(c(H_0) + m - 1); paths are bounded weakly above at every chain
     member except the empty set and the ground set."""
     full = matroid.full_mask
-    if flats_only:
-        if flat_lattice(matroid).bottom != 0:
-            raise VariantInapplicable("flats chains require a loop-free matroid")
-        universe = crowded_flats(matroid)
-    else:
-        universe = crowded_sets(matroid)
+    universe = crowded_flats(matroid) if flats_only else crowded_sets(matroid)
     if full not in universe or not is_crowding_record(matroid, full):
         return 0, 0
     from_empty = is_crowding_record(matroid, 0)

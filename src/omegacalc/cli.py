@@ -1,7 +1,11 @@
 """Command-line front end: compute, check-identities, random, bench.
 
-Exit codes: 0 success (and, for compute, all agreement flags true);
-1 disagreement or identity failure; 2 malformed input; 3 infeasible size.
+Exit codes, the same for every subcommand: 0 success (all agreement
+flags true, no identity failures); 1 disagreement or identity failure;
+2 malformed input; 3 infeasible size.  The subcommands raise typed
+errors and `main` alone maps them to codes: Infeasible to 3, any other
+OmegacalcError to 2, each with one "error: ..." line on stderr.  Which
+methods apply to an input is the engine's decision (`compute_omega`).
 
 JSON output is one record per line with sorted keys and, by default, no
 timing fields, so identical seeds and configs produce byte-identical
@@ -17,11 +21,19 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .chainsums import SET_VARIANT_CAP, Variant
+from .chainsums import Variant
 from .corpus import generate_corpus, sample_points
-from .engine import ALL_METHOD_NAMES, METHOD_ALL, METHOD_AUTO, OmegaReport, compute_omega
+from .engine import (
+    ALL_METHOD_NAMES,
+    METHOD_ALL,
+    METHOD_AUTO,
+    METHOD_CLOSED,
+    METHOD_SCHUBERT,
+    OmegaReport,
+    compute_omega,
+)
 from .errors import Infeasible, OmegacalcError, SpecFileError
-from .matroid import GROUND_SET_CAP, uniform
+from .matroid import GROUND_SET_CAP
 from .polytopes import IDENTITY_CAP, IdentityKind, check_identity, subset_sums
 from .specfile import (
     LoadedMatroid,
@@ -112,20 +124,9 @@ def _render_table(reports: list[OmegaReport]) -> list[str]:
 
 
 def cmd_compute(args) -> int:
-    try:
-        loaded = _load_inputs(args.input)
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    loaded = _load_inputs(args.input)
     payloads = [(item, args.method) for item in loaded]
-    try:
-        reports = _map_inputs(_compute_one, payloads, args.jobs)
-    except Infeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except OmegacalcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    reports = _map_inputs(_compute_one, payloads, args.jobs)
     if args.format == "json":
         lines = [
             json.dumps(rec, sort_keys=True)
@@ -187,30 +188,22 @@ def _identities_one(payload) -> tuple[list[str], list[dict], int]:
 
 
 def cmd_check_identities(args) -> int:
-    try:
-        loaded = _load_inputs(args.input)
-        explicit = load_points_file(args.points) if args.points else None
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    loaded = _load_inputs(args.input)
+    explicit = load_points_file(args.points) if args.points else None
     if explicit is not None:
         for item in loaded:
             wrong = next((z for z in explicit if len(z) != item.matroid.n), None)
             if wrong is not None:
-                print(
-                    f"error: a point of dimension {len(wrong)} does not fit "
-                    f"{item.matroid_id} (n = {item.matroid.n})",
-                    file=sys.stderr,
+                raise SpecFileError(
+                    f"a point of dimension {len(wrong)} does not fit "
+                    f"{item.matroid_id} (n = {item.matroid.n})"
                 )
-                return EXIT_PARSE
     oversized = [item for item in loaded if item.matroid.n > IDENTITY_CAP]
     if oversized:
-        print(
-            f"error: identity checking is capped at n = {IDENTITY_CAP} "
-            f"({oversized[0].matroid_id} has n = {oversized[0].matroid.n})",
-            file=sys.stderr,
+        raise Infeasible(
+            f"identity checking is capped at n = {IDENTITY_CAP} "
+            f"({oversized[0].matroid_id} has n = {oversized[0].matroid.n})"
         )
-        return EXIT_INFEASIBLE
     payloads = [(item, args.samples, args.seed, explicit) for item in loaded]
     chunks = _map_inputs(_identities_one, payloads, args.jobs)
     lines = [line for chunk in chunks for line in chunk[0]]
@@ -226,73 +219,54 @@ def cmd_check_identities(args) -> int:
 
 def cmd_random(args) -> int:
     if not 1 <= args.n <= GROUND_SET_CAP:
-        print(f"error: --n must lie in [1, {GROUND_SET_CAP}], got {args.n}", file=sys.stderr)
-        return EXIT_PARSE
+        raise SpecFileError(f"--n must lie in [1, {GROUND_SET_CAP}], got {args.n}")
+    if args.r is not None and args.family != "schubert":
+        raise SpecFileError("--r applies only to --family schubert")
     if args.r is not None and not 0 <= args.r <= args.n:
-        print(f"error: --r must lie in [0, --n = {args.n}], got {args.r}", file=sys.stderr)
-        return EXIT_PARSE
+        raise SpecFileError(f"--r must lie in [0, --n = {args.n}], got {args.r}")
     try:
         specs = generate_corpus(args.family, args.count, args.seed, args.n, args.r)
-        for spec in specs:
-            # every generated spec must load back into a valid matroid
-            matroid_from_spec(spec)
-    except (ValueError, OmegacalcError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except ValueError as exc:
+        raise SpecFileError(str(exc)) from exc
+    for spec in specs:
+        # every generated spec must load back into a valid matroid
+        matroid_from_spec(spec)
     lines = [spec_to_json(spec) for spec in specs]
     _write_lines(lines, args.out)
     return EXIT_OK
 
 
-def _standard_bench_corpus() -> list[LoadedMatroid]:
-    from .bitops import mask_of
-
-    items = []
-    for r, n in [(3, 7), (4, 9), (4, 10), (5, 12)]:
-        items.append(LoadedMatroid(f"uniform-{r}-{n}", uniform(r, n)))
-    chain = (mask_of(range(2)), mask_of(range(7)), mask_of(range(10)))
-    profile = (0, 1, 3, 4)
-    items.append(
-        LoadedMatroid(
-            "schubert-10-4",
-            matroid_from_spec(
-                {
-                    "kind": "schubert_lower",
-                    "n": 10,
-                    "chain": [[0, 1], list(range(7)), list(range(10))],
-                    "profile": list(profile),
-                }
-            ).matroid,
-            (10, chain, profile),
-        )
-    )
-    items.append(
-        LoadedMatroid("sum-u25-u12", uniform(2, 5).direct_sum(uniform(1, 2)))
-    )
-    return items
+# the standard corpus: four uniform matroids, the worked Schubert example
+# (its chain data enables the "schubert" route) and a direct sum
+_BENCH_SPECS = [
+    *({"kind": "uniform", "n": n, "r": r, "id": f"uniform-{r}-{n}"}
+      for r, n in [(3, 7), (4, 9), (4, 10), (5, 12)]),
+    {"kind": "schubert_lower", "n": 10, "id": "schubert-10-4",
+     "chain": [[0, 1], list(range(7)), list(range(10))], "profile": [0, 1, 3, 4]},
+    {"kind": "direct_sum", "id": "sum-u25-u12",
+     "parts": [{"kind": "uniform", "n": 5, "r": 2}, {"kind": "uniform", "n": 2, "r": 1}]},
+]
 
 
 def cmd_bench(args) -> int:
-    try:
-        loaded = _load_inputs(args.input) if args.input else _standard_bench_corpus()
-    except SpecFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    methods = args.methods.split(",") if args.methods else None
+    if args.input:
+        loaded = _load_inputs(args.input)
+    else:
+        loaded = [matroid_from_spec(spec) for spec in _BENCH_SPECS]
+    methods = args.methods.split(",") if args.methods else METHOD_ALL
     lines = []
     records = []
     all_agree = True
     for item in loaded:
-        m = item.matroid
-        selected = methods or [
-            v.value
-            for v in Variant
-            if not (v.value.endswith("-sets") and m.n > SET_VARIANT_CAP)
-        ]
-        rep = compute_omega(m, selected, item.matroid_id, item.schubert)
+        rep = compute_omega(item.matroid, methods, item.matroid_id, item.schubert)
         all_agree &= rep.agree
-        chain_counts = {res.method: res.chains for res in rep.results}
-        for res in rep.results:
+        # the chain-sum rows; "all" also runs closed and schubert, which
+        # count towards agreement but have no chains to compare
+        shown = rep.results if args.methods else [
+            res for res in rep.results if res.method not in (METHOD_CLOSED, METHOD_SCHUBERT)
+        ]
+        chain_counts = {res.method: res.chains for res in shown}
+        for res in shown:
             chains = "-" if res.chains is None else str(res.chains)
             lines.append(
                 f"{item.matroid_id:<24} {res.method:<16} omega={res.omega:<8} "
@@ -398,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OmegacalcError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE if isinstance(exc, Infeasible) else EXIT_PARSE
 
 
 if __name__ == "__main__":

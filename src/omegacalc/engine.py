@@ -4,6 +4,12 @@ Method names accepted everywhere: "closed" (closed form), "auto" (closed
 form if one applies, else the fully cancelled flats sum), "all" (every
 applicable route), any chain-sum variant by its hyphenated name, and
 "schubert" for inputs that carry Schubert construction data.
+
+`_run` is the one place that decides whether a route applies: it raises
+VariantInapplicable (no closed form, no Schubert data) or Infeasible (the
+set routes' size cap, raised by `covalue`), and "all" runs every route
+and skips exactly those two errors.  A flats route on a matroid with
+loops is not an error: the invariant is 0, reported with note "loops".
 """
 
 from __future__ import annotations
@@ -11,18 +17,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .chainsums import (
-    SET_VARIANT_CAP,
-    SET_VARIANTS,
-    FLAT_VARIANTS,
-    ChainSumRun,
-    Variant,
-    component_sign,
-    covalue,
-    schubert_omega,
-)
+from .chainsums import Variant, component_sign, covalue, schubert_omega
 from .closedform import omega_closed_form
-from .errors import Infeasible, OmegacalcError
+from .errors import Infeasible, OmegacalcError, VariantInapplicable
 from .matroid import Matroid
 
 METHOD_CLOSED = "closed"
@@ -62,21 +59,37 @@ class OmegaReport:
         return self
 
 
-def _run_variant(matroid: Matroid, variant: Variant) -> MethodResult:
-    if variant in FLAT_VARIANTS and matroid.has_loops():
+def _run(
+    matroid: Matroid,
+    name: str,
+    schubert_data: tuple[int, tuple[int, ...], tuple[int, ...]] | None,
+) -> MethodResult:
+    """One method by name; raises VariantInapplicable or Infeasible when
+    the method does not apply to this input."""
+    start = time.perf_counter()
+    if name in (METHOD_CLOSED, METHOD_AUTO):
+        value = omega_closed_form(matroid)
+        if value is not None:
+            return MethodResult(METHOD_CLOSED, value, seconds=time.perf_counter() - start)
+        if name == METHOD_CLOSED:
+            raise VariantInapplicable("no closed form applies to this matroid")
+        name = Variant.FINAL_FLATS.value
+    if name == METHOD_SCHUBERT:
+        if schubert_data is None:
+            raise VariantInapplicable("schubert method needs chain/profile input data")
+        value = schubert_omega(*schubert_data)
+        return MethodResult(METHOD_SCHUBERT, value, seconds=time.perf_counter() - start)
+    try:
+        variant = Variant(name)
+    except ValueError as exc:
+        raise OmegacalcError(f"unknown method {name!r}") from exc
+    try:
+        run = covalue(matroid, variant)
+    except VariantInapplicable:
         # flats sums are undefined with loops; the invariant is 0 outright
         return MethodResult(variant.value, 0, chains=0, note="loops")
-    run: ChainSumRun = covalue(matroid, variant)
     sign = component_sign(matroid)
     return MethodResult(variant.value, sign * run.covalue, run.chains, run.seconds)
-
-
-def _run_closed(matroid: Matroid) -> MethodResult | None:
-    start = time.perf_counter()
-    value = omega_closed_form(matroid)
-    if value is None:
-        return None
-    return MethodResult(METHOD_CLOSED, value, seconds=time.perf_counter() - start)
 
 
 def compute_omega(
@@ -88,66 +101,17 @@ def compute_omega(
     """Run the selected methods and assemble an agreement report.
 
     schubert_data, when the input was built from a chain and profile,
-    enables the direct path-count formula as an extra method.
+    enables the direct path-count formula as an extra method.  "all" runs
+    every method that applies; any other method must apply.
     """
     report = OmegaReport(matroid_id, matroid.n, matroid.r)
-    if isinstance(methods, str):
-        if methods == METHOD_ALL:
-            selected = [METHOD_CLOSED] + [v.value for v in Variant]
-            if schubert_data is not None:
-                selected.insert(1, METHOD_SCHUBERT)
-            lenient = True
-        elif methods == METHOD_AUTO:
-            closed = _run_closed(matroid)
-            if closed is not None:
-                report.results.append(closed)
-            else:
-                report.results.append(_run_variant(matroid, Variant.FINAL_FLATS))
-            return report.finish()
-        else:
-            selected = [methods]
-            lenient = False
+    if methods == METHOD_ALL:
+        for name in ALL_METHOD_NAMES:
+            try:
+                report.results.append(_run(matroid, name, schubert_data))
+            except (VariantInapplicable, Infeasible):
+                continue
     else:
-        selected = list(methods)
-        lenient = False
-
-    for name in selected:
-        if name == METHOD_AUTO:
-            sub = compute_omega(matroid, METHOD_AUTO, matroid_id, schubert_data)
-            report.results.extend(sub.results)
-            continue
-        if name == METHOD_CLOSED:
-            closed = _run_closed(matroid)
-            if closed is not None:
-                report.results.append(closed)
-            elif not lenient:
-                raise OmegacalcError("no closed form applies to this matroid")
-            continue
-        if name == METHOD_SCHUBERT:
-            if schubert_data is None:
-                if lenient:
-                    continue
-                raise OmegacalcError("schubert method needs chain/profile input data")
-            start = time.perf_counter()
-            n, chain, profile = schubert_data
-            value = schubert_omega(n, chain, profile)
-            report.results.append(
-                MethodResult(METHOD_SCHUBERT, value, seconds=time.perf_counter() - start)
-            )
-            continue
-        try:
-            variant = Variant(name)
-        except ValueError as exc:
-            raise OmegacalcError(f"unknown method {name!r}") from exc
-        if (
-            lenient
-            and variant in SET_VARIANTS
-            and matroid.n > SET_VARIANT_CAP
-        ):
-            continue
-        try:
-            report.results.append(_run_variant(matroid, variant))
-        except Infeasible:
-            if not lenient:
-                raise
+        for name in [methods] if isinstance(methods, str) else methods:
+            report.results.append(_run(matroid, name, schubert_data))
     return report.finish()

@@ -26,7 +26,8 @@ class LoopsPresent(OmegacalcError):
 
 
 class VariantInapplicable(OmegacalcError):
-    """A flats-based summation variant was requested for a matroid with loops."""
+    """A method does not apply to this input: a flats route with loops, no
+    closed form, or no Schubert data."""
 
 
 class Infeasible(OmegacalcError):
@@ -42,4 +43,4 @@ class NonIntegralRank4(OmegacalcError):
 
 
 class SpecFileError(OmegacalcError):
-    """A matroid spec file or point batch file is malformed."""
+    """A matroid spec file, point batch file or command-line argument is malformed."""

@@ -13,7 +13,6 @@ checked on that array for submodularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -356,7 +355,7 @@ def uniform(r: int, n: int) -> Matroid:
     _check_ground_size(n)
     if r < 0 or r > n:
         raise InvalidRank(f"rank {r} out of range for n={n}")
-    bases = [mask_of(c) for c in combinations(range(n), r)]
+    bases = np.flatnonzero(popcounts(n) == r).tolist()
     return Matroid(n, bases, _validated=True)
 
 
@@ -393,12 +392,13 @@ def schubert_lower(n: int, chain: Sequence[int], profile: Sequence[int]) -> Matr
         if not (prev_a <= a <= prev_a + step):
             raise InvalidProfile(f"profile entry {a} violates the chain inequalities")
         prev_set, prev_a = s, a
-    interior = list(zip(chain[:-1], profile[1:-1]))
-    bases = []
-    for combo in combinations(range(n), r):
-        b = mask_of(combo)
-        if all(popcount(b & s) <= a for s, a in interior):
-            bases.append(b)
+    # one popcount comparison per chain member over the whole 2^n cube
+    pc = popcounts(n)
+    masks = np.arange(1 << n)
+    good = pc == r
+    for s, a in zip(chain[:-1], profile[1:-1]):
+        good &= pc[masks & s] <= a
+    bases = np.flatnonzero(good).tolist()
     if not bases:
         raise InvalidProfile("profile admits no basis")
     return Matroid(n, bases, _validated=True)
@@ -430,6 +430,20 @@ def upper_as_lower(
     return rev_chain, rev_profile
 
 
+def order_as_lower(
+    order: Sequence[int], subset: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lower-Schubert (chain, profile) of Gale dominance over `order`.
+
+    For sets A, B of one size, sorted by the order, b_i >= a_i for every i
+    iff |B & P| <= |A & P| for every prefix P of the order; so the chain is
+    the prefixes and the profile counts A in each.
+    """
+    chain = tuple(mask_of(order[: i + 1]) for i in range(len(order)))
+    profile = tuple(popcount(subset & s) for s in (0, *chain))
+    return chain, profile
+
+
 def schubert_from_order(order: Sequence[int], subset: int) -> Matroid:
     """Matroid whose bases dominate `subset` in the Gale order of `order`.
 
@@ -440,12 +454,6 @@ def schubert_from_order(order: Sequence[int], subset: int) -> Matroid:
     _check_ground_size(n)
     if sorted(order) != list(range(n)):
         raise OmegacalcError("order must be a permutation of the ground set")
-    position = {e: i for i, e in enumerate(order)}
-    a_pos = sorted(position[e] for e in bits(subset))
-    r = len(a_pos)
-    bases = []
-    for combo in combinations(range(n), r):
-        b_pos = sorted(position[e] for e in combo)
-        if all(bp >= ap for bp, ap in zip(b_pos, a_pos)):
-            bases.append(mask_of(combo))
-    return Matroid(n, bases, _validated=True)
+    if subset >> n:
+        raise OmegacalcError("subset outside the ground set")
+    return schubert_lower(n, *order_as_lower(order, subset))

@@ -30,11 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .bitops import mask_of, popcount
+from .bitops import mask_of
 from .errors import OmegacalcError, SpecFileError
 from .matroid import (
     Matroid,
     from_bases,
+    order_as_lower,
     schubert_from_order,
     schubert_lower,
     schubert_upper,
@@ -119,10 +120,7 @@ def _build(obj: dict, kind) -> tuple[Matroid, SchubertData | None]:
         if sorted(order) != list(range(n)):
             raise SpecFileError("order must be a permutation of range(n)")
         subset = _as_mask(_require(obj, "set", kind), n, "set")
-        matroid = schubert_from_order(order, subset)
-        chain = tuple(mask_of(order[: i + 1]) for i in range(n))
-        profile = tuple(popcount(subset & s) for s in (0, *chain))
-        return matroid, (n, chain, profile)
+        return schubert_from_order(order, subset), (n, *order_as_lower(order, subset))
     if kind in ("dual", "delete", "contract"):
         inner = _build_spec(_require(obj, "of", kind), f"{kind}: field 'of'")
         if kind == "dual":

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,12 @@ from pathlib import Path
 
 import pytest
 from helpers import BAD_FIELD_SPECS
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import omegacalc
 from omegacalc.cli import main, worker_count
+from omegacalc.engine import ALL_METHOD_NAMES
 from omegacalc.specfile import load_matroid_file
 
 EXAMPLE_SPEC = {
@@ -283,3 +288,137 @@ def test_compute_jobs_matches_serial(tmp_path):
     assert main(base + ["--out", str(serial)]) in (0, 1)
     assert main(base + ["--jobs", "3", "--out", str(parallel)]) in (0, 1)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+SCHUBERT_13 = {
+    "kind": "schubert_lower",
+    "n": 13,
+    "chain": [[0, 1, 2], list(range(8)), list(range(13))],
+    "profile": [0, 1, 3, 4],
+    "id": "schubert-13-4",
+}
+
+
+@pytest.fixture()
+def schubert13_file(tmp_path):
+    path = tmp_path / "s13.json"
+    path.write_text(json.dumps(SCHUBERT_13))
+    return str(path)
+
+
+def test_bench_above_set_cap_shows_every_uncapped_route(schubert13_file, capsys):
+    # only the two all-subset routes are capped at n = 12
+    assert main(["bench", "-i", schubert13_file, "--format", "json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [rec["method"] for rec in records] == [
+        v.value for v in omegacalc.Variant if v.value not in ("inward-sets", "outward-sets")
+    ]
+    assert {rec["omega"] for rec in records} == {19}
+
+
+def test_bench_capped_method_exits_3(schubert13_file, capsys):
+    assert main(["bench", "-i", schubert13_file, "--methods", "inward-sets"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_bench_unknown_method_exits_2(schubert13_file, capsys):
+    assert main(["bench", "-i", schubert13_file, "--methods", "final-flats,bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown method 'bogus'\n"
+    assert captured.out == ""
+
+
+def test_random_closure_rejects_rank(tmp_path, capsys):
+    out = tmp_path / "never.jsonl"
+    argv = ["random", "--family", "closure", "--n", "8", "--r", "3", "--count", "2", "--seed", "3"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --r applies only to --family schubert\n"
+    assert not out.exists()
+
+
+# -- argv fuzz: any command line ends in a documented exit code --------------
+
+_EXTREME_INTS = st.one_of(
+    st.integers(-3, 17), st.sampled_from([-(10**30), -(2**63), 2**31, 2**63, 10**30])
+)
+_JUNK_TOKENS = st.sampled_from(["", "-", "--", "--bogus", "nan", "1e9", "0x10", "é", "-1", "{}"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    files = {
+        "u25.json": json.dumps({"kind": "uniform", "n": 5, "r": 2, "id": "u25"}),
+        "loop.json": json.dumps({"kind": "bases", "n": 2, "bases": [[1]], "id": "loop"}),
+        "s13.json": json.dumps(SCHUBERT_13),
+        "broken.json": "{broken",
+        "points5.json": json.dumps([[[2, 5]] * 5, [[1, 1], [1, 1], [0, 1], [0, 1], [0, 1]]]),
+        "points-bad.json": "[[[1]]]",
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return [str(root / name) for name in [*files, "missing.json"]]
+
+
+def _argv(paths: list[str]):
+    path = st.sampled_from(paths)
+    method_names = ["auto", "all", *ALL_METHOD_NAMES, "bogus"]
+    values = {
+        "-i": path,
+        "--points": path,
+        "--method": st.sampled_from(method_names),
+        "--methods": st.lists(st.sampled_from(method_names), max_size=3).map(",".join),
+        "--format": st.sampled_from(["table", "json", "xml"]),
+        "--family": st.sampled_from(["schubert", "closure", "other"]),
+        # bounded: every draw must stay a small amount of work
+        "--jobs": st.integers(-2, 2),
+        "--count": st.integers(-3, 50),
+        "--samples": st.integers(-3, 50),
+        "--seed": _EXTREME_INTS,
+        "--n": _EXTREME_INTS,
+        "--r": _EXTREME_INTS,
+        "--timings": st.just(None),
+    }
+    flags = {
+        "compute": ["-i", "--method", "--format", "--jobs", "--timings"],
+        "check-identities": ["-i", "--samples", "--seed", "--points", "--format", "--jobs"],
+        "random": ["--family", "--count", "--seed", "--n", "--r"],
+        "bench": ["-i", "--methods", "--format"],
+    }
+    required = {"compute": ["-i"], "check-identities": ["-i"],
+                "random": ["--family", "--count", "--seed"]}
+
+    @st.composite
+    def build(draw):
+        command = draw(st.sampled_from([*flags, "bogus"]))
+        chosen = required.get(command, []) + draw(
+            st.lists(st.sampled_from(flags.get(command, sorted(values))), max_size=4)
+        )
+        argv = [command]
+        for flag in chosen:
+            # one value in ten is junk
+            value = draw(_JUNK_TOKENS if draw(st.integers(0, 9)) == 0 else values[flag])
+            argv += [flag] if value is None else [flag, str(value)]
+        if draw(st.integers(0, 4)) == 0:  # a stray token or a foreign flag
+            stray = draw(st.one_of(_JUNK_TOKENS, st.sampled_from(sorted(values))))
+            argv.insert(draw(st.integers(1, len(argv))), stray)
+        return argv
+
+    return build()
+
+
+def test_fuzzed_argv_ends_in_a_documented_exit_code(fuzz_files):
+    @settings(max_examples=150, deadline=5000, suppress_health_check=[HealthCheck.too_slow])
+    @given(_argv(fuzz_files))
+    def run(argv):
+        err = io.StringIO()
+        # any exception other than argparse's SystemExit fails the example
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = _exit_code(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue()
+
+    run()

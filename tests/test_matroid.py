@@ -6,12 +6,14 @@ import pytest
 
 from omegacalc.altsum import submask_array
 from omegacalc.bitops import bits, mask_of, popcount
+from omegacalc.corpus import random_schubert_data
 from omegacalc.errors import (
     EmptyGroundSet,
     InvalidProfile,
     InvalidRank,
     LoopsPresent,
     NotAMatroid,
+    OmegacalcError,
 )
 from omegacalc.matroid import (
     Matroid,
@@ -250,6 +252,47 @@ def test_rank4_example_equals_order_indexing():
     assert rank4_example().bases == schubert_from_order(
         list(range(10)), mask_of([0, 2, 3, 7])
     ).bases
+
+
+def _lower_bases_by_combinations(n, chain, profile):
+    """Oracle: the r-subsets B with |B & S_i| <= a_i along the chain, one at a time."""
+    interior = list(zip(chain[:-1], profile[1:-1]))
+    found = (mask_of(c) for c in combinations(range(n), profile[-1]))
+    return tuple(sorted(b for b in found if all(popcount(b & s) <= a for s, a in interior)))
+
+
+def _gale_bases_by_combinations(order, subset):
+    """Oracle: the sets B dominating subset in the Gale order, b_i >= a_i."""
+    position = {e: i for i, e in enumerate(order)}
+    a_pos = sorted(position[e] for e in bits(subset))
+    return tuple(sorted(
+        mask_of(c)
+        for c in combinations(range(len(order)), len(a_pos))
+        if all(bp >= ap for bp, ap in zip(sorted(position[e] for e in c), a_pos))
+    ))
+
+
+def test_cube_constructions_match_combination_oracles():
+    rng = random.Random(2024)
+    for i in range(80):
+        n = 16 if i < 4 else rng.randint(1, 13)
+        _, chain, profile = random_schubert_data(rng, n, r=rng.randint(0, 5) if n == 16 else None)
+        assert schubert_lower(n, chain, profile).bases == _lower_bases_by_combinations(
+            n, chain, profile
+        )
+        order = list(range(n))
+        rng.shuffle(order)
+        subset = mask_of(rng.sample(range(n), rng.randint(0, min(n, 5) if n == 16 else n)))
+        assert schubert_from_order(order, subset).bases == _gale_bases_by_combinations(
+            order, subset
+        )
+        r = rng.randint(0, n)
+        assert uniform(r, n).bases == tuple(sorted(mask_of(c) for c in combinations(range(n), r)))
+
+
+def test_order_subset_outside_ground_set_rejected():
+    with pytest.raises(OmegacalcError):
+        schubert_from_order(list(range(3)), mask_of([0, 3]))
 
 
 def test_rank_examples():
