@@ -36,12 +36,10 @@ from .crowding import (
     crowding_split,
     is_crowding_record,
 )
-from .errors import Infeasible, VariantInapplicable
+from .errors import VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
 from .paths import ChainPathCounter, Mode, advance, restrict
-
-SET_VARIANT_CAP = 12
 
 
 class Variant(str, Enum):
@@ -57,7 +55,6 @@ class Variant(str, Enum):
     FINAL_FLATS = "final-flats"
 
 
-SET_VARIANTS = {Variant.INWARD_SETS, Variant.OUTWARD_SETS}
 FLAT_VARIANTS = {
     Variant.INWARD_FLATS,
     Variant.OUTWARD_FLATS,
@@ -78,17 +75,12 @@ class ChainSumRun:
 def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
     """The covaluative invariant of the matroid by the chosen route.
 
-    The one test of whether a route applies: VariantInapplicable for a
-    flats route on a matroid with loops, Infeasible for a set route above
-    SET_VARIANT_CAP.
+    The one test of whether a route applies: a flats route needs a
+    loop-free matroid, and raises VariantInapplicable otherwise.
     """
     start = time.perf_counter()
     if variant in FLAT_VARIANTS and matroid.has_loops():
         raise VariantInapplicable(f"{variant.value} requires a loop-free matroid")
-    if variant in SET_VARIANTS and matroid.n > SET_VARIANT_CAP:
-        raise Infeasible(
-            f"{variant.value} enumerates chains of arbitrary subsets; capped at n = {SET_VARIANT_CAP}"
-        )
     if variant is Variant.INWARD_SETS:
         value, chains = _sets_global(matroid, Mode.BELOW), None
     elif variant is Variant.OUTWARD_SETS:
@@ -146,27 +138,22 @@ def schubert_omega(n: int, chain: Sequence[int], profile: Sequence[int]) -> int:
 def _sets_global(matroid: Matroid, mode: Mode) -> int:
     n, r = matroid.n, matroid.r
     length = n - r - 1
-    diagonals = r - 1
-    if r == 0 or diagonals > length:
+    if r == 0 or r - 1 > length:
         return 0
     table = matroid.rank_array()
     corank = popcounts(n) - table
+    # D(x) of every path at every column x: its diagonal steps among the
+    # first min(x, L) steps, one row per path
+    steps = np.array(list(combinations(range(length), r - 1)), dtype=np.int64)
+    columns = np.minimum(np.arange(n - r + 1), length)
+    diagonals = (steps[:, :, None] < columns).sum(axis=1)
+    sign = -1 if mode is Mode.BELOW and n % 2 == 0 else 1
     total = 0
-    for positions in combinations(range(length), diagonals):
-        prefix = np.zeros(n - r + 1, dtype=np.int64)
-        for x in range(n - r + 1):
-            upto = min(x, length)
-            prefix[x] = sum(1 for p in positions if p < upto)
-        d_at = prefix[corank]
-        if mode is Mode.BELOW:
-            good = d_at < table
-        else:
-            good = d_at >= table
-        term = alternating_chain_sum(n, good)
-        if mode is Mode.BELOW and n % 2 == 0:
-            term = -term
-        total += term
-    return total
+    for row in diagonals:
+        d_at = row[corank]
+        good = d_at < table if mode is Mode.BELOW else d_at >= table
+        total += alternating_chain_sum(n, good)
+    return sign * total
 
 
 # -- the chain-sum kernel -----------------------------------------------------

@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .chainsums import Variant
@@ -75,6 +74,9 @@ def _map_inputs(fn, payloads: list, jobs: int) -> list:
     workers = worker_count(jobs, len(payloads))
     if workers == 1:
         return [fn(p) for p in payloads]
+    # imported here: it costs every CLI start ~20 ms and only pools use it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, payloads))
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .bitops import popcount
-from .crowding import crowding, crowding_array, has_overcrowded_set, minimal_crowded_sets
+from .crowding import crowded_flats, crowding_array, has_overcrowded_set, minimal_crowded_sets
 from .errors import NonIntegralRank4, OmegacalcError
 from .lattice import flat_lattice
 from .matroid import Matroid
@@ -55,10 +55,7 @@ def omega_closed_form(matroid: Matroid) -> int | None:
 
 def _has_proper_crowded_flat(matroid: Matroid) -> bool:
     full = matroid.full_mask
-    for flat in flat_lattice(matroid).flats:
-        if flat not in (0, full) and crowding(matroid, flat) >= 0:
-            return True
-    return False
+    return any(flat not in (0, full) for flat in crowded_flats(matroid))
 
 
 def _has_proper_crowded_subset(matroid: Matroid) -> bool:

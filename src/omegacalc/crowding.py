@@ -67,10 +67,10 @@ def crowded_sets(matroid: Matroid) -> list[int]:
 
 
 def crowded_flats(matroid: Matroid) -> list[int]:
-    lattice = flat_lattice(matroid)
-    out = [f for f in lattice.flats if crowding(matroid, f) >= 0]
-    out.sort(key=lambda m: (popcount(m), m))
-    return out
+    """All crowded flats, ascending by cardinality then value."""
+    flats = np.sort(np.array(flat_lattice(matroid).flats, dtype=np.int64))
+    flats = flats[crowding_array(matroid)[flats] >= 0]
+    return flats[np.argsort(popcounts(matroid.n)[flats], kind="stable")].tolist()
 
 
 def minimal_crowded_sets(matroid: Matroid) -> list[int]:

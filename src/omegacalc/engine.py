@@ -6,10 +6,10 @@ applicable route), any chain-sum variant by its hyphenated name, and
 "schubert" for inputs that carry Schubert construction data.
 
 `_run` is the one place that decides whether a route applies: it raises
-VariantInapplicable (no closed form, no Schubert data) or Infeasible (the
-set routes' size cap, raised by `covalue`), and "all" runs every route
-and skips exactly those two errors.  A flats route on a matroid with
-loops is not an error: the invariant is 0, reported with note "loops".
+VariantInapplicable (no closed form, no Schubert data), and "all" runs
+every route and skips exactly that error.  Every route runs at every
+ground-set size a Matroid admits.  A flats route on a matroid with loops
+is not an error: the invariant is 0, reported with note "loops".
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .chainsums import Variant, component_sign, covalue, schubert_omega
 from .closedform import omega_closed_form
-from .errors import Infeasible, OmegacalcError, VariantInapplicable
+from .errors import OmegacalcError, VariantInapplicable
 from .matroid import Matroid
 
 METHOD_CLOSED = "closed"
@@ -64,8 +64,8 @@ def _run(
     name: str,
     schubert_data: tuple[int, tuple[int, ...], tuple[int, ...]] | None,
 ) -> MethodResult:
-    """One method by name; raises VariantInapplicable or Infeasible when
-    the method does not apply to this input."""
+    """One method by name; raises VariantInapplicable when the method does
+    not apply to this input."""
     start = time.perf_counter()
     if name in (METHOD_CLOSED, METHOD_AUTO):
         value = omega_closed_form(matroid)
@@ -109,7 +109,7 @@ def compute_omega(
         for name in ALL_METHOD_NAMES:
             try:
                 report.results.append(_run(matroid, name, schubert_data))
-            except (VariantInapplicable, Infeasible):
+            except VariantInapplicable:
                 continue
     else:
         for name in [methods] if isinstance(methods, str) else methods:

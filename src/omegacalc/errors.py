@@ -31,7 +31,7 @@ class VariantInapplicable(OmegacalcError):
 
 
 class Infeasible(OmegacalcError):
-    """The requested computation exceeds the enumeration caps."""
+    """The requested computation exceeds the identity checker's size cap."""
 
 
 class ConstraintOutOfRange(OmegacalcError):

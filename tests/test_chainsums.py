@@ -2,9 +2,11 @@ import random
 import time
 from math import comb
 
+import numpy as np
 import pytest
 from helpers import random_derived_matroid
 
+from omegacalc.altsum import alternating_chain_sum
 from omegacalc.bitops import mask_of, popcount
 from omegacalc.chainsums import (
     Variant,
@@ -15,7 +17,7 @@ from omegacalc.chainsums import (
 from omegacalc.corpus import generate_corpus, random_schubert
 from omegacalc.crowding import crowded_flats, crowded_sets, crowding, crowding_split, is_crowding_record
 from omegacalc.engine import compute_omega
-from omegacalc.errors import Infeasible, VariantInapplicable
+from omegacalc.errors import VariantInapplicable
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
 from omegacalc.paths import Mode, PathConstraint, PathProblem, count_paths_brute
@@ -74,17 +76,30 @@ def test_small_rank_zero():
         assert omega_by_variant(m, v) == 0
 
 
-def test_sets_variants_cap():
-    m = uniform(6, 13)
-    with pytest.raises(Infeasible):
-        covalue(m, Variant.INWARD_SETS)
-
-
 def test_sets_variants_at_cap_size():
-    m = uniform(4, 12)
-    expect = comb(7, 3)
-    assert omega_by_variant(m, Variant.INWARD_SETS) == expect
-    assert omega_by_variant(m, Variant.OUTWARD_SETS) == expect
+    # the set routes run at every n <= 16: U(r, n) has omega C(n - r - 1, r - 1)
+    for r, n, expect in [(4, 12, comb(7, 3)), (6, 13, 6), (8, 16, 1)]:
+        m = uniform(r, n)
+        assert omega_by_variant(m, Variant.INWARD_SETS) == expect, (r, n)
+        assert omega_by_variant(m, Variant.OUTWARD_SETS) == expect, (r, n)
+
+
+def test_alternating_chain_sum_complement_duality():
+    # Mobius inversion on the boolean lattice, mu(S, T) = (-1)^|T - S|:
+    # the signed chain count through the marked sets is (-1)^(n + 1) times
+    # the one through the unmarked sets.  Inward-sets marks the sets with
+    # D(x) < rank and outward-sets the rest, so this identity alone makes
+    # the two routes equal path by path; their independent oracles are the
+    # kernel routes and the Schubert count.  No chain is enumerated, so
+    # n = 14 and 16 are checked as well.
+    rng = np.random.default_rng(2411)
+    cases = [(n, density) for n in range(1, 13) for density in (0.0, 0.2, 0.5, 0.8, 1.0)]
+    cases += [(14, 0.3), (14, 0.7), (16, 0.5), (16, 0.9)]
+    for n, density in cases:
+        sign = (-1) ** (n + 1)
+        for _ in range(3 if n <= 12 else 1):
+            good = rng.random(1 << n) < density
+            assert alternating_chain_sum(n, good) == sign * alternating_chain_sum(n, ~good), (n, density)
 
 
 def test_multiplicativity_of_covalue_sign():
@@ -173,6 +188,11 @@ def test_schubert_value_equals_covalue():
         assert covalue(m, Variant.OUTWARD_FLATS).covalue == direct
 
 
+# The set routes take 5-7 s per input at n = 16, r = 5, so on that corpus
+# they run on its worst input only (input 1: 210 paths, omega 25).
+SET_ROUTE_INPUTS = {("schubert", 3, 94, 16, 5): {1}}
+
+
 @pytest.mark.parametrize(
     "corpus_args, top",
     [
@@ -185,21 +205,24 @@ def test_schubert_value_equals_covalue():
     ],
 )
 def test_cross_route_agreement_n13_to_n16(corpus_args, top):
-    # auto, the closed form where one applies and the five flats routes
-    # against the Schubert path count, above n = 12
+    # auto, the closed form where one applies, the five flats routes and
+    # the two set routes against the Schubert path count, above n = 12
     from omegacalc.chainsums import FLAT_VARIANTS
     from omegacalc.closedform import omega_closed_form
 
+    set_inputs = SET_ROUTE_INPUTS.get(corpus_args)
     values = []
-    for spec in generate_corpus(*corpus_args):
+    for i, spec in enumerate(generate_corpus(*corpus_args)):
         loaded = matroid_from_spec(spec)
         m = loaded.matroid
         expected = schubert_omega(*loaded.schubert)
         values.append(expected)
         assert omega_closed_form(m) in (None, expected), spec["id"]
         methods = ["auto"] + sorted(v.value for v in FLAT_VARIANTS)
+        if set_inputs is None or i in set_inputs:
+            methods += [Variant.INWARD_SETS.value, Variant.OUTWARD_SETS.value]
         results = compute_omega(m, methods).results
-        assert len(results) == 6
+        assert len(results) == len(methods)
         assert all(res.omega == expected for res in results), (spec["id"], results)
     assert max(values) == top
 

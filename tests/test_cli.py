@@ -77,10 +77,14 @@ def test_wrongly_typed_spec_exits_2(spec, tmp_path, capsys):
 
 
 def test_infeasible_exit_code(tmp_path, capsys):
+    # the set routes have no size cap: exit 3 comes from the identity cap
+    # alone (test_check_identities_oversized_exit)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"kind": "uniform", "n": 13, "r": 6}))
-    rc = main(["compute", "-i", str(path), "--method", "inward-sets"])
-    assert rc == 3
+    rc = main(["compute", "-i", str(path), "--method", "inward-sets", "--format", "json"])
+    assert rc == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(rec["method"], rec["omega"]) for rec in records] == [("inward-sets", 6)]
 
 
 def test_oversized_ground_set_rejected_before_enumeration(tmp_path):
@@ -307,20 +311,20 @@ def schubert13_file(tmp_path):
 
 
 def test_bench_above_set_cap_shows_every_uncapped_route(schubert13_file, capsys):
-    # only the two all-subset routes are capped at n = 12
+    # no route is capped: all ten chain sums run at n = 13
     assert main(["bench", "-i", schubert13_file, "--format", "json"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [rec["method"] for rec in records] == [
-        v.value for v in omegacalc.Variant if v.value not in ("inward-sets", "outward-sets")
-    ]
+    assert [rec["method"] for rec in records] == [v.value for v in omegacalc.Variant]
     assert {rec["omega"] for rec in records} == {19}
 
 
 def test_bench_capped_method_exits_3(schubert13_file, capsys):
-    assert main(["bench", "-i", schubert13_file, "--methods", "inward-sets"]) == 3
+    # a set route named at n = 13 runs like any other
+    assert main(["bench", "-i", schubert13_file, "--methods", "inward-sets", "--format", "json"]) == 0
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert captured.out == ""
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert [(rec["method"], rec["omega"]) for rec in records] == [("inward-sets", 19)]
+    assert captured.err == ""
 
 
 def test_bench_unknown_method_exits_2(schubert13_file, capsys):

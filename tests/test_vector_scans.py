@@ -3,9 +3,10 @@ replaced.
 
 Each reference below is the Python loop that once answered the question
 by asking the rank table one mask at a time: the closure BFS for the
-flats, the depth-first search for the bases of a minor, and the
-definition scans for crowded sets, overcrowded sets, crowding records,
-proper crowded subsets and near-middle positivity.
+flats, the depth-first search for the bases of a minor, the definition
+scans for crowded sets, overcrowded sets, crowding records, proper
+crowded subsets and near-middle positivity, and the per-flat loops for
+crowded flats and proper crowded flats.
 """
 
 import random
@@ -17,9 +18,10 @@ from helpers import random_derived_matroid
 from omegacalc.altsum import submask_array
 from omegacalc.bergman import level_chain
 from omegacalc.bitops import bits, elements_of, mask_of, popcount
-from omegacalc.closedform import _has_proper_crowded_subset, _near_middle
+from omegacalc.closedform import _has_proper_crowded_flat, _has_proper_crowded_subset, _near_middle
 from omegacalc.corpus import generate_corpus, random_schubert
 from omegacalc.crowding import (
+    crowded_flats,
     crowded_sets,
     crowding_array,
     has_overcrowded_set,
@@ -95,6 +97,17 @@ def reference_crowded_sets(m):
     out = [s for s in range(1 << m.n) if reference_crowding(m, s) >= 0]
     out.sort(key=lambda s: (popcount(s), s))
     return out
+
+
+def reference_crowded_flats(m):
+    out = [f for f in flat_lattice(m).flats if reference_crowding(m, f) >= 0]
+    out.sort(key=lambda s: (popcount(s), s))
+    return out
+
+
+def reference_has_proper_crowded_flat(m):
+    full = m.full_mask
+    return any(f not in (0, full) and reference_crowding(m, f) >= 0 for f in flat_lattice(m).flats)
 
 
 def reference_overcrowded_in(m, part, whole):
@@ -199,6 +212,8 @@ def test_flats_match_the_closure_bfs(m):
 @pytest.mark.parametrize("m", SMALL + LARGE, ids=repr)
 def test_scans_match_the_definition_loops(m):
     assert crowded_sets(m) == reference_crowded_sets(m)
+    assert crowded_flats(m) == reference_crowded_flats(m)
+    assert _has_proper_crowded_flat(m) == reference_has_proper_crowded_flat(m)
     assert has_overcrowded_set(m) == reference_has_overcrowded_set(m)
     assert _has_proper_crowded_subset(m) == reference_has_proper_crowded_subset(m)
     positive = bool((crowding_array(m)[1 : m.full_mask] > 0).any())
