@@ -5,10 +5,10 @@ For a predicate `good` on the proper nonempty subsets of [n], computes
     sum over chains 0 = T_0 < T_1 < ... < T_j < full, all T_i good,
     of (-1)^j
 
-which both set-indexed summation engines and the pointwise identity
-checker need.  The recursion v(T) = -1 - sum of v over good proper
-subsets of T is evaluated level by level with a subset-sum (zeta)
-transform, so the whole computation is O(n^2 2^n) array work.
+which both set-indexed summation engines and the identity checker need.
+The recursion v(T) = -1 - sum of v over good proper subsets of T is
+evaluated level by level with a subset-sum (zeta) transform: O(n^2 2^n)
+array work per predicate, and one pass for a whole stack of them.
 
 int64 cannot overflow for n <= 16.  Let a(k) be the Fubini number, the
 number of chains from the empty set to a k-set in the boolean lattice
@@ -53,18 +53,18 @@ def submask_array(mask: int) -> np.ndarray:
     return out
 
 
-def alternating_chain_sum(n: int, good: np.ndarray) -> int:
-    """`good` is a boolean array of length 2^n; entries at 0 and at the
-    full mask are ignored (chain endpoints are fixed, not marked)."""
+def alternating_chain_sum(n: int, good: np.ndarray) -> np.ndarray:
+    """`good` is a boolean array whose last axis, of length 2^n, is indexed
+    by mask: one predicate gives a 0-d result, a (k, 2^n) stack k results.
+    Entries at 0 and at the full mask are ignored (chain endpoints are
+    fixed, not marked).  The zeta pass works in blocks of 2^(e+1) masks,
+    which never straddle two predicates."""
     size = 1 << n
-    full = size - 1
     good = good.copy()
-    good[0] = False
-    good[full] = False
-    if not good.any():
-        return 1
+    good[..., 0] = False
+    good[..., size - 1] = False
     pc = popcounts(n)
-    v = np.zeros(size, dtype=np.int64)
+    v = np.zeros(good.shape, dtype=np.int64)
     for level in range(1, n):
         marked = good & (pc == level)
         if not marked.any():
@@ -75,4 +75,4 @@ def alternating_chain_sum(n: int, good: np.ndarray) -> int:
             z = zeta.reshape(-1, 2, 1 << e)
             z[:, 1, :] += z[:, 0, :]
         v[marked] = -1 - zeta[marked]
-    return 1 + int(v.sum())
+    return 1 + v.sum(axis=-1)

@@ -152,7 +152,7 @@ def _sets_global(matroid: Matroid, mode: Mode) -> int:
     for row in diagonals:
         d_at = row[corank]
         good = d_at < table if mode is Mode.BELOW else d_at >= table
-        total += alternating_chain_sum(n, good)
+        total += int(alternating_chain_sum(n, good))
     return sign * total
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .engine import (
 )
 from .errors import Infeasible, OmegacalcError, SpecFileError
 from .matroid import GROUND_SET_CAP
-from .polytopes import IDENTITY_CAP, IdentityKind, check_identity, subset_sums
+from .polytopes import IdentityKind, check_identity, subset_sums
 from .specfile import (
     LoadedMatroid,
     load_matroid_file,
@@ -46,6 +47,10 @@ EXIT_OK = 0
 EXIT_DISAGREE = 1
 EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
+
+IDENTITY_CAP = 12  # identity checking scans all 2^n subsets of every point
+BATCH_SUMS = 1 << 16  # subset sums per identity batch: max(1, 2^16 >> n) points
+LIST_CAP = 100_000  # the largest --count and --samples: lists built in memory
 
 
 def _write_lines(lines: list[str], out: str | None) -> None:
@@ -142,51 +147,39 @@ def cmd_compute(args) -> int:
 
 
 def _identities_one(payload) -> tuple[list[str], list[dict], int]:
-    import random
-
     item, samples, seed, explicit = payload
     m = item.matroid
-    failures = 0
     lines: list[str] = []
-    records: list[dict] = []
     kinds = list(IdentityKind)
     if m.has_loops():
         # flats identities assume a loop-free matroid; set sums hold always
         kinds = [IdentityKind.INWARD_SETS, IdentityKind.OUTWARD_SETS]
         lines.append(f"{item.matroid_id}: loops present, checking set identities only")
-    if explicit is not None:
-        points = explicit
-    else:
-        rng = random.Random(seed)
-        points = sample_points(rng, m.n, m.r, samples, bases=m.bases)
-    # one subset-sum transform per point serves every kind
+    points = explicit
+    if points is None:
+        points = sample_points(random.Random(seed), m.n, m.r, samples, bases=m.bases)
+    # one subset-sum transform per batch serves every kind
     mismatches: dict[IdentityKind, list[str]] = {kind: [] for kind in kinds}
-    for z in points:
-        sums = subset_sums(z)
+    rows = max(1, BATCH_SUMS >> m.n)
+    for start in range(0, len(points), rows):
+        batch = points[start : start + rows]
+        sums = subset_sums(batch)
         for kind in kinds:
-            lhs, rhs = check_identity(m, kind, z, sums)
-            if lhs != rhs:
-                coords = [[c.numerator, c.denominator] for c in z]
+            lhs, rhs = check_identity(m, kind, sums)
+            for i in (lhs != rhs).nonzero()[0].tolist():
+                coords = [[c.numerator, c.denominator] for c in batch[i]]
                 mismatches[kind].append(
                     f"MISMATCH id={item.matroid_id} kind={kind.value} "
-                    f"point={json.dumps(coords)} lhs={lhs} rhs={rhs}"
+                    f"point={json.dumps(coords)} lhs={int(lhs[i])} rhs={int(rhs[i])}"
                 )
-    for kind in kinds:
-        bad_here = len(mismatches[kind])
-        failures += bad_here
-        lines.extend(mismatches[kind])
-        records.append(
-            {
-                "id": item.matroid_id,
-                "kind": kind.value,
-                "points": len(points),
-                "failures": bad_here,
-            }
-        )
-        lines.append(
-            f"{item.matroid_id}: {kind.value}: {len(points)} points, {bad_here} failures"
-        )
-    return lines, records, failures
+    records = [
+        {"id": item.matroid_id, "kind": kind.value, "points": len(points), "failures": len(bad)}
+        for kind, bad in mismatches.items()
+    ]
+    for kind, bad in mismatches.items():
+        lines.extend(bad)
+        lines.append(f"{item.matroid_id}: {kind.value}: {len(points)} points, {len(bad)} failures")
+    return lines, records, sum(map(len, mismatches.values()))
 
 
 def cmd_check_identities(args) -> int:
@@ -304,8 +297,8 @@ def cmd_bench(args) -> int:
     return EXIT_OK if all_agree else EXIT_DISAGREE
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int no smaller than `low`."""
+def _int_between(low: int, high: int | None = None):
+    """An argparse type: an int in [low, high], unbounded above without `high`."""
 
     def parse(text: str) -> int:
         try:
@@ -314,6 +307,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -335,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", default=None, help="write output to a file")
     p.add_argument(
-        "--jobs", type=_int_at_least(1), default=1, help="process-level parallelism over inputs"
+        "--jobs", type=_int_between(1), default=1, help="process-level parallelism over inputs"
     )
     p.add_argument("--timings", action="store_true", help="include seconds in JSON records")
     p.set_defaults(func=cmd_compute)
@@ -343,20 +338,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-identities", help="verify decomposition identities pointwise")
     p.add_argument("-i", "--input", action="append", required=True)
     p.add_argument(
-        "--samples", type=_int_at_least(0), default=500, help="sampled points per matroid"
+        "--samples",
+        type=_int_between(0, LIST_CAP),
+        default=500,
+        help=f"sampled points per matroid, at most {LIST_CAP}",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--points", default=None, help="explicit point batch file (JSON)")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.add_argument("--out", default=None)
     p.add_argument(
-        "--jobs", type=_int_at_least(1), default=1, help="process-level parallelism over inputs"
+        "--jobs", type=_int_between(1), default=1, help="process-level parallelism over inputs"
     )
     p.set_defaults(func=cmd_check_identities)
 
     p = sub.add_parser("random", help="generate a reproducible corpus of matroid specs")
     p.add_argument("--family", choices=["schubert", "closure"], required=True)
-    p.add_argument("--count", type=_int_at_least(0), required=True)
+    p.add_argument(
+        "--count", type=_int_between(0, LIST_CAP), required=True, help=f"at most {LIST_CAP}"
+    )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--r", type=int, default=None)

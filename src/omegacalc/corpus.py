@@ -19,6 +19,9 @@ from .matroid import GROUND_SET_CAP, Matroid, schubert_lower
 
 Rng = random.Random
 
+# the largest denominator of a random coordinate draw in sample_points
+MAX_DENOMINATOR = 64
+
 
 def random_schubert_data(
     rng: Rng,
@@ -128,7 +131,6 @@ def sample_points(
     n: int,
     r: int,
     count: int,
-    max_denominator: int = 64,
     bases: Sequence[int] = (),
 ) -> list[tuple[Fraction, ...]]:
     """Exact rational test points on the rank hyperplane.
@@ -165,13 +167,13 @@ def sample_points(
         elif style < 0.65 and n >= 2:
             base = list(rng.choice(vertices))
             i, j = rng.sample(range(n), 2)
-            eps = Fraction(1, rng.choice([31, 61, 97, max_denominator]))
+            eps = Fraction(1, rng.choice([31, 61, 97, MAX_DENOMINATOR]))
             base[i] += eps
             base[j] -= eps
             points.append(tuple(base))
         else:
             w = [
-                Fraction(rng.randint(1, max_denominator), rng.randint(1, max_denominator))
+                Fraction(rng.randint(1, MAX_DENOMINATOR), rng.randint(1, MAX_DENOMINATOR))
                 for _ in range(n)
             ]
             s = sum(w)

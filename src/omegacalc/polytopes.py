@@ -1,22 +1,25 @@
-"""Exact rational membership tests and pointwise decomposition identities.
+"""Exact rational membership tests and decomposition identities on point batches.
 
 Points are tuples of Fraction coordinates; no floating point.  The four
 identity kinds express the indicator of a matroid base polytope as a
 signed sum of indicators of Schubert-type polytopes over chains of
-subsets or flats; check_identity evaluates both sides at one point.
+subsets or flats; check_identity evaluates both sides at every point of
+a batch.
 
-Every rank inequality is decided in exact integers: subset_sums scales a
-point by the LCM D of its denominators, builds all 2^n scaled subset sums
-S in one subset transform over Python ints, and compares ceil(S/D) with
-the rank table as a vector.  Python ints have no bound, so a point with
-any numerator or denominator takes the same path.  One SubsetSums serves
-every identity kind at its point.
+Every rank inequality is decided in exact integers: subset_sums scales
+each point by the LCM D of its denominators, builds all 2^n scaled subset
+sums S of every point in one subset transform over Python ints, one row
+per point, and compares ceil(S/D) with the rank table as an array.
+Python ints have no bound, so a point with any numerator or denominator
+takes the same path.  One SubsetSums serves every identity kind at its
+batch.
 
 The sums over chains of arbitrary subsets reduce, at a fixed point, to an
 alternating chain count over the subsets whose inequality the point
-satisfies (altsum); the sums over chains of flats are one rank-ordered
-pass over the lattice of flats, with each flat's predecessors and their
-Mobius values prepared once per lattice.
+satisfies (altsum, one predicate per row); the sums over chains of flats
+are one rank-ordered pass over the lattice of flats, one column per flat
+and one row per point, with each flat's predecessors and their Mobius
+values prepared once per lattice.
 """
 
 from __future__ import annotations
@@ -24,18 +27,15 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .altsum import alternating_chain_sum
 from .bitops import bits
-from .errors import Infeasible, VariantInapplicable
+from .errors import VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
-
-IDENTITY_CAP = 12
 
 RationalPoint = tuple[Fraction, ...]
 
@@ -52,37 +52,34 @@ def as_point(coords: Sequence) -> RationalPoint:
 
 
 class SubsetSums(NamedTuple):
-    """The coordinate sums of one point over every subset mask, scaled.
+    """The coordinate sums of a batch of points over every subset mask, scaled.
 
-    `scaled[S]` is `scale` times the sum over S, an exact Python int.
-    `ceiling[S]` is ceil(scaled[S] / scale) clipped to [-1, n + 1]; every
-    rank lies in [0, n], so the sum over S is at most r(S) exactly when
-    `ceiling[S] <= r(S)`.  `in_box` says every coordinate is in [0, 1].
+    Row i is point i: `scaled[i, S]` is `scale[i]` times its sum over S, an
+    exact Python int, and `ceiling[i, S]` is ceil(scaled[i, S] / scale[i])
+    clipped to [-1, n + 1].  Every rank lies in [0, n], so the sum over S is
+    at most r(S) exactly when `ceiling[i, S] <= r(S)`.  `in_box[i]` says
+    every coordinate of point i is in [0, 1].
     """
 
-    scale: int
+    scale: np.ndarray
     scaled: np.ndarray
     ceiling: np.ndarray
-    in_box: bool
-
-    def sums_to(self, r: int) -> bool:
-        return self.scaled[-1] == self.scale * r
-
-    def within_rank(self, matroid: Matroid) -> np.ndarray:
-        """Booleans by mask: the sum over S is at most r(S)."""
-        return self.ceiling <= matroid.rank_array()
+    in_box: np.ndarray
 
 
-def subset_sums(point: RationalPoint) -> SubsetSums:
-    """Scale by the LCM of the denominators, then one subset transform."""
-    n = len(point)
-    scale = lcm(*(c.denominator for c in point))
-    coords = [c.numerator * (scale // c.denominator) for c in point]
-    scaled = np.zeros(1, dtype=object)
-    for c in coords:
-        scaled = np.concatenate((scaled, scaled + c))
-    ceiling = np.clip(-(-scaled // scale), -1, n + 1).astype(np.int64)
-    return SubsetSums(scale, scaled, ceiling, all(0 <= c <= scale for c in coords))
+def subset_sums(points: Sequence[RationalPoint]) -> SubsetSums:
+    """Scale each point by the LCM of its denominators, then one subset
+    transform over the whole nonempty batch of points of one dimension."""
+    coords = np.array(points, dtype=object)
+    ratio = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
+    numerators, denominators = ratio(coords)
+    scale = np.lcm.reduce(denominators, axis=1)
+    scaled = np.zeros((len(coords), 1), dtype=object)
+    for column in (numerators * (scale[:, None] // denominators)).T:
+        scaled = np.concatenate((scaled, scaled + column[:, None]), axis=1)
+    ceiling = np.clip(-(-scaled // scale[:, None]), -1, coords.shape[1] + 1).astype(np.int64)
+    in_box = ((numerators >= 0) & (numerators <= denominators)).all(axis=1)
+    return SubsetSums(scale, scaled, ceiling, in_box)
 
 
 def in_hypersimplex(n: int, r: int, point: RationalPoint) -> bool:
@@ -96,8 +93,9 @@ def in_base_polytope(matroid: Matroid, point: RationalPoint) -> bool:
     sum equal to the rank.  Nonnegativity is implied by these."""
     if len(point) != matroid.n:
         raise ValueError("point dimension mismatch")
-    sums = subset_sums(point)
-    return sums.sums_to(matroid.r) and bool(sums.within_rank(matroid).all())
+    sums = subset_sums([point])
+    on_plane = sums.scaled[0, -1] == sums.scale[0] * matroid.r
+    return bool(on_plane and (sums.ceiling <= matroid.rank_array()).all())
 
 
 def _in_chain_polytope(
@@ -135,58 +133,51 @@ def in_halfopen(
 
 
 def check_identity(
-    matroid: Matroid,
-    kind: IdentityKind,
-    point: RationalPoint,
-    sums: SubsetSums | None = None,
-) -> tuple[int, int]:
-    """(lhs, rhs) of the chosen decomposition identity at one point.
+    matroid: Matroid, kind: IdentityKind, sums: SubsetSums
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of the chosen decomposition identity at every point of
+    the batch that `sums` describes, one entry per row.
 
     lhs is the indicator of the base polytope; rhs the signed sum of
-    member indicators.  Both are exact integers and must coincide.
-    `sums`, when given, is `subset_sums(point)`, shared between kinds.
+    member indicators.  Both are exact integers and must coincide.  The
+    members lie in the hypersimplex, so rhs is 0 at a point outside it.
     """
-    n, r = matroid.n, matroid.r
-    if n > IDENTITY_CAP:
-        raise Infeasible(f"identity checking scans all subsets; capped at n = {IDENTITY_CAP}")
-    if len(point) != n:
+    n = matroid.n
+    if sums.ceiling.shape[1] != 1 << n:
         raise ValueError("point dimension mismatch")
     if kind in (IdentityKind.INNER_FLATS, IdentityKind.OUTER_FLATS) and matroid.has_loops():
         raise VariantInapplicable("flats identities require a loop-free matroid")
-    if sums is None:
-        sums = subset_sums(point)
-    within = sums.within_rank(matroid)
-    on_plane = sums.sums_to(r)
-    lhs = int(on_plane and bool(within.all()))
-    if not (on_plane and sums.in_box):
-        return lhs, 0
+    within = sums.ceiling <= matroid.rank_array()
+    on_plane = sums.scaled[:, -1] == sums.scale * matroid.r
+    lhs = (on_plane & within.all(axis=1)).astype(np.int64)
+    live = on_plane & sums.in_box
     if kind is IdentityKind.INWARD_SETS:
-        term = alternating_chain_sum(n, within)
-        rhs = term if n % 2 == 1 else -term
+        values = alternating_chain_sum(n, within[live]) * (1 if n % 2 == 1 else -1)
     elif kind is IdentityKind.OUTWARD_SETS:
-        rhs = alternating_chain_sum(n, ~within)
+        values = alternating_chain_sum(n, ~within[live])
     else:
-        rhs = _flats_identity_sum(matroid, kind, within)
+        values = _flats_identity_sum(matroid, kind, within[live])
+    rhs = np.zeros(len(live), dtype=values.dtype)
+    rhs[live] = values
     return lhs, rhs
 
 
-def _flats_identity_sum(matroid: Matroid, kind: IdentityKind, within: np.ndarray) -> int:
+def _flats_identity_sum(matroid: Matroid, kind: IdentityKind, within: np.ndarray) -> np.ndarray:
     # t(G) = signed, weighted sum over chains from the bottom flat to G
     # whose interior flats all satisfy their inequality: t(bottom) = 1 and
     # t(G) = -sum of t(F) * w(F, G) over flats F < G, with w = mu(F, G)
     # for inner flats and w = 1 for outer flats; t is 0 at a flat that
-    # fails its inequality, except at the top, where it is always summed
+    # fails its inequality, except at the top, where it is always summed.
+    # One row per point, one column per flat, in Python ints.
     order, below = flat_lattice(matroid).weighted_predecessors()
     strict = kind is IdentityKind.OUTER_FLATS
-    good = (~within if strict else within)[order].tolist()
-    good[-1] = True
-    t = [1] + [0] * (len(order) - 1)
-    at = t.__getitem__
+    good = (~within if strict else within)[:, order]
+    good[:, -1] = True
+    t = np.zeros(good.shape, dtype=object)
+    t[:, 0] = 1
     for i in range(1, len(order)):
-        if good[i]:
-            lower, mu = below[i]
-            if strict:
-                t[i] = -sum(map(at, lower))
-            else:
-                t[i] = -sum(map(operator.mul, map(at, lower), mu))
-    return -t[-1] if strict else t[-1]
+        lower, mu = below[i]
+        prior = t[:, lower]
+        total = prior.sum(axis=1) if strict else prior @ np.array(mu, dtype=object)
+        t[:, i] = np.where(good[:, i], -total, 0)
+    return -t[:, -1] if strict else t[:, -1]

@@ -5,11 +5,18 @@ import random
 from omegacalc.corpus import random_schubert
 from omegacalc.engine import compute_omega
 from omegacalc.matroid import Matroid
+from omegacalc.polytopes import check_identity, subset_sums
 
 
 def omega_of(matroid: Matroid, method: str = "final-flats") -> int:
     """Invariant via the dispatcher, which handles loops uniformly."""
     return compute_omega(matroid, [method]).results[0].omega
+
+
+def identity_at(matroid: Matroid, kind, point) -> tuple[int, int]:
+    """(lhs, rhs) of check_identity at one point, as a batch of one row."""
+    lhs, rhs = check_identity(matroid, kind, subset_sums([point]))
+    return int(lhs[0]), int(rhs[0])
 
 
 # Specs whose fields have the wrong JSON type; each must be rejected as a

@@ -76,7 +76,7 @@ def test_small_rank_zero():
         assert omega_by_variant(m, v) == 0
 
 
-def test_sets_variants_at_cap_size():
+def test_sets_variants_on_uniform_n12_to_n16():
     # the set routes run at every n <= 16: U(r, n) has omega C(n - r - 1, r - 1)
     for r, n, expect in [(4, 12, comb(7, 3)), (6, 13, 6), (8, 16, 1)]:
         m = uniform(r, n)
@@ -97,9 +97,20 @@ def test_alternating_chain_sum_complement_duality():
     cases += [(14, 0.3), (14, 0.7), (16, 0.5), (16, 0.9)]
     for n, density in cases:
         sign = (-1) ** (n + 1)
-        for _ in range(3 if n <= 12 else 1):
-            good = rng.random(1 << n) < density
-            assert alternating_chain_sum(n, good) == sign * alternating_chain_sum(n, ~good), (n, density)
+        predicates = [rng.random(1 << n) < density for _ in range(3 if n <= 12 else 1)]
+        values = []
+        for good in predicates:
+            value = alternating_chain_sum(n, good)
+            assert value == sign * alternating_chain_sum(n, ~good), (n, density)
+            values.append(value)
+        if len(predicates) == 3:
+            # the three predicates as one (3, 2^n) stack, one result per row
+            stack = np.array(predicates)
+            rows = alternating_chain_sum(n, stack).tolist()
+            assert rows == (sign * alternating_chain_sum(n, ~stack)).tolist(), (n, density)
+            # a 1-D call gives one value, equal to its row's int
+            for value, row in zip(values, rows):
+                assert np.ndim(value) == 0 and type(row) is int and value == row, (n, density)
 
 
 def test_multiplicativity_of_covalue_sign():

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import omegacalc
-from omegacalc.cli import main, worker_count
+from omegacalc import cli
+from omegacalc.cli import LIST_CAP, main, worker_count
 from omegacalc.engine import ALL_METHOD_NAMES
 from omegacalc.specfile import load_matroid_file
 
@@ -76,7 +77,7 @@ def test_wrongly_typed_spec_exits_2(spec, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_infeasible_exit_code(tmp_path, capsys):
+def test_named_set_route_runs_at_n13(tmp_path, capsys):
     # the set routes have no size cap: exit 3 comes from the identity cap
     # alone (test_check_identities_oversized_exit)
     path = tmp_path / "big.json"
@@ -137,6 +138,11 @@ def _exit_code(argv):
         return exc.code
 
 
+def _never(*args, **kwargs):
+    """Stands in for the work that a rejected argument must never start."""
+    raise AssertionError("work started")
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -146,10 +152,16 @@ def _exit_code(argv):
         ["--family", "closure", "--n", "0", "--count", "2"],
         ["--family", "closure", "--n", "17", "--count", "2"],
         ["--family", "closure", "--n", "6", "--count", "-1"],
+        ["--family", "closure", "--n", "6", "--count", str(LIST_CAP + 1)],
+        ["--family", "schubert", "--n", "6", "--count", str(10**30)],
     ],
-    ids=["schubert-n17", "schubert-n0", "schubert-r20", "closure-n0", "closure-n17", "count-neg"],
+    ids=[
+        "schubert-n17", "schubert-n0", "schubert-r20", "closure-n0", "closure-n17", "count-neg",
+        "count-cap+1", "count-1e30",
+    ],
 )
-def test_random_bad_arguments_exit_2(flags, tmp_path, capsys):
+def test_random_bad_arguments_exit_2(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "generate_corpus", _never)
     out = tmp_path / "never.jsonl"
     assert _exit_code(["random", *flags, "--seed", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -166,13 +178,39 @@ def test_random_bad_arguments_exit_2(flags, tmp_path, capsys):
         ["check-identities", "--jobs", "-2"],
         ["compute", "--jobs", "0"],
         ["compute", "--jobs", "-2"],
+        ["check-identities", "--samples", str(LIST_CAP + 1)],
+        ["check-identities", "--samples", str(10**30)],
     ],
-    ids=["samples-neg", "identities-jobs0", "identities-jobs-neg", "compute-jobs0", "compute-jobs-neg"],
+    ids=[
+        "samples-neg", "identities-jobs0", "identities-jobs-neg", "compute-jobs0",
+        "compute-jobs-neg", "samples-cap+1", "samples-1e30",
+    ],
 )
-def test_bad_samples_and_jobs_exit_2(argv, example_file, capsys):
+def test_bad_samples_and_jobs_exit_2(argv, example_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_load_inputs", _never)
+    monkeypatch.setattr(cli, "sample_points", _never)
     assert _exit_code([*argv, "-i", example_file]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def test_list_sizes_at_cap_are_accepted(monkeypatch, capsys):
+    # the cap itself parses, and --help states it; nothing is built here
+    counts = []
+
+    def generate_corpus(family, count, *rest):
+        counts.append(count)
+        return []
+
+    monkeypatch.setattr(cli, "generate_corpus", generate_corpus)
+    monkeypatch.setattr(cli, "_load_inputs", lambda paths: [])
+    assert main(["random", "--family", "closure", "--seed", "1", "--count", str(LIST_CAP)]) == 0
+    assert main(["check-identities", "-i", "unread.json", "--samples", str(LIST_CAP)]) == 0
+    assert counts == [LIST_CAP]
+    for command in ("random", "check-identities"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"at most {LIST_CAP}" in capsys.readouterr().out
 
 
 def test_worker_count_clamps_to_inputs_and_cpus():
@@ -310,7 +348,7 @@ def schubert13_file(tmp_path):
     return str(path)
 
 
-def test_bench_above_set_cap_shows_every_uncapped_route(schubert13_file, capsys):
+def test_bench_at_n13_shows_every_chain_sum_route(schubert13_file, capsys):
     # no route is capped: all ten chain sums run at n = 13
     assert main(["bench", "-i", schubert13_file, "--format", "json"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
@@ -318,7 +356,7 @@ def test_bench_above_set_cap_shows_every_uncapped_route(schubert13_file, capsys)
     assert {rec["omega"] for rec in records} == {19}
 
 
-def test_bench_capped_method_exits_3(schubert13_file, capsys):
+def test_bench_named_set_route_at_n13_exits_0(schubert13_file, capsys):
     # a set route named at n = 13 runs like any other
     assert main(["bench", "-i", schubert13_file, "--methods", "inward-sets", "--format", "json"]) == 0
     captured = capsys.readouterr()

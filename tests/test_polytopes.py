@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
+from helpers import identity_at
 from omegacalc.altsum import alternating_chain_sum
 from omegacalc.bitops import bits, mask_of
 from omegacalc.corpus import generate_corpus, random_schubert, sample_points
@@ -85,24 +87,24 @@ def test_identity_hand_example():
     m = uniform(1, 2)
     z = as_point([HALF, HALF])
     for kind in IdentityKind:
-        assert check_identity(m, kind, z) == (1, 1)
+        assert identity_at(m, kind, z) == (1, 1)
 
 
 def test_identity_off_hyperplane_and_box():
     m = uniform(2, 4)
     z = as_point([1, 1, 1, 1])  # sum != r
     for kind in IdentityKind:
-        assert check_identity(m, kind, z) == (0, 0)
+        assert identity_at(m, kind, z) == (0, 0)
     z = as_point([2, -1, HALF, HALF])  # on the hyperplane, outside the box
     for kind in IdentityKind:
-        assert check_identity(m, kind, z) == (0, 0)
+        assert identity_at(m, kind, z) == (0, 0)
 
 
 def test_identity_requires_loop_free_for_flats():
     m = from_bases(2, [0b10])
     with pytest.raises(VariantInapplicable):
-        check_identity(m, IdentityKind.INNER_FLATS, as_point([0, 1]))
-    lhs, rhs = check_identity(m, IdentityKind.INWARD_SETS, as_point([0, 1]))
+        identity_at(m, IdentityKind.INNER_FLATS, as_point([0, 1]))
+    lhs, rhs = identity_at(m, IdentityKind.INWARD_SETS, as_point([0, 1]))
     assert lhs == rhs
 
 
@@ -117,10 +119,11 @@ def test_identities_on_sampled_points():
     matroids.append(uniform(1, 2).direct_sum(uniform(2, 3)))
     for m in matroids:
         points = sample_points(rng, m.n, m.r, 60)
-        for z in points:
-            for kind in IdentityKind:
-                lhs, rhs = check_identity(m, kind, z)
-                assert lhs == rhs, (m, kind, z)
+        sums = subset_sums(points)
+        for kind in IdentityKind:
+            lhs, rhs = check_identity(m, kind, sums)
+            for i in range(len(points)):
+                assert lhs[i] == rhs[i], (m, kind, points[i])
 
 
 def test_identity_exhaustive_tiny_denominators():
@@ -131,7 +134,7 @@ def test_identity_exhaustive_tiny_denominators():
             x = Fraction(num, den)
             z = (x, 1 - x)
             for kind in IdentityKind:
-                lhs, rhs = check_identity(m, kind, z)
+                lhs, rhs = identity_at(m, kind, z)
                 assert lhs == rhs, (z, kind)
 
 
@@ -224,13 +227,17 @@ def _nudged(vertex, i, j, eps):
     return tuple(point)
 
 
+def _vertex(m, basis):
+    return as_point([1 if basis >> e & 1 else 0 for e in range(m.n)])
+
+
 def _probe_points(rng, m, samples):
     """Sampled points plus points off the hyperplane, outside the box (with
     and without negative coordinates) and with denominators whose LCM
     exceeds 2^64."""
     n, r = m.n, m.r
     points = sample_points(rng, n, r, samples, bases=m.bases)
-    vertex = as_point([1 if m.bases[0] >> e & 1 else 0 for e in range(n)])
+    vertex = _vertex(m, m.bases[0])
     primes = [(1 << 61) - 1, (1 << 31) - 1, 2**127 - 1]
     for _ in range(4):
         points.append(as_point([Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(n)]))
@@ -267,40 +274,64 @@ def test_integer_identities_match_fraction_evaluation():
     big_lcm = in_box_on_plane = in_polytope = 0
     for m in matroids:
         kinds = list(IdentityKind)[:2] if m.has_loops() else list(IdentityKind)
-        for z in _probe_points(rng, m, 15):
-            sums = subset_sums(z)
-            big_lcm += sums.scale > 1 << 64
+        # the whole probe list is one batch, live and dead rows mixed
+        points = _probe_points(rng, m, 15)
+        sums = subset_sums(points)
+        batch = {kind: check_identity(m, kind, sums) for kind in kinds}
+        for i, z in enumerate(points):
+            big_lcm += sums.scale[i] > 1 << 64
             expected = {kind: _fraction_identity(m, kind, z) for kind in kinds}
             for kind in kinds:
-                assert check_identity(m, kind, z) == expected[kind], (m, kind, z)
-                assert check_identity(m, kind, z, sums) == expected[kind], (m, kind, z)
+                assert identity_at(m, kind, z) == expected[kind], (m, kind, z)
+                lhs, rhs = batch[kind]
+                assert (lhs[i], rhs[i]) == expected[kind], (m, kind, z)
             lhs = expected[kinds[0]][0]
             assert in_base_polytope(m, z) == bool(lhs), (m, z)
-            in_box_on_plane += sums.in_box and sums.sums_to(m.r)
+            in_box_on_plane += sums.in_box[i] and sums.scaled[i, -1] == sums.scale[i] * m.r
             in_polytope += lhs
     assert big_lcm >= 100 and in_box_on_plane >= 500 and in_polytope >= 200
 
 
-def test_integer_identities_match_fraction_evaluation_n12():
+def test_integer_identities_match_fraction_evaluation_n12_to_n16():
     rng = random.Random(12)
+    cases = []
     for spec in generate_corpus("closure", 2, 4, 12):
         m = matroid_from_spec(spec).matroid
-        kinds = list(IdentityKind)[:2] if m.has_loops() else list(IdentityKind)
         points = sample_points(rng, m.n, m.r, 2, bases=m.bases)[-2:]
         points += _probe_points(rng, m, 0)[-3:]
+        cases.append((m, points))
+    # low-rank Schubert matroids above the command-line identity cap, loop-free
+    # so that every kind applies: a vertex and a midpoint of two bases, a row
+    # off the hyperplane and a row on it with a negative coordinate
+    for n in (13, 16):
+        m = matroid_from_spec(generate_corpus("schubert", 1, 4, n, 3)[0]).matroid
+        assert m.r == 3 and not m.has_loops() and len(m.bases) < comb(n, 3)
+        vertex = _vertex(m, m.bases[0])
+        midpoint = tuple((x + y) / 2 for x, y in zip(vertex, _vertex(m, m.bases[-1])))
+        off_plane = vertex[:-1] + (vertex[-1] + Fraction(1, 3),)
+        inside = next(e for e in range(n) if vertex[e])
+        outside = next(e for e in range(n) if not vertex[e])
+        negative = _nudged(vertex, inside, outside, Fraction(2))
+        cases.append((m, [vertex, midpoint, off_plane, negative]))
+    for m, points in cases:
+        kinds = list(IdentityKind)[:2] if m.has_loops() else list(IdentityKind)
         for z in points:
             for kind in kinds:
-                assert check_identity(m, kind, z) == _fraction_identity(m, kind, z), (m, kind, z)
+                assert identity_at(m, kind, z) == _fraction_identity(m, kind, z), (m, kind, z)
 
 
 def test_subset_sums_scaled_exactly():
     rng = random.Random(5)
     big = (1 << 89) - 1
     point = tuple(Fraction(rng.randint(-big, big), rng.choice([big, 3, 1 << 70])) for _ in range(6))
-    sums = subset_sums(point)
-    reference = _fraction_subset_sums(point)
-    assert sums.scale > 1 << 64
-    for mask in range(1 << 6):
-        assert Fraction(sums.scaled[mask], sums.scale) == reference[mask]
-        ceiling = -(-reference[mask].numerator // reference[mask].denominator)
-        assert sums.ceiling[mask] == min(max(ceiling, -1), 7)
+    # one batch, one row per point, each row with its own scale
+    points = [point, as_point([HALF, 0, 1, 2, -1, Fraction(1, 3)]), as_point([1] * 6)]
+    sums = subset_sums(points)
+    assert sums.scale[0] > 1 << 64 and sums.scale.tolist()[1:] == [6, 1]
+    for i, z in enumerate(points):
+        reference = _fraction_subset_sums(z)
+        for mask in range(1 << 6):
+            assert Fraction(sums.scaled[i, mask], sums.scale[i]) == reference[mask]
+            ceiling = -(-reference[mask].numerator // reference[mask].denominator)
+            assert sums.ceiling[i, mask] == min(max(ceiling, -1), 7)
+    assert sums.in_box.tolist() == [all(0 <= c <= 1 for c in z) for z in points]
