@@ -14,7 +14,9 @@ marked subposet of the boolean lattice (see altsum).  The other eight
 are one transfer recursion over the route's members (`_chain_sum`): each
 route only supplies its members, its path bound and the signs (and, for
 inward-flats, the Mobius values) with which a chain enters, steps between
-and leaves them, so no chain is ever enumerated.
+and leaves them, so no chain is ever enumerated.  Every member keeps its
+path state pulled back to column 0, so a step between members is one
+weighted sum whatever their columns.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .crowding import (
 from .errors import VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
-from .paths import ChainPathCounter, Mode, advance, restrict
+from .paths import ChainPathCounter, Mode, admits, advance, restrict
 
 
 class Variant(str, Enum):
@@ -177,20 +179,20 @@ def _chain_sum(
     finish(t); a sign of 0 means no such link.  `root` is the sign of the
     chain without interior members.  `scale(lower, upper)`, when given,
     multiplies the sign of every link (lower = 0 on entry, upper = E on
-    exit); it is read only for terms whose path count is nonzero.
+    exit); it is read only for links that carry a nonzero path state.
 
     A chain's path state is linear in its predecessor's, so the sum is a
-    transfer recursion over members rather than a walk over chains: with
-    x_t the clamped corank of t and A^k the free advance by k columns,
+    transfer recursion over members rather than a walk over chains.  With
+    x_t the clamped corank of t, A^k the free advance by k columns and
+    mask_t the constraint of t, each member keeps its state pulled back
+    to column 0, so that a step is one weighted sum whatever the columns:
 
-        W(t) = mask_t(start(t) A^{x_t} e_0
-                      + sum over s < t of edge(s, t) A^{x_t - x_s} W(s))
+        U(t) = A^{-x_t} mask_t A^{x_t} (start(t) e_0 + sum over s < t of edge(s, t) U(s))
 
-    and the covalue is root * completed(e_0) plus the sum over t of
-    finish(t) times the last coordinate of A^{L - x_t} W(t).  A member
-    admits a path prefix by its own constraint alone (the push from e_0),
-    so the chain count, the chains whose every member admits a path, is
-    the same recursion on counts: C(t) = [start(t) != 0] + sum of C(s).
+    and the covalue is root * completed(e_0) plus the last coordinate of
+    A^L (sum over t of finish(t) U(t)).  A chain reaches t iff a path
+    prefix meets t's own constraint (`admits`), so the chain count is the
+    same recursion on counts: C(t) = [start(t) != 0] + sum of C(s).
     """
     counter = ChainPathCounter(matroid.n, matroid.r)
     factor = scale or (lambda lower, upper: 1)
@@ -203,58 +205,48 @@ def _chain_sum(
             total = root * factor(0, full) * term
     if not counter.feasible:
         return total, chains
-    length = counter.length
-    rank = matroid.rank
-    # (mask, column, W or None when zero, C) of every member a chain can
-    # reach, with the masks also in an array to find a member's subsets
-    reached: list[tuple[int, int, list[int] | None, int]] = []
-    reached_masks = np.empty(len(members), dtype=np.int64)
-    for t in members:
-        rk = rank(t)
-        probe = ChainPathCounter(matroid.n, matroid.r)
-        if not probe.push(popcount(t) - rk, rk, mode):
-            continue
-        col, entry = probe.column, probe.state
+    length, r = counter.length, matroid.r
+    masks = np.array(members, dtype=np.int64)
+    ranks = matroid.rank_array()[masks]
+    columns = np.minimum(popcounts(matroid.n)[masks] - ranks, length)
+    keep = admits(columns, ranks, mode, r)
+    # (mask, U or None when zero, C) of every member a chain can reach,
+    # with the masks also in an array to find a member's subsets
+    reached: list[tuple[int, list[int] | None, int]] = []
+    reached_masks = np.empty(int(keep.sum()), dtype=np.int64)
+    exits = [0] * r
+    for t, rk, col in zip(masks[keep].tolist(), ranks[keep].tolist(), columns[keep].tolist()):
         sign = start(t)
         count = 1 if sign else 0
-        state = [sign * factor(0, t) * v for v in entry] if sign else None
-        by_column: dict[int, list[int]] = {}
+        state = [sign * factor(0, t) if sign else 0] + [0] * (r - 1)
         below = np.flatnonzero((reached_masks[: len(reached)] & ~t) == 0)
         for i in below.tolist():
-            s, s_col, s_state, s_count = reached[i]
+            s, s_state, s_count = reached[i]
             sign = edge(s, t)
             if not sign:
                 continue
             count += s_count
-            if s_state is None:
-                continue
-            weight = sign * factor(s, t)
-            acc = by_column.get(s_col)
-            if acc is None:
-                by_column[s_col] = [weight * v for v in s_state]
-            else:
+            if s_state is not None:
+                weight = sign * factor(s, t)
                 for d, v in enumerate(s_state):
-                    acc[d] += weight * v
-        if by_column:
-            moved = [0] * len(entry)
-            for s_col, acc in by_column.items():
-                for d, v in enumerate(advance(acc, col - s_col)):
-                    moved[d] += v
-            restrict(moved, rk, mode)
-            state = moved if state is None else [a + b for a, b in zip(state, moved)]
-        if state is not None and not any(state):
-            state = None
+                    state[d] += weight * v
         if not count:
             continue
+        if any(state):
+            state = advance(state, col)
+            restrict(state, rk, mode)
+            state = advance(state, -col)
+        state = state if any(state) else None
         reached_masks[len(reached)] = t
-        reached.append((t, col, state, count))
+        reached.append((t, state, count))
         sign = finish(t)
         if sign:
             chains += count
-            term = advance(state, length - col)[-1] if state is not None else 0
-            if term:
-                total += sign * factor(t, full) * term
-    return total, chains
+            if state is not None:
+                weight = sign * factor(t, full)
+                for d, v in enumerate(state):
+                    exits[d] += weight * v
+    return total + advance(exits, length)[-1], chains
 
 
 def _poset_sum(

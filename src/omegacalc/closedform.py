@@ -9,7 +9,6 @@ criteria (n = 2r and n = 2r + 1).  Returns None when nothing applies.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 from .bitops import popcount
@@ -74,25 +73,21 @@ def _low_rank(matroid: Matroid) -> int:
     if r == 2:
         return n - 3
     lattice = flat_lattice(simple)
-    lines = [popcount(f) for f in lattice.flats_by_rank[2]]
-    if r == 3:
-        return comb(n - 4, 2) - sum(comb(l - 2, 2) for l in lines)
     line_masks = lattice.flats_by_rank[2]
+    if r == 3:
+        return comb(n - 4, 2) - sum(comb(popcount(lm) - 2, 2) for lm in line_masks)
     plane_masks = lattice.flats_by_rank[3]
-    total = Fraction(comb(n - 5, 3))
-    for p in plane_masks:
-        total -= comb(popcount(p) - 3, 3)
+    # three times the formula, whose coefficients are thirds
+    total = 3 * (comb(n - 5, 3) - sum(comb(popcount(p) - 3, 3) for p in plane_masks))
     for lm in line_masks:
         l = popcount(lm)
-        total -= comb(l - 2, 2) * (n - Fraction(2, 3) * l - Fraction(13, 3))
+        total -= comb(l - 2, 2) * (3 * n - 2 * l - 13)
         for pm in plane_masks:
             if (lm & ~pm) == 0:
-                total += comb(l - 2, 2) * (
-                    popcount(pm) - Fraction(2, 3) * l - Fraction(7, 3)
-                )
-    if total.denominator != 1:
-        raise NonIntegralRank4(f"rank-4 formula evaluated to {total}")
-    return int(total)
+                total += comb(l - 2, 2) * (3 * popcount(pm) - 2 * l - 7)
+    if total % 3:
+        raise NonIntegralRank4(f"rank-4 formula evaluated to {total}/3")
+    return total // 3
 
 
 def _near_middle(matroid: Matroid) -> int:

@@ -30,7 +30,6 @@ class FlatLattice:
     matroid: Matroid
     flats_by_rank: tuple[tuple[int, ...], ...]
     bottom: int
-    top: int
     _mu: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     _predecessors: tuple | None = field(default=None, init=False, repr=False)
     _level_masks: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -113,7 +112,6 @@ def flat_lattice(matroid: Matroid) -> FlatLattice:
             tuple(flats[flat_ranks == k].tolist()) for k in range(matroid.r + 1)
         ),
         bottom=matroid.closure(0),
-        top=matroid.full_mask,
     )
     matroid._flat_lattice = lattice
     return lattice

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from math import comb
 
 from .errors import ConstraintOutOfRange
 
@@ -57,15 +56,29 @@ def count_paths(problem: PathProblem) -> int:
 def advance(state: list[int], steps: int) -> list[int]:
     """The per-diagonal counts `steps` free columns further on: A^steps.
 
-    (A^k v)[d] = sum_j C(k, d - j) v[j], truncated at the last diagonal.
+    (A^k v)[d] = sum_j C(k, d - j) v[j], truncated at the last diagonal,
+    for any integer k: A truncated to the first diagonals is unitriangular,
+    so the truncation of A^-k (entries C(-k, i) = (-1)^i C(k + i - 1, i))
+    is the inverse of the truncation of A^k.
     """
     if not steps:
         return list(state)
-    binom = [comb(steps, i) for i in range(len(state))]
+    binom = [1]
+    for i in range(1, len(state)):  # C(k, i) = C(k, i - 1) (k - i + 1) / i
+        binom.append(binom[-1] * (steps - i + 1) // i)
     return [
         sum(binom[d - j] * v for j, v in enumerate(state[: d + 1]) if v)
         for d in range(len(state))
     ]
+
+
+def admits(x, y, mode: Mode, r: int):
+    """Whether a path prefix can meet a constraint of height y at clamped
+    column x, elementwise over arrays: the prefix counts there are C(x, d),
+    d < r, so BELOW needs y >= 1 and ABOVE y <= min(x, r - 1)."""
+    if mode is Mode.BELOW:
+        return y >= 1
+    return (y <= x) & (y <= r - 1)
 
 
 def restrict(state: list[int], y: int, mode: Mode) -> None:

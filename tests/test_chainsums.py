@@ -203,6 +203,15 @@ def test_schubert_value_equals_covalue():
 # they run on its worst input only (input 1: 210 paths, omega 25).
 SET_ROUTE_INPUTS = {("schubert", 3, 94, 16, 5): {1}}
 
+# The three crowded-set routes walk the largest member sets of the kernel.
+# On input 0 of that corpus crowded-sets alone takes ~2 s (6.4e9 chains,
+# covalue 0), so there they run on inputs 1 and 2 only (12,142 and 1,082
+# record chains).
+CROWDED_SET_ROUTES = [
+    Variant.CROWDED_SETS.value, Variant.RECORD_SETS.value, Variant.FINAL_SETS.value
+]
+CROWDED_ROUTE_INPUTS = {("schubert", 3, 94, 16, 5): {1, 2}}
+
 
 @pytest.mark.parametrize(
     "corpus_args, top",
@@ -216,12 +225,14 @@ SET_ROUTE_INPUTS = {("schubert", 3, 94, 16, 5): {1}}
     ],
 )
 def test_cross_route_agreement_n13_to_n16(corpus_args, top):
-    # auto, the closed form where one applies, the five flats routes and
-    # the two set routes against the Schubert path count, above n = 12
+    # auto, the closed form where one applies, the five flats routes, the
+    # two set routes and the three crowded-set routes against the Schubert
+    # path count, above n = 12
     from omegacalc.chainsums import FLAT_VARIANTS
     from omegacalc.closedform import omega_closed_form
 
     set_inputs = SET_ROUTE_INPUTS.get(corpus_args)
+    crowded_inputs = CROWDED_ROUTE_INPUTS.get(corpus_args)
     values = []
     for i, spec in enumerate(generate_corpus(*corpus_args)):
         loaded = matroid_from_spec(spec)
@@ -232,6 +243,8 @@ def test_cross_route_agreement_n13_to_n16(corpus_args, top):
         methods = ["auto"] + sorted(v.value for v in FLAT_VARIANTS)
         if set_inputs is None or i in set_inputs:
             methods += [Variant.INWARD_SETS.value, Variant.OUTWARD_SETS.value]
+        if crowded_inputs is None or i in crowded_inputs:
+            methods += CROWDED_SET_ROUTES
         results = compute_omega(m, methods).results
         assert len(results) == len(methods)
         assert all(res.omega == expected for res in results), (spec["id"], results)

@@ -33,6 +33,21 @@ def example_file(tmp_path):
     return str(path)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+def test_compute_all_json_matches_the_recorded_bytes(tmp_path):
+    # chains_corpus.jsonl: closure n = 9 (seed 2, 30 inputs) and one Schubert
+    # n = 13, r = 4 input whose crowded, record and final set routes count
+    # 34,912 chains each; no other test checks kernel chain counts above
+    # n = 7, and the default JSON output must stay byte-identical
+    out = tmp_path / "all.jsonl"
+    corpus = str(DATA / "chains_corpus.jsonl")
+    argv = ["compute", "-i", corpus, "--method", "all", "--format", "json", "--jobs", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "chains_all.jsonl").read_bytes()
+
+
 def test_compute_all_methods_agree(example_file, tmp_path, capsys):
     out = tmp_path / "res.jsonl"
     rc = main(

@@ -9,6 +9,8 @@ from omegacalc.errors import ConstraintOutOfRange
 from omegacalc.paths import (
     ChainPathCounter,
     Mode,
+    admits,
+    advance,
     PathConstraint,
     PathProblem,
     count_paths,
@@ -124,3 +126,26 @@ def test_incremental_counter_matches_batch(data):
         counter.push(x, y, mode)
     cs = tuple(PathConstraint(x, y, m) for (x, y), m in zip(chosen, modes))
     assert counter.completed_count() == count_paths(PathProblem(n, r, cs))
+
+
+def test_admits_matches_a_push_from_the_start():
+    # the kernel's closed-form reached test against a push from the start
+    for n in range(2, 17):
+        for r in range(1, n // 2 + 1):
+            length = n - r - 1
+            for x in range(n - r + 1):
+                for y in range(r + 1):
+                    for mode in Mode:
+                        pushed = ChainPathCounter(n, r).push(x, y, mode)
+                        assert admits(min(x, length), y, mode, r) == pushed, (n, r, x, y, mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=9),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+)
+def test_advance_is_a_signed_group_action(state, j, k):
+    assert advance(advance(state, k), -k) == state
+    assert advance(advance(state, j), k) == advance(state, j + k)
