@@ -8,10 +8,14 @@ a batch.
 
 Every rank inequality is decided in exact integers: subset_sums scales
 each point by the LCM D of its denominators, builds all 2^n scaled subset
-sums S of every point in one subset transform over Python ints, one row
-per point, and compares ceil(S/D) with the rank table as an array.
-Python ints have no bound, so a point with any numerator or denominator
-takes the same path.  One SubsetSums serves every identity kind at its
+sums S of every point in one subset transform, one row per point, and
+compares ceil(S/D) with the rank table as an array.  The transform runs in
+int64 when the batch's largest |scaled coordinate| and largest D, times
+n + 1, stay below 2^63 (the proof is in the subset_sums docstring), and
+in Python ints in `object` arrays otherwise, so a point with any
+numerator or denominator is exact; explicit points with huge
+denominators fall back, sampled ones rarely do (see
+corpus.sample_points).  One SubsetSums serves every identity kind at its
 batch.
 
 The sums over chains of arbitrary subsets reduce, at a fixed point, to an
@@ -27,6 +31,7 @@ from __future__ import annotations
 import operator
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -55,10 +60,12 @@ class SubsetSums(NamedTuple):
     """The coordinate sums of a batch of points over every subset mask, scaled.
 
     Row i is point i: `scaled[i, S]` is `scale[i]` times its sum over S, an
-    exact Python int, and `ceiling[i, S]` is ceil(scaled[i, S] / scale[i])
+    exact integer, and `ceiling[i, S]` is ceil(scaled[i, S] / scale[i])
     clipped to [-1, n + 1].  Every rank lies in [0, n], so the sum over S is
     at most r(S) exactly when `ceiling[i, S] <= r(S)`.  `in_box[i]` says
-    every coordinate of point i is in [0, 1].
+    every coordinate of point i is in [0, 1].  `scale` and `scaled` are
+    int64 when the batch fits the bound in subset_sums, and Python ints in
+    `object` arrays otherwise.
     """
 
     scale: np.ndarray
@@ -68,18 +75,32 @@ class SubsetSums(NamedTuple):
 
 
 def subset_sums(points: Sequence[RationalPoint]) -> SubsetSums:
-    """Scale each point by the LCM of its denominators, then one subset
-    transform over the whole nonempty batch of points of one dimension."""
-    coords = np.array(points, dtype=object)
-    ratio = np.frompyfunc(operator.methodcaller("as_integer_ratio"), 1, 2)
-    numerators, denominators = ratio(coords)
-    scale = np.lcm.reduce(denominators, axis=1)
-    scaled = np.zeros((len(coords), 1), dtype=object)
-    for column in (numerators * (scale[:, None] // denominators)).T:
+    """Scale each point by the LCM D of its denominators, then one subset
+    transform over the whole nonempty batch of points of one dimension n.
+
+    The transform, the ceiling (S + D - 1) // D and the plane test
+    S == D * r run in int64 when B * (n + 1) < 2^63, where B is the larger
+    of the batch's largest |scaled coordinate| and its largest D, and in
+    Python ints in `object` arrays otherwise; the dtype is the only
+    difference.  Proof that int64 is exact under the bound: a subset sum
+    S adds at most n scaled coordinates, so |S| <= n * B; S + D - 1 lies
+    in [-n * B, (n + 1) * B); and D * r <= n * B since r <= n.  Every
+    intermediate value is below (n + 1) * B < 2^63 in absolute value.
+    """
+    n = len(points[0])
+    scale = [lcm(*(c.denominator for c in z)) for z in points]
+    coords = [[c.numerator * (d // c.denominator) for c in z] for z, d in zip(points, scale)]
+    bound = max(max(scale), max((abs(c) for row in coords for c in row), default=0))
+    dtype = np.int64 if bound * (n + 1) < 1 << 63 else object
+    scale_array = np.array(scale, dtype=dtype)[:, None]
+    coords = np.array(coords, dtype=dtype)
+    scaled = np.zeros((len(points), 1), dtype=dtype)
+    for column in coords.T:
         scaled = np.concatenate((scaled, scaled + column[:, None]), axis=1)
-    ceiling = np.clip(-(-scaled // scale[:, None]), -1, coords.shape[1] + 1).astype(np.int64)
-    in_box = ((numerators >= 0) & (numerators <= denominators)).all(axis=1)
-    return SubsetSums(scale, scaled, ceiling, in_box)
+    ceiling = (scaled + (scale_array - 1)) // scale_array
+    ceiling = np.clip(ceiling, -1, n + 1).astype(np.int64)
+    in_box = ((coords >= 0) & (coords <= scale_array)).all(axis=1)
+    return SubsetSums(scale_array[:, 0], scaled, ceiling, in_box)
 
 
 def in_hypersimplex(n: int, r: int, point: RationalPoint) -> bool:

@@ -154,11 +154,13 @@ def load_matroid_file(path: str | Path) -> list[LoadedMatroid]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
     stripped = text.strip()
     if not stripped:
         return []
+    # json.loads raises a plain ValueError, not a JSONDecodeError, on an
+    # integer of more than sys.get_int_max_str_digits() digits
     try:
         parsed = json.loads(stripped)
         objs = parsed if isinstance(parsed, list) else [parsed]
@@ -170,8 +172,10 @@ def load_matroid_file(path: str | Path) -> list[LoadedMatroid]:
                 continue
             try:
                 objs.append(json.loads(line))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:
                 raise SpecFileError(f"{path}:{i}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise SpecFileError(f"{path}: invalid JSON: {exc}") from exc
     out = []
     for i, obj in enumerate(objs):
         loaded = matroid_from_spec(obj)
@@ -188,7 +192,7 @@ def load_points_file(path: str | Path) -> list[tuple[Fraction, ...]]:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise SpecFileError(f"cannot read point batch {path}: {exc}") from exc
     if not isinstance(data, list):
         raise SpecFileError("point batch must be a JSON list of points")

@@ -265,6 +265,38 @@ def test_check_identities_malformed_points(tmp_path):
     assert main(["check-identities", "-i", str(spec), "--points", str(pts)]) == 2
 
 
+# an integer of more than sys.get_int_max_str_digits() (4,300) digits makes
+# json.loads raise a plain ValueError, and bytes that are not UTF-8 make
+# read_text raise one
+_HUGE = "9" * 5000
+_U13 = json.dumps({"kind": "uniform", "n": 3, "r": 1})
+
+
+@pytest.mark.parametrize(
+    "spec_text, points_text",
+    [
+        (f'{{"kind": "uniform", "n": {_HUGE}, "r": 1}}', None),
+        (f'{_U13}\n{{"kind": "uniform", "n": 3, "r": {_HUGE}}}\n', None),
+        (_U13, f"[[[{_HUGE}, 1], [0, 1], [0, 1]]]"),
+        (b"\xff\xfe{}", None),
+        (_U13, b"\xff\xfe[]"),
+    ],
+    ids=["spec", "corpus-line", "points", "spec-not-utf8", "points-not-utf8"],
+)
+def test_unreadable_input_files_exit_2(spec_text, points_text, tmp_path, capsys):
+    def write(name, text):
+        path = tmp_path / name
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        return str(path)
+
+    argv = ["check-identities", "-i", write("in.json", spec_text), "--samples", "1"]
+    if points_text is not None:
+        argv += ["--points", write("pts.json", points_text)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 def test_check_identities_wrong_dimension_points_exit_2(tmp_path, capsys):
     spec = tmp_path / "u48.json"
     spec.write_text(json.dumps({"kind": "uniform", "n": 8, "r": 4, "id": "u48"}))

@@ -320,6 +320,19 @@ def test_integer_identities_match_fraction_evaluation_n12_to_n16():
                 assert identity_at(m, kind, z) == _fraction_identity(m, kind, z), (m, kind, z)
 
 
+def _assert_matches_fractions(points, sums):
+    n = len(points[0])
+    for i, z in enumerate(points):
+        reference = _fraction_subset_sums(z)
+        for mask in range(1 << n):
+            assert Fraction(int(sums.scaled[i, mask]), int(sums.scale[i])) == reference[mask]
+            ceiling = -(-reference[mask].numerator // reference[mask].denominator)
+            assert sums.ceiling[i, mask] == min(max(ceiling, -1), n + 1), (i, mask)
+        for r in range(n + 1):
+            assert (sums.scaled[i, -1] == sums.scale[i] * r) == (reference[-1] == r), (i, r)
+        assert sums.in_box[i] == all(0 <= c <= 1 for c in z)
+
+
 def test_subset_sums_scaled_exactly():
     rng = random.Random(5)
     big = (1 << 89) - 1
@@ -328,10 +341,31 @@ def test_subset_sums_scaled_exactly():
     points = [point, as_point([HALF, 0, 1, 2, -1, Fraction(1, 3)]), as_point([1] * 6)]
     sums = subset_sums(points)
     assert sums.scale[0] > 1 << 64 and sums.scale.tolist()[1:] == [6, 1]
-    for i, z in enumerate(points):
-        reference = _fraction_subset_sums(z)
-        for mask in range(1 << 6):
-            assert Fraction(sums.scaled[i, mask], sums.scale[i]) == reference[mask]
-            ceiling = -(-reference[mask].numerator // reference[mask].denominator)
-            assert sums.ceiling[i, mask] == min(max(ceiling, -1), 7)
-    assert sums.in_box.tolist() == [all(0 <= c <= 1 for c in z) for z in points]
+    _assert_matches_fractions(points, sums)
+
+
+def test_subset_sums_int64_boundary():
+    # B * (n + 1) with B the largest |scaled coordinate| or scale of the
+    # batch: 2^63 - 1 = 7 * top stays in int64 at n = 6, 2^63 does not
+    top = ((1 << 63) - 1) // 7
+    assert 7 * top == (1 << 63) - 1
+    fits = [
+        as_point([top] * 6),
+        as_point([-top] * 6),
+        as_point([top, -top, 0, 1, -1, top - 1]),
+        as_point([1, 1, 1, 1, 1, Fraction(top - 1, top)]),
+        as_point([Fraction(-1, top), 0, 1, Fraction(2, top), 0, 0]),
+    ]
+    at_2_63 = [
+        as_point([1 << 60] * 7),
+        # B is the scale here: every |scaled coordinate| is below 2^60
+        as_point([Fraction(1, 1 << 60), Fraction(-3, 1 << 60), 0, 0, 0, 0, HALF]),
+    ]
+    mixed = fits[:2] + [as_point([top + 1, 0, 0, 0, 0, 1])]
+    batches = [fits, at_2_63, at_2_63[:1], at_2_63[1:], mixed]
+    for points, dtype in zip(batches, [np.int64, object, object, object, object]):
+        sums = subset_sums(points)
+        assert sums.scaled.dtype == dtype and sums.scale.dtype == dtype
+        assert sums.ceiling.dtype == np.int64
+        _assert_matches_fractions(points, sums)
+    assert subset_sums(fits[3:4]).scale.tolist() == [top]
