@@ -6,7 +6,6 @@ from .engine import MethodResult, OmegaReport, compute_omega
 from .lattice import FlatLattice, flat_lattice
 from .matroid import (
     Matroid,
-    Simplification,
     from_bases,
     schubert_from_order,
     schubert_lower,
@@ -23,7 +22,6 @@ __all__ = [
     "OmegaReport",
     "PathConstraint",
     "PathProblem",
-    "Simplification",
     "Variant",
     "compute_omega",
     "count_paths",

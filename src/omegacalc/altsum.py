@@ -5,10 +5,11 @@ For a predicate `good` on the proper nonempty subsets of [n], computes
     sum over chains 0 = T_0 < T_1 < ... < T_j < full, all T_i good,
     of (-1)^j
 
-which both set-indexed summation engines and the identity checker need.
-The recursion v(T) = -1 - sum of v over good proper subsets of T is
-evaluated level by level with a subset-sum (zeta) transform: O(n^2 2^n)
-array work per predicate, and one pass for a whole stack of them.
+which the set routes and three identity kinds need, each as one call on
+a stack of predicates.  The recursion v(T) = -1 - sum of v over good
+proper subsets of T is evaluated level by level with a subset-sum (zeta)
+transform: O(n^2 2^n) array work per predicate, one pass per block of
+`block_rows(n)` predicates, so memory stays bounded by the block.
 
 int64 cannot overflow for n <= 16.  Let a(k) be the Fubini number, the
 number of chains from the empty set to a k-set in the boolean lattice
@@ -27,6 +28,14 @@ from __future__ import annotations
 import numpy as np
 
 from .bitops import bits
+
+BATCH_SUMS = 1 << 16  # mask entries per block of rows
+
+
+def block_rows(n: int) -> int:
+    """Rows of 2^n masks per block: max(1, 2^16 >> n)."""
+    return max(1, BATCH_SUMS >> n)
+
 
 _POPCOUNT_CACHE: dict[int, np.ndarray] = {}
 
@@ -55,14 +64,21 @@ def submask_array(mask: int) -> np.ndarray:
 
 def alternating_chain_sum(n: int, good: np.ndarray) -> np.ndarray:
     """`good` is a boolean array whose last axis, of length 2^n, is indexed
-    by mask: one predicate gives a 0-d result, a (k, 2^n) stack k results.
-    Entries at 0 and at the full mask are ignored (chain endpoints are
-    fixed, not marked).  The zeta pass works in blocks of 2^(e+1) masks,
-    which never straddle two predicates."""
-    size = 1 << n
-    good = good.copy()
-    good[..., 0] = False
-    good[..., size - 1] = False
+    by mask: one predicate gives a 0-d result, a (k, 2^n) stack k results,
+    for any k.  Entries at 0 and at the full mask are ignored (chain
+    endpoints are fixed, not marked)."""
+    rows = good.reshape(-1, 1 << n)
+    out = np.empty(len(rows), dtype=np.int64)
+    step = block_rows(n)
+    for lo in range(0, len(rows), step):
+        out[lo : lo + step] = _block_sum(n, rows[lo : lo + step])
+    return out.reshape(good.shape[:-1])[()]
+
+
+def _block_sum(n: int, good: np.ndarray) -> np.ndarray:
+    """One result per row of a (k, 2^n) block.  Levels 1 to n - 1 leave
+    out the endpoints; the zeta pass works in blocks of 2^(e+1) masks,
+    which never straddle two rows."""
     pc = popcounts(n)
     v = np.zeros(good.shape, dtype=np.int64)
     for level in range(1, n):

@@ -10,13 +10,14 @@ the sign rule.
 The two sums over chains of arbitrary subsets are evaluated by exchanging
 the order of summation: for each path, the signed number of chains whose
 constraint points the path satisfies is an alternating chain count in a
-marked subposet of the boolean lattice (see altsum).  The other eight
-are one transfer recursion over the route's members (`_chain_sum`): each
-route only supplies its members, its path bound and the signs (and, for
-inward-flats, the Mobius values) with which a chain enters, steps between
-and leaves them, so no chain is ever enumerated.  Every member keeps its
-path state pulled back to column 0, so a step between members is one
-weighted sum whatever their columns.
+marked subposet of the boolean lattice, and one altsum call evaluates
+the stack of every path's predicate.  The other eight are one transfer
+recursion over the route's members (`_chain_sum`): each route only
+supplies its members, its path bound and one sign callback `link(s, t)`
+for the link s -> t of a chain from the empty set to the ground set (and,
+for inward-flats, the Mobius values that scale it), so no chain is ever
+enumerated.  Every member keeps its path state pulled back to column 0,
+so a step between members is one weighted sum whatever their columns.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def schubert_omega(n: int, chain: Sequence[int], profile: Sequence[int]) -> int:
     return count_paths(PathProblem(n, r, constraints))
 
 
-# -- global set sums, path by path -------------------------------------------
+# -- global set sums, all paths at once --------------------------------------
 
 
 def _sets_global(matroid: Matroid, mode: Mode) -> int:
@@ -149,13 +150,16 @@ def _sets_global(matroid: Matroid, mode: Mode) -> int:
     steps = np.array(list(combinations(range(length), r - 1)), dtype=np.int64)
     columns = np.minimum(np.arange(n - r + 1), length)
     diagonals = (steps[:, :, None] < columns).sum(axis=1)
+    # a path's predicate at S reads S only through (corank x, rank k), so
+    # the stack is a lookup in each path's (x, k) table, one byte per
+    # entry; np.take keeps each row contiguous for altsum's zeta pass
+    verdict = diagonals[:, :, None] < np.arange(r + 1)
+    if mode is Mode.ABOVE:
+        verdict = ~verdict
+    key = corank.astype(np.int64) * (r + 1) + table
+    good = np.take(verdict.reshape(len(steps), -1), key, axis=1)
     sign = -1 if mode is Mode.BELOW and n % 2 == 0 else 1
-    total = 0
-    for row in diagonals:
-        d_at = row[corank]
-        good = d_at < table if mode is Mode.BELOW else d_at >= table
-        total += int(alternating_chain_sum(n, good))
-    return sign * total
+    return sign * sum(alternating_chain_sum(n, good).tolist())
 
 
 # -- the chain-sum kernel -----------------------------------------------------
@@ -165,21 +169,17 @@ def _chain_sum(
     matroid: Matroid,
     members: Sequence[int],
     mode: Mode,
-    start: Callable[[int], int],
-    edge: Callable[[int, int], int],
-    finish: Callable[[int], int],
-    root: int,
+    link: Callable[[int, int], int],
     scale: Callable[[int, int], int] | None = None,
 ) -> tuple[int, int]:
     """Signed path counts summed over the chains 0 < t_1 < ... < t_k < E.
 
     `members` are the route's interior members, subsets before supersets.
-    A chain enters at t with sign start(t), steps from s to t with sign
-    edge(s, t) (s a proper subset of t) and leaves t for E with sign
-    finish(t); a sign of 0 means no such link.  `root` is the sign of the
-    chain without interior members.  `scale(lower, upper)`, when given,
-    multiplies the sign of every link (lower = 0 on entry, upper = E on
-    exit); it is read only for links that carry a nonzero path state.
+    `link(s, t)` is the sign of the link s -> t of a chain (s a proper
+    subset of t); a sign of 0 means no such link.  A chain enters at
+    s = 0 and leaves at t = E, and link(0, E) is the chain with no
+    interior member.  `scale(s, t)`, when given, multiplies the sign of
+    every link; it is read only for links that carry a nonzero path state.
 
     A chain's path state is linear in its predecessor's, so the sum is a
     transfer recursion over members rather than a walk over chains.  With
@@ -187,17 +187,18 @@ def _chain_sum(
     mask_t the constraint of t, each member keeps its state pulled back
     to column 0, so that a step is one weighted sum whatever the columns:
 
-        U(t) = A^{-x_t} mask_t A^{x_t} (start(t) e_0 + sum over s < t of edge(s, t) U(s))
+        U(t) = A^{-x_t} mask_t A^{x_t} (link(0, t) e_0 + sum over s < t of link(s, t) U(s))
 
-    and the covalue is root * completed(e_0) plus the last coordinate of
-    A^L (sum over t of finish(t) U(t)).  A chain reaches t iff a path
+    and the covalue is link(0, E) completed(e_0) plus the last coordinate
+    of A^L (sum over t of link(t, E) U(t)).  A chain reaches t iff a path
     prefix meets t's own constraint (`admits`), so the chain count is the
-    same recursion on counts: C(t) = [start(t) != 0] + sum of C(s).
+    same recursion on counts: C(t) = [link(0, t) != 0] + sum of C(s).
     """
     counter = ChainPathCounter(matroid.n, matroid.r)
     factor = scale or (lambda lower, upper: 1)
     full = matroid.full_mask
     total = chains = 0
+    root = link(0, full)
     if root:
         chains = 1
         term = counter.completed_count()
@@ -216,13 +217,13 @@ def _chain_sum(
     reached_masks = np.empty(int(keep.sum()), dtype=np.int64)
     exits = [0] * r
     for t, rk, col in zip(masks[keep].tolist(), ranks[keep].tolist(), columns[keep].tolist()):
-        sign = start(t)
+        sign = link(0, t)
         count = 1 if sign else 0
         state = [sign * factor(0, t) if sign else 0] + [0] * (r - 1)
         below = np.flatnonzero((reached_masks[: len(reached)] & ~t) == 0)
         for i in below.tolist():
             s, s_state, s_count = reached[i]
-            sign = edge(s, t)
+            sign = link(s, t)
             if not sign:
                 continue
             count += s_count
@@ -239,7 +240,7 @@ def _chain_sum(
         state = state if any(state) else None
         reached_masks[len(reached)] = t
         reached.append((t, state, count))
-        sign = finish(t)
+        sign = link(t, full)
         if sign:
             chains += count
             if state is not None:
@@ -254,20 +255,20 @@ def _poset_sum(
 ) -> tuple[int, int]:
     """Chains of poset members (of its crowding records only, if asked)
     from the empty set to the ground set, with sign (-1)^(length-1) and
-    weakly-above path counts."""
+    weakly-above path counts.  The empty set is in every poset passed
+    here and is a crowding record of every matroid."""
     full = matroid.full_mask
 
-    def sign(t: int) -> int:
+    def link(s: int, t: int) -> int:
         # record status is scanned only for members a chain can reach
-        return -1 if not records_only or is_crowding_record(matroid, t) else 0
+        if records_only and not is_crowding_record(matroid, t):
+            return 0
+        return 1 if t == full else -1
 
-    if 0 not in poset or full not in poset or not (sign(0) and sign(full)):
+    if full not in poset or not link(0, full):
         return 0, 0
     interior = [m for m in poset if m not in (0, full)]
-    return _chain_sum(
-        matroid, interior, Mode.ABOVE,
-        start=sign, edge=lambda s, t: sign(t), finish=lambda t: 1, root=1,
-    )
+    return _chain_sum(matroid, interior, Mode.ABOVE, link)
 
 
 def _inward_flats_sum(matroid: Matroid) -> tuple[int, int]:
@@ -277,11 +278,9 @@ def _inward_flats_sum(matroid: Matroid) -> tuple[int, int]:
     lattice = flat_lattice(matroid)
     full = matroid.full_mask
     interior = [f for f in lattice.flats if f not in (0, full)]
-    return _chain_sum(
-        matroid, interior, Mode.BELOW,
-        start=lambda t: -1, edge=lambda s, t: -1, finish=lambda t: -1, root=-1,
-        scale=lattice.mobius,
-    )
+    # the Mobius values scale the links rather than being the signs, so
+    # they are read only for links that carry a path state
+    return _chain_sum(matroid, interior, Mode.BELOW, lambda s, t: -1, scale=lattice.mobius)
 
 
 # -- the fully cancelled sums -------------------------------------------------
@@ -291,13 +290,16 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
     """Chains H_0 < H_1 < ... < H_m = E of crowding records with strictly
     increasing crowding starting at 0, nested zero parts, and sign
     (-1)^(c(H_0) + m - 1); paths are bounded weakly above at every chain
-    member except the empty set and the ground set."""
+    member except the empty set and the ground set.
+
+    A kernel chain 0 < t_1 < ... < t_k < E is read as H = (0, t_1, ..., E)
+    when t_1 (E if k = 0) has positive crowding, and as H = (t_1, ..., E)
+    when it has crowding 0; the empty set has crowding 0, no components
+    and is a crowding record, so exactly one reading applies."""
     full = matroid.full_mask
     universe = crowded_flats(matroid) if flats_only else crowded_sets(matroid)
     if full not in universe or not is_crowding_record(matroid, full):
         return 0, 0
-    from_empty = is_crowding_record(matroid, 0)
-    top_crowding = crowding(matroid, full)
     zeros: dict[int, int] = {}
 
     def zero(mask: int) -> int:
@@ -306,26 +308,16 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
         return zeros[mask]
 
     # record status and zero parts are read only for members a chain can reach
-    def start(t: int) -> int:
+    def link(s: int, t: int) -> int:
         if not is_crowding_record(matroid, t):
             return 0
-        c = crowding(matroid, t)
-        if c == 0:  # t is H_0
-            return -1 if matroid.component_count(t) % 2 else 1
-        return -1 if from_empty and zero(t) == 0 else 0
-
-    def edge(s: int, t: int) -> int:
-        if crowding(matroid, t) <= crowding(matroid, s) or not is_crowding_record(matroid, t):
+        into = 1 if t == full else -1
+        level = crowding(matroid, t)
+        if s == 0 and level == 0:  # t is H_0: -into times (-1)^c(t)
+            return into * (1 if matroid.component_count(t) % 2 else -1)
+        if level <= crowding(matroid, s) or zero(t) & ~zero(s):
             return 0
-        return -1 if zero(t) & ~zero(s) == 0 else 0
+        return into
 
-    def finish(t: int) -> int:
-        below_top = top_crowding > crowding(matroid, t)
-        return 1 if below_top and zero(full) & ~zero(t) == 0 else 0
-
-    if top_crowding == 0:  # the one-element chain (E)
-        root = component_sign(matroid)
-    else:  # the chain 0 < E
-        root = 1 if from_empty and zero(full) == 0 else 0
     interior = [m for m in universe if m not in (0, full)]
-    return _chain_sum(matroid, interior, Mode.ABOVE, start, edge, finish, root)
+    return _chain_sum(matroid, interior, Mode.ABOVE, link)

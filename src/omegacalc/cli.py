@@ -21,6 +21,7 @@ import random
 import sys
 from pathlib import Path
 
+from .altsum import block_rows
 from .chainsums import Variant
 from .corpus import generate_corpus, sample_points
 from .engine import (
@@ -49,7 +50,6 @@ EXIT_PARSE = 2
 EXIT_INFEASIBLE = 3
 
 IDENTITY_CAP = 12  # identity checking scans all 2^n subsets of every point
-BATCH_SUMS = 1 << 16  # subset sums per identity batch: max(1, 2^16 >> n) points
 LIST_CAP = 100_000  # the largest --count and --samples: lists built in memory
 
 
@@ -160,7 +160,7 @@ def _identities_one(payload) -> tuple[list[str], list[dict], int]:
         points = sample_points(random.Random(seed), m.n, m.r, samples, bases=m.bases)
     # one subset-sum transform per batch serves every kind
     mismatches: dict[IdentityKind, list[str]] = {kind: [] for kind in kinds}
-    rows = max(1, BATCH_SUMS >> m.n)
+    rows = block_rows(m.n)
     for start in range(0, len(points), rows):
         batch = points[start : start + rows]
         sums = subset_sums(batch)

@@ -67,7 +67,7 @@ def _low_rank(matroid: Matroid) -> int:
     The invariant is unchanged by adding parallel copies of non-loop
     elements, so parallel classes are collapsed first.
     """
-    simple = matroid.simplify().matroid
+    simple = matroid.simplify()
     n = simple.n
     r = simple.r
     if r == 2:

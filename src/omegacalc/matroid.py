@@ -12,7 +12,6 @@ checked on that array for submodularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -209,7 +208,7 @@ class Matroid:
         bases.extend((b ^ bit) | new_bit for b in self.bases if b & bit)
         return Matroid(self.n + 1, bases, _validated=True)
 
-    def simplify(self) -> "Simplification":
+    def simplify(self) -> "Matroid":
         """Collapse parallel classes, keeping the smallest element of each.
 
         Errors on loops; callers are expected to dispose of loops first.
@@ -217,33 +216,14 @@ class Matroid:
         if self.has_loops():
             raise LoopsPresent("simplify requires a loop-free matroid")
         seen: list[int] = []
-        mult: list[int] = []
         drop = 0
         for e in range(self.n):
             bit = 1 << e
-            for i, rep in enumerate(seen):
-                if self.rank((1 << rep) | bit) == 1:
-                    mult[i] += 1
-                    drop |= bit
-                    break
+            if any(self.rank((1 << rep) | bit) == 1 for rep in seen):
+                drop |= bit
             else:
                 seen.append(e)
-                mult.append(1)
-        matroid = self.delete(drop) if drop else self
-        return Simplification(matroid, tuple(seen), tuple(mult))
-
-
-@dataclass(frozen=True)
-class Simplification:
-    """Result of simplify(): the collapsed matroid plus bookkeeping.
-
-    kept[i] is the original label of element i of the simplification and
-    multiplicity[i] the size of its parallel class.
-    """
-
-    matroid: Matroid
-    kept: tuple[int, ...]
-    multiplicity: tuple[int, ...]
+        return self.delete(drop) if drop else self
 
 
 def _relabel(n: int, bases: Iterable[int], keep: int) -> Matroid:

@@ -20,10 +20,11 @@ batch.
 
 The sums over chains of arbitrary subsets reduce, at a fixed point, to an
 alternating chain count over the subsets whose inequality the point
-satisfies (altsum, one predicate per row); the sums over chains of flats
-are one rank-ordered pass over the lattice of flats, one column per flat
-and one row per point, with each flat's predecessors and their Mobius
-values prepared once per lattice.
+satisfies or fails (altsum, one predicate per row), and so does the
+outer-flats sum, over the flats that fail it.  The inner-flats sum is one
+rank-ordered pass over the lattice of flats, one column per flat and one
+row per point, with each flat's predecessors and their Mobius values
+prepared once per lattice.
 """
 
 from __future__ import annotations
@@ -176,29 +177,34 @@ def check_identity(
         values = alternating_chain_sum(n, within[live]) * (1 if n % 2 == 1 else -1)
     elif kind is IdentityKind.OUTWARD_SETS:
         values = alternating_chain_sum(n, ~within[live])
+    elif kind is IdentityKind.OUTER_FLATS:
+        is_flat = np.zeros(1 << n, dtype=np.bool_)
+        is_flat[flat_lattice(matroid).flats] = True
+        values = alternating_chain_sum(n, ~within[live] & is_flat)
     else:
-        values = _flats_identity_sum(matroid, kind, within[live])
+        values = _flats_identity_sum(matroid, within[live])
     rhs = np.zeros(len(live), dtype=values.dtype)
     rhs[live] = values
     return lhs, rhs
 
 
-def _flats_identity_sum(matroid: Matroid, kind: IdentityKind, within: np.ndarray) -> np.ndarray:
-    # t(G) = signed, weighted sum over chains from the bottom flat to G
+def _flats_identity_sum(matroid: Matroid, within: np.ndarray) -> np.ndarray:
+    """The inner-flats sum at every row of `within`, in Python ints.  Outer
+    flats carry no Mobius weight and go through altsum (int64 by its
+    bound): chains of subsets that are all flats are chains of flats, and
+    the bottom flat (the empty set, the matroid being loop-free) and E are
+    altsum's endpoints."""
+    # t(G) = Mobius-weighted sum over chains from the bottom flat to G
     # whose interior flats all satisfy their inequality: t(bottom) = 1 and
-    # t(G) = -sum of t(F) * w(F, G) over flats F < G, with w = mu(F, G)
-    # for inner flats and w = 1 for outer flats; t is 0 at a flat that
-    # fails its inequality, except at the top, where it is always summed.
-    # One row per point, one column per flat, in Python ints.
+    # t(G) = -sum of t(F) * mu(F, G) over flats F < G; t is 0 at a flat
+    # that fails its inequality, except at the top, where it is always
+    # summed.  One row per point, one column per flat.
     order, below = flat_lattice(matroid).weighted_predecessors()
-    strict = kind is IdentityKind.OUTER_FLATS
-    good = (~within if strict else within)[:, order]
+    good = within[:, order]
     good[:, -1] = True
     t = np.zeros(good.shape, dtype=object)
     t[:, 0] = 1
     for i in range(1, len(order)):
         lower, mu = below[i]
-        prior = t[:, lower]
-        total = prior.sum(axis=1) if strict else prior @ np.array(mu, dtype=object)
-        t[:, i] = np.where(good[:, i], -total, 0)
-    return -t[:, -1] if strict else t[:, -1]
+        t[:, i] = np.where(good[:, i], -(t[:, lower] @ np.array(mu, dtype=object)), 0)
+    return t[:, -1]

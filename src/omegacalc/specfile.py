@@ -88,11 +88,14 @@ def matroid_from_spec(obj: dict) -> LoadedMatroid:
     if not isinstance(obj, dict):
         raise SpecFileError("matroid spec must be a JSON object")
     kind = obj.get("kind")
-    matroid_id = str(obj.get("id", ""))
     try:
+        matroid_id = str(obj.get("id", ""))
         matroid, schubert = _build(obj, kind)
     except SpecFileError:
         raise
+    except RecursionError as exc:
+        # kinds nest through "of"/"parts" with no depth limit but the stack's
+        raise SpecFileError("matroid spec nested too deeply") from exc
     except OmegacalcError as exc:
         raise SpecFileError(f"invalid matroid spec ({kind}): {exc}") from exc
     return LoadedMatroid(matroid_id, matroid, schubert)
@@ -160,7 +163,8 @@ def load_matroid_file(path: str | Path) -> list[LoadedMatroid]:
     if not stripped:
         return []
     # json.loads raises a plain ValueError, not a JSONDecodeError, on an
-    # integer of more than sys.get_int_max_str_digits() digits
+    # integer of more than sys.get_int_max_str_digits() digits, and a
+    # RecursionError on nesting deeper than the stack
     try:
         parsed = json.loads(stripped)
         objs = parsed if isinstance(parsed, list) else [parsed]
@@ -172,9 +176,9 @@ def load_matroid_file(path: str | Path) -> list[LoadedMatroid]:
                 continue
             try:
                 objs.append(json.loads(line))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise SpecFileError(f"{path}:{i}: invalid JSON: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SpecFileError(f"{path}: invalid JSON: {exc}") from exc
     out = []
     for i, obj in enumerate(objs):
@@ -192,7 +196,7 @@ def load_points_file(path: str | Path) -> list[tuple[Fraction, ...]]:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpecFileError(f"cannot read point batch {path}: {exc}") from exc
     if not isinstance(data, list):
         raise SpecFileError("point batch must be a JSON list of points")

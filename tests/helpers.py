@@ -59,7 +59,7 @@ def random_simple_matroid(rng: random.Random, n: int, r: int, tries: int = 200) 
             continue
         if m.coloops():
             continue
-        simple = m.simplify().matroid
+        simple = m.simplify()
         if simple.n != m.n:
             continue
         if len(m.connected_components()) != 1:

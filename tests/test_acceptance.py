@@ -219,7 +219,7 @@ def test_criterion_6_structural_invariants():
         assert value >= 0, m
         if value == 0:
             zero_cases += 1
-            simple = m.simplify().matroid
+            simple = m.simplify()
             iso_u35 = simple.n == 5 and len(simple.bases) == comb(5, 3)
             big_line = any(
                 popcount(f) >= simple.n - 2

@@ -1,15 +1,17 @@
 import random
 import time
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 from helpers import random_derived_matroid
 
-from omegacalc.altsum import alternating_chain_sum
+from omegacalc.altsum import alternating_chain_sum, block_rows, popcounts
 from omegacalc.bitops import mask_of, popcount
 from omegacalc.chainsums import (
     Variant,
+    _sets_global,
     covalue,
     omega_by_variant,
     schubert_omega,
@@ -113,6 +115,33 @@ def test_alternating_chain_sum_complement_duality():
                 assert np.ndim(value) == 0 and type(row) is int and value == row, (n, density)
 
 
+def test_alternating_chain_sum_across_blocks():
+    # a stack taller than one block of rows gives the rows of one call each
+    rng = np.random.default_rng(16)
+    for n, rows in [(12, 17), (16, 3)]:
+        assert rows > block_rows(n)
+        stack = rng.random((rows, 1 << n)) < 0.6
+        expected = [int(alternating_chain_sum(n, row)) for row in stack]
+        assert len(set(expected)) > 1, n
+        assert alternating_chain_sum(n, stack).tolist() == expected, n
+
+
+def test_empty_set_is_a_crowded_record_and_a_flat():
+    # the crowded, record and final routes start every chain at the empty
+    # set without testing it: it is crowded and a crowding record of every
+    # matroid, and a crowded flat of every loop-free one
+    loop_free = 0
+    for n in range(1, 17):
+        for family in ("closure", "schubert"):
+            for spec in generate_corpus(family, 3, n, n):
+                m = matroid_from_spec(spec).matroid
+                assert is_crowding_record(m, 0) and 0 in crowded_sets(m), spec
+                if not m.has_loops():
+                    loop_free += 1
+                    assert 0 in crowded_flats(m) and 0 in flat_lattice(m).flats, spec
+    assert loop_free >= 32
+
+
 def test_multiplicativity_of_covalue_sign():
     # the invariant multiplies over direct sums; the covalue carries the
     # component sign
@@ -213,17 +242,17 @@ CROWDED_SET_ROUTES = [
 CROWDED_ROUTE_INPUTS = {("schubert", 3, 94, 16, 5): {1, 2}}
 
 
-@pytest.mark.parametrize(
-    "corpus_args, top",
-    [
-        (("schubert", 4, 1, 13, 5), 35),
-        (("schubert", 3, 94, 16, 5), 25),
-        (("schubert", 6, 2, 13), 56),
-        (("schubert", 6, 3, 14), 84),
-        (("schubert", 6, 4, 15), 126),
-        (("schubert", 6, 5, 16), 66),
-    ],
-)
+CROSS_ROUTE_CORPORA = [
+    (("schubert", 4, 1, 13, 5), 35),
+    (("schubert", 3, 94, 16, 5), 25),
+    (("schubert", 6, 2, 13), 56),
+    (("schubert", 6, 3, 14), 84),
+    (("schubert", 6, 4, 15), 126),
+    (("schubert", 6, 5, 16), 66),
+]
+
+
+@pytest.mark.parametrize("corpus_args, top", CROSS_ROUTE_CORPORA)
 def test_cross_route_agreement_n13_to_n16(corpus_args, top):
     # auto, the closed form where one applies, the five flats routes, the
     # two set routes and the three crowded-set routes against the Schubert
@@ -249,6 +278,34 @@ def test_cross_route_agreement_n13_to_n16(corpus_args, top):
         assert len(results) == len(methods)
         assert all(res.omega == expected for res in results), (spec["id"], results)
     assert max(values) == top
+
+
+def _sets_by_path(m, mode):
+    """The set-route sum one path at a time: one alternating chain sum per
+    path, on the masks whose constraint point the path meets."""
+    n, r = m.n, m.r
+    length = n - r - 1
+    if r == 0 or r - 1 > length:
+        return 0
+    table = m.rank_array()
+    corank = popcounts(n) - table
+    total = 0
+    for steps in combinations(range(length), r - 1):
+        d_at = np.array([sum(s < min(x, length) for s in steps) for x in range(n - r + 1)])[corank]
+        good = d_at < table if mode is Mode.BELOW else d_at >= table
+        total += int(alternating_chain_sum(n, good))
+    return (-1 if mode is Mode.BELOW and n % 2 == 0 else 1) * total
+
+
+@pytest.mark.parametrize("corpus_args", [args for args, _ in CROSS_ROUTE_CORPORA])
+def test_sets_global_matches_the_per_path_sum_n13_to_n16(corpus_args):
+    set_inputs = SET_ROUTE_INPUTS.get(corpus_args)
+    for i, spec in enumerate(generate_corpus(*corpus_args)):
+        if set_inputs is not None and i not in set_inputs:
+            continue
+        m = matroid_from_spec(spec).matroid
+        for mode in (Mode.BELOW, Mode.ABOVE):
+            assert _sets_global(m, mode) == _sets_by_path(m, mode), (spec["id"], mode)
 
 
 # -- brute-force chain oracle for the eight chain-sum routes ----------------

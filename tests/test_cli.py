@@ -267,9 +267,13 @@ def test_check_identities_malformed_points(tmp_path):
 
 # an integer of more than sys.get_int_max_str_digits() (4,300) digits makes
 # json.loads raise a plain ValueError, and bytes that are not UTF-8 make
-# read_text raise one
+# read_text raise one; nesting deeper than the stack makes json.loads, or
+# the spec builder on a spec JSON still parses, raise a RecursionError
 _HUGE = "9" * 5000
 _U13 = json.dumps({"kind": "uniform", "n": 3, "r": 1})
+_DUALS_600 = '{"kind": "dual", "of": ' * 600 + _U13 + "}" * 600
+_JSON_2000 = '{"kind": "dual", "of": ' * 2000 + _U13 + "}" * 2000
+_POINTS_100000 = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.mark.parametrize(
@@ -280,8 +284,14 @@ _U13 = json.dumps({"kind": "uniform", "n": 3, "r": 1})
         (_U13, f"[[[{_HUGE}, 1], [0, 1], [0, 1]]]"),
         (b"\xff\xfe{}", None),
         (_U13, b"\xff\xfe[]"),
+        (_DUALS_600, None),
+        (_JSON_2000, None),
+        (_U13, _POINTS_100000),
     ],
-    ids=["spec", "corpus-line", "points", "spec-not-utf8", "points-not-utf8"],
+    ids=[
+        "spec", "corpus-line", "points", "spec-not-utf8", "points-not-utf8",
+        "spec-600-duals", "spec-2000-levels", "points-100000-levels",
+    ],
 )
 def test_unreadable_input_files_exit_2(spec_text, points_text, tmp_path, capsys):
     def write(name, text):

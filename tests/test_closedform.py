@@ -63,7 +63,7 @@ def test_rank_three_nonnegative_with_characterization():
         assert value is not None and value >= 0
         assert value == omega_of(m)
         if value == 0:
-            simple = m.simplify().matroid
+            simple = m.simplify()
             iso_u35 = simple.n == 5 and len(simple.bases) == comb(5, 3)
             lat = flat_lattice(simple)
             big_line = any(
