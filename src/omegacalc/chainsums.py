@@ -11,8 +11,8 @@ The two sums over chains of arbitrary subsets are evaluated by exchanging
 the order of summation: for each path, the signed number of chains whose
 constraint points the path satisfies is an alternating chain count in a
 marked subposet of the boolean lattice, and one altsum call evaluates
-the stack of every path's predicate.  The other eight are one transfer
-recursion over the route's members (`_chain_sum`): each route only
+the stack of the paths' distinct predicates.  The other eight are one
+transfer recursion over the route's members (`_chain_sum`): each route only
 supplies its members, its path bound and one sign callback `link(s, t)`
 for the link s -> t of a chain from the empty set to the ground set (and,
 for inward-flats, the Mobius values that scale it), so no chain is ever
@@ -22,7 +22,7 @@ so a step between members is one weighted sum whatever their columns.
 
 from __future__ import annotations
 
-import time
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -42,7 +42,7 @@ from .crowding import (
 from .errors import VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
-from .paths import ChainPathCounter, Mode, admits, advance, restrict
+from .paths import Mode, admits, advance, restrict
 
 
 class Variant(str, Enum):
@@ -72,7 +72,6 @@ class ChainSumRun:
     variant: Variant
     covalue: int
     chains: int | None
-    seconds: float
 
 
 def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
@@ -81,7 +80,6 @@ def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
     The one test of whether a route applies: a flats route needs a
     loop-free matroid, and raises VariantInapplicable otherwise.
     """
-    start = time.perf_counter()
     if variant in FLAT_VARIANTS and matroid.has_loops():
         raise VariantInapplicable(f"{variant.value} requires a loop-free matroid")
     if variant is Variant.INWARD_SETS:
@@ -106,7 +104,7 @@ def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
         value, chains = _final_sum(matroid, flats_only=True)
     else:  # pragma: no cover
         raise ValueError(f"unknown variant {variant}")
-    return ChainSumRun(variant, value, chains, time.perf_counter() - start)
+    return ChainSumRun(variant, value, chains)
 
 
 def component_sign(matroid: Matroid) -> int:
@@ -151,15 +149,21 @@ def _sets_global(matroid: Matroid, mode: Mode) -> int:
     columns = np.minimum(np.arange(n - r + 1), length)
     diagonals = (steps[:, :, None] < columns).sum(axis=1)
     # a path's predicate at S reads S only through (corank x, rank k), so
-    # the stack is a lookup in each path's (x, k) table, one byte per
-    # entry; np.take keeps each row contiguous for altsum's zeta pass
+    # it is a lookup in the path's (x, k) table, one byte per entry
     verdict = diagonals[:, :, None] < np.arange(r + 1)
     if mode is Mode.ABOVE:
         verdict = ~verdict
+    tables = verdict.reshape(len(steps), -1)
     key = corank.astype(np.int64) * (r + 1) + table
-    good = np.take(verdict.reshape(len(steps), -1), key, axis=1)
+    # paths whose tables agree at every (x, k) the matroid realises share
+    # one predicate: one row per class, weighted by its number of paths;
+    # np.take keeps each row contiguous for altsum's zeta pass
+    rows = [row.tobytes() for row in tables[:, np.flatnonzero(np.bincount(key))]]
+    classes = Counter(rows)
+    good = np.take(tables[[rows.index(row) for row in classes]], key, axis=1)
+    values = alternating_chain_sum(n, good).tolist()
     sign = -1 if mode is Mode.BELOW and n % 2 == 0 else 1
-    return sign * sum(alternating_chain_sum(n, good).tolist())
+    return sign * sum(paths * v for paths, v in zip(classes.values(), values))
 
 
 # -- the chain-sum kernel -----------------------------------------------------
@@ -187,39 +191,33 @@ def _chain_sum(
     mask_t the constraint of t, each member keeps its state pulled back
     to column 0, so that a step is one weighted sum whatever the columns:
 
-        U(t) = A^{-x_t} mask_t A^{x_t} (link(0, t) e_0 + sum over s < t of link(s, t) U(s))
+        U(0) = e_0,  U(t) = A^{-x_t} mask_t A^{x_t} sum over s < t of link(s, t) U(s)
 
-    and the covalue is link(0, E) completed(e_0) plus the last coordinate
-    of A^L (sum over t of link(t, E) U(t)).  A chain reaches t iff a path
-    prefix meets t's own constraint (`admits`), so the chain count is the
-    same recursion on counts: C(t) = [link(0, t) != 0] + sum of C(s).
+    where s runs over the empty set and the members below t.  E is the
+    last member and takes no constraint: the covalue is the last
+    coordinate of A^L U(E).  A chain reaches t iff a path prefix meets
+    t's own constraint (`admits`), so the chain count is the same
+    recursion on counts, C(0) = 1 and C(t) = sum of C(s), read at E.
     """
-    counter = ChainPathCounter(matroid.n, matroid.r)
-    factor = scale or (lambda lower, upper: 1)
+    n, r = matroid.n, matroid.r
+    length = n - r - 1
     full = matroid.full_mask
-    total = chains = 0
-    root = link(0, full)
-    if root:
-        chains = 1
-        term = counter.completed_count()
-        if term:
-            total = root * factor(0, full) * term
-    if not counter.feasible:
-        return total, chains
-    length, r = counter.length, matroid.r
+    if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts
+        return 0, int(link(0, full) != 0)
+    factor = scale or (lambda lower, upper: 1)
     masks = np.array(members, dtype=np.int64)
     ranks = matroid.rank_array()[masks]
-    columns = np.minimum(popcounts(matroid.n)[masks] - ranks, length)
+    columns = np.minimum(popcounts(n)[masks] - ranks, length)
     keep = admits(columns, ranks, mode, r)
-    # (mask, U or None when zero, C) of every member a chain can reach,
-    # with the masks also in an array to find a member's subsets
-    reached: list[tuple[int, list[int] | None, int]] = []
-    reached_masks = np.empty(int(keep.sum()), dtype=np.int64)
-    exits = [0] * r
-    for t, rk, col in zip(masks[keep].tolist(), ranks[keep].tolist(), columns[keep].tolist()):
-        sign = link(0, t)
-        count = 1 if sign else 0
-        state = [sign * factor(0, t) if sign else 0] + [0] * (r - 1)
+    # (mask, U or None when zero, C) of the empty set and every member a
+    # chain can reach, with the masks also in an array to find a member's
+    # subsets
+    reached: list[tuple[int, list[int] | None, int]] = [(0, [1] + [0] * (r - 1), 1)]
+    reached_masks = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+
+    def gather(t: int) -> tuple[list[int], int]:
+        """The sums over s < t of link(s, t) U(s) and of C(s)."""
+        state, count = [0] * r, 0
         below = np.flatnonzero((reached_masks[: len(reached)] & ~t) == 0)
         for i in below.tolist():
             s, s_state, s_count = reached[i]
@@ -231,23 +229,20 @@ def _chain_sum(
                 weight = sign * factor(s, t)
                 for d, v in enumerate(s_state):
                     state[d] += weight * v
+        return state, count
+
+    for t, rk, col in zip(masks[keep].tolist(), ranks[keep].tolist(), columns[keep].tolist()):
+        state, count = gather(t)
         if not count:
             continue
         if any(state):
             state = advance(state, col)
             restrict(state, rk, mode)
             state = advance(state, -col)
-        state = state if any(state) else None
         reached_masks[len(reached)] = t
-        reached.append((t, state, count))
-        sign = link(t, full)
-        if sign:
-            chains += count
-            if state is not None:
-                weight = sign * factor(t, full)
-                for d, v in enumerate(state):
-                    exits[d] += weight * v
-    return total + advance(exits, length)[-1], chains
+        reached.append((t, state if any(state) else None, count))
+    state, chains = gather(full)
+    return advance(state, length)[-1], chains
 
 
 def _poset_sum(

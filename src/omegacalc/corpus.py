@@ -96,9 +96,11 @@ def closure_spec(rng: Rng, n: int, ident: str = "") -> dict:
             "parts": [schubert_spec(rng, n1), schubert_spec(rng, max(1, n2))],
         }
     else:
-        core = random_schubert(rng, max(2, n - 1))
+        if n == 1:
+            return schubert_spec(rng, n, ident=ident)
+        core = random_schubert(rng, n - 1)
         non_loops = [e for e in range(core.n) if core.rank(1 << e) == 1]
-        if not non_loops or core.n + 1 > GROUND_SET_CAP:
+        if not non_loops:
             return schubert_spec(rng, n, ident=ident)
         extended = core.parallel_extend(rng.choice(non_loops))
         spec = {

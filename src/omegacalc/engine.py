@@ -85,11 +85,11 @@ def _run(
         raise OmegacalcError(f"unknown method {name!r}") from exc
     try:
         run = covalue(matroid, variant)
+        value, chains, note = component_sign(matroid) * run.covalue, run.chains, ""
     except VariantInapplicable:
         # flats sums are undefined with loops; the invariant is 0 outright
-        return MethodResult(variant.value, 0, chains=0, note="loops")
-    sign = component_sign(matroid)
-    return MethodResult(variant.value, sign * run.covalue, run.chains, run.seconds)
+        value, chains, note = 0, 0, "loops"
+    return MethodResult(variant.value, value, chains, time.perf_counter() - start, note)
 
 
 def compute_omega(

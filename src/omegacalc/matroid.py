@@ -2,12 +2,11 @@
 
 Ground sets are {0, ..., n-1} with n <= 16; subsets are integer bitmasks
 (see bitops).  A Matroid is immutable after construction.  Every rank
-query reads one table of all 2^n ranks, filled on the first query and
-kept in two forms: a list of Python ints for single lookups (rank,
-closure, connectivity) and a read-only int8 numpy array for questions
-about many subsets at once (minors here; flats, crowding scans and
-identity checks elsewhere).  A basis list from outside (from_bases) is
-checked on that array for submodularity.
+query reads one read-only int8 numpy array of all 2^n ranks, filled on
+the first query: `rank` reads one entry of it as a Python int, and
+questions about many subsets at once (minors here; flats, crowding scans
+and identity checks elsewhere) index it whole.  A basis list from
+outside (from_bases) is checked on that array for submodularity.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ class Matroid:
         "r",
         "bases",
         "_rank_table",
-        "_rank_array",
         "_flat_lattice",
         "_restriction_components",
         "_records",
@@ -58,8 +56,7 @@ class Matroid:
         self.n = n
         self.r = r
         self.bases: tuple[int, ...] = tuple(basis_list)
-        self._rank_table: list[int] | None = None
-        self._rank_array: np.ndarray | None = None
+        self._rank_table: np.ndarray | None = None
         self._flat_lattice = None
         self._restriction_components: dict[int, tuple[int, ...]] = {}
         self._records: dict[int, bool] = {}
@@ -83,20 +80,18 @@ class Matroid:
 
     # -- rank and closure ---------------------------------------------------
 
-    def ensure_rank_table(self) -> Sequence[int]:
-        """The table of all 2^n ranks, filled on the first call."""
+    def ensure_rank_table(self) -> np.ndarray:
+        """The table of all 2^n ranks, a read-only int8 array indexed by
+        mask, filled on the first call."""
         if self._rank_table is None:
-            array = _rank_array(self.n, self.bases)
-            array.flags.writeable = False
-            self._rank_array = array
-            self._rank_table = array.tolist()
+            table = _rank_array(self.n, self.bases)
+            table.flags.writeable = False
+            self._rank_table = table
         return self._rank_table
 
     def rank_array(self) -> np.ndarray:
-        """The same table as a read-only int8 array indexed by mask."""
-        if self._rank_array is None:
-            self.ensure_rank_table()
-        return self._rank_array
+        """The rank table (see ensure_rank_table)."""
+        return self.ensure_rank_table()
 
     def rank(self, mask: int) -> int:
         """Rank of a subset: the largest intersection with a basis."""
@@ -105,7 +100,7 @@ class Matroid:
         table = self._rank_table
         if table is None:
             table = self.ensure_rank_table()
-        return table[mask]
+        return table.item(mask)
 
     def closure(self, mask: int) -> int:
         """Largest superset with the same rank."""

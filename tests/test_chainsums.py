@@ -228,8 +228,10 @@ def test_schubert_value_equals_covalue():
         assert covalue(m, Variant.OUTWARD_FLATS).covalue == direct
 
 
-# The set routes take 5-7 s per input at n = 16, r = 5, so on that corpus
-# they run on its worst input only (input 1: 210 paths, omega 25).
+# The per-path oracle of the set routes (`_sets_by_path`, one alternating
+# chain sum per path) takes 5-7 s per input at n = 16, r = 5, so on that
+# corpus it checks the worst input only (input 1: 210 paths, omega 25).
+# The set routes themselves run on every input of every cross-route corpus.
 SET_ROUTE_INPUTS = {("schubert", 3, 94, 16, 5): {1}}
 
 # The three crowded-set routes walk the largest member sets of the kernel.
@@ -260,7 +262,6 @@ def test_cross_route_agreement_n13_to_n16(corpus_args, top):
     from omegacalc.chainsums import FLAT_VARIANTS
     from omegacalc.closedform import omega_closed_form
 
-    set_inputs = SET_ROUTE_INPUTS.get(corpus_args)
     crowded_inputs = CROWDED_ROUTE_INPUTS.get(corpus_args)
     values = []
     for i, spec in enumerate(generate_corpus(*corpus_args)):
@@ -270,8 +271,7 @@ def test_cross_route_agreement_n13_to_n16(corpus_args, top):
         values.append(expected)
         assert omega_closed_form(m) in (None, expected), spec["id"]
         methods = ["auto"] + sorted(v.value for v in FLAT_VARIANTS)
-        if set_inputs is None or i in set_inputs:
-            methods += [Variant.INWARD_SETS.value, Variant.OUTWARD_SETS.value]
+        methods += [Variant.INWARD_SETS.value, Variant.OUTWARD_SETS.value]
         if crowded_inputs is None or i in crowded_inputs:
             methods += CROWDED_SET_ROUTES
         results = compute_omega(m, methods).results

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import omegacalc
 from omegacalc import cli
 from omegacalc.cli import LIST_CAP, main, worker_count
+from omegacalc.corpus import generate_corpus
 from omegacalc.engine import ALL_METHOD_NAMES
-from omegacalc.specfile import load_matroid_file
+from omegacalc.specfile import load_matroid_file, matroid_from_spec
 
 EXAMPLE_SPEC = {
     "kind": "schubert_lower",
@@ -37,15 +38,43 @@ DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_compute_all_json_matches_the_recorded_bytes(tmp_path):
-    # chains_corpus.jsonl: closure n = 9 (seed 2, 30 inputs) and one Schubert
-    # n = 13, r = 4 input whose crowded, record and final set routes count
-    # 34,912 chains each; no other test checks kernel chain counts above
-    # n = 7, and the default JSON output must stay byte-identical
+    # chains_corpus.jsonl: closure n = 9 (seed 2, 30 inputs) and four
+    # Schubert inputs whose kernel routes count more than 10^4 chains: n = 13
+    # (r = 4, 34,912 crowded, record and final set chains each), n = 14
+    # (r = 3, 2,274,436 each), n = 15 (r = 6, 861,123 inward-flats chains)
+    # and n = 16 (r = 3, 22,201,590 crowded-set and 334,982 record chains);
+    # no other test checks kernel chain counts above n = 7, and the default
+    # JSON output must stay byte-identical
     out = tmp_path / "all.jsonl"
     corpus = str(DATA / "chains_corpus.jsonl")
     argv = ["compute", "-i", corpus, "--method", "all", "--format", "json", "--jobs", "1"]
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "chains_all.jsonl").read_bytes()
+
+
+def test_no_route_or_check_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call (numpy 2.x), which cost a
+    # cold run ~16 ms and 1.5 MiB of peak RSS; no route or check needs it
+    corpus = DATA / "chains_corpus.jsonl"
+    lines = corpus.read_text().splitlines(keepends=True)
+    small = tmp_path / "n9.jsonl"
+    small.write_text("".join(line for line in lines if '"closure-2-' in line))
+    runs = [
+        ["compute", "-i", str(corpus), "--method", "all", "--format", "json"],
+        ["check-identities", "-i", str(small), "--samples", "20", "--format", "json"],
+    ]
+    script = "\n".join(
+        ["import sys", "from omegacalc.cli import main"]
+        + [f"main({argv + ['--jobs', '1', '--out', str(tmp_path / 'out')]!r})" for argv in runs]
+        + ["print('numpy.ma' in sys.modules)"]
+    )
+    src = str(Path(omegacalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_compute_all_methods_agree(example_file, tmp_path, capsys):
@@ -136,6 +165,15 @@ def test_random_closure_family_valid(tmp_path):
     assert rc == 0
     loaded = load_matroid_file(out)  # every spec loads into a validated matroid
     assert len(loaded) == 30
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_random_closure_specs_have_the_requested_size(n):
+    # the parallel-extension branch once built its core on max(2, n - 1)
+    # elements, so at n = 1 and 2 about one spec in eight had n = 3
+    count = 200 if n <= 8 else 20
+    for spec in generate_corpus("closure", count, 0, n):
+        assert matroid_from_spec(spec).matroid.n == n, spec
 
 
 def test_random_empty_corpus(tmp_path):

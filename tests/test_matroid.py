@@ -121,10 +121,11 @@ def test_non_matroid_error_names_its_witness():
 def test_rank_table_entries_are_python_ints():
     base = from_bases(4, [0b0011, 0b0101, 0b0110, 0b1001, 0b1010])
     minor = rank4_example().contract(0b1).delete(0b10)
+    # the table is an int8 array; rank() reads each entry as a Python int
     for m in (base, minor, rank4_example()):
-        table = m.ensure_rank_table()
-        assert type(table) is list and len(table) == 1 << m.n
-        assert all(type(v) is int for v in table), m
+        ranks = [m.rank(s) for s in range(1 << m.n)]
+        assert all(type(v) is int for v in ranks), m
+        assert ranks == m.ensure_rank_table().tolist(), m
 
 
 def test_from_bases_accepts_single_loop():
@@ -469,7 +470,8 @@ def test_rank_table_at_n15_n16():
         masks = [0, m.full_mask] + [rng.getrandbits(n) for _ in range(100)]
         for s in masks:
             assert m.rank(s) == max(popcount(b & s) for b in m.bases), (n, s)
-        assert type(m._rank_table) is list and len(m._rank_table) == 1 << n
+            assert type(m.rank(s)) is int
+        assert m.ensure_rank_table() is m.rank_array() and len(m.rank_array()) == 1 << n
 
 
 def test_dual_rank_identity():
