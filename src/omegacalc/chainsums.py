@@ -7,25 +7,20 @@ records, records with strictly increasing crowding), the path bound
 (strictly below versus weakly above the chain's constraint points) and
 the sign rule.
 
-The two sums over chains of arbitrary subsets are evaluated by exchanging
-the order of summation: for each path, the signed number of chains whose
-constraint points the path satisfies is an alternating chain count in a
-marked subposet of the boolean lattice, and one altsum call evaluates
-the stack of the paths' distinct predicates.  The other eight are one
-transfer recursion over the route's members (`_chain_sum`): each route only
-supplies its members, its path bound and one sign callback `link(s, t)`
-for the link s -> t of a chain from the empty set to the ground set (and,
-for inward-flats, the Mobius values that scale it), so no chain is ever
-enumerated.  Every member keeps its path state pulled back to column 0,
-so a step between members is one weighted sum whatever their columns.
+No chain is ever enumerated.  In seven routes the sign of a link s -> t
+reads t alone, so the sum over the members below t is a subset sum over
+the 2^n cube: one graded zeta kernel (`_cube_sum`) evaluates them.  The
+other three (inward-flats, whose links carry Mobius values, and the final
+routes, whose links read s) are one transfer recursion over the route's
+members (`_chain_sum`).  Both keep path states pulled back to column 0.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from functools import cache
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +31,7 @@ from .crowding import (
     crowded_flats,
     crowded_sets,
     crowding,
+    crowding_array,
     crowding_split,
     is_crowding_record,
 )
@@ -82,20 +78,19 @@ def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
     """
     if variant in FLAT_VARIANTS and matroid.has_loops():
         raise VariantInapplicable(f"{variant.value} requires a loop-free matroid")
+    records = variant in (Variant.RECORD_SETS, Variant.RECORD_FLATS)
     if variant is Variant.INWARD_SETS:
-        value, chains = _sets_global(matroid, Mode.BELOW), None
+        every, sign = np.ones(1 << matroid.n, bool), -1 if matroid.n % 2 == 0 else 1
+        value, chains = _cube_sum(matroid, every, Mode.BELOW, sign)[0], None
     elif variant is Variant.OUTWARD_SETS:
-        value, chains = _sets_global(matroid, Mode.ABOVE), None
-    elif variant is Variant.CROWDED_SETS:
-        value, chains = _poset_sum(matroid, crowded_sets(matroid))
-    elif variant is Variant.RECORD_SETS:
-        value, chains = _poset_sum(matroid, crowded_sets(matroid), records_only=True)
-    elif variant is Variant.CROWDED_FLATS:
-        value, chains = _poset_sum(matroid, crowded_flats(matroid))
-    elif variant is Variant.RECORD_FLATS:
-        value, chains = _poset_sum(matroid, crowded_flats(matroid), records_only=True)
+        value, chains = _cube_sum(matroid, np.ones(1 << matroid.n, bool), Mode.ABOVE)[0], None
+    elif records or variant in (Variant.CROWDED_SETS, Variant.CROWDED_FLATS):
+        crowded = crowding_array(matroid) >= 0
+        if variant in FLAT_VARIANTS:
+            crowded &= flat_lattice(matroid).is_flat
+        value, chains = _cube_sum(matroid, crowded, Mode.ABOVE, records=records)
     elif variant is Variant.OUTWARD_FLATS:
-        value, chains = _poset_sum(matroid, flat_lattice(matroid).flats)
+        value, chains = _cube_sum(matroid, flat_lattice(matroid).is_flat, Mode.ABOVE)
     elif variant is Variant.INWARD_FLATS:
         value, chains = _inward_flats_sum(matroid)
     elif variant is Variant.FINAL_SETS:
@@ -133,37 +128,49 @@ def schubert_omega(n: int, chain: Sequence[int], profile: Sequence[int]) -> int:
     return count_paths(PathProblem(n, r, constraints))
 
 
-# -- global set sums, all paths at once --------------------------------------
+# -- the graded cube kernel ---------------------------------------------------
 
 
-def _sets_global(matroid: Matroid, mode: Mode) -> int:
-    n, r = matroid.n, matroid.r
+def _cube_sum(
+    matroid: Matroid, member: np.ndarray, mode: Mode, into_full: int = 1, records: bool = False
+) -> tuple[int, int]:
+    """(covalue, chains) over the chains 0 < t_1 < ... < t_k < E of masks
+    marked in `member` (of its crowding records only, if asked), with sign
+    -1 on each interior link and `into_full` on the link into E: altsum's
+    vector mode, U(0) = (e_0, 1) and U(t) = M_t Z(t) with M_t the link
+    -A^{-x_t} mask_t A^{x_t} of `_chain_sum` and 1 on the chain count."""
+    n, r, full = matroid.n, matroid.r, matroid.full_mask
     length = n - r - 1
-    if r == 0 or r - 1 > length:
-        return 0
-    table = matroid.rank_array()
-    corank = popcounts(n) - table
-    # D(x) of every path at every column x: its diagonal steps among the
-    # first min(x, L) steps, one row per path
-    steps = np.array(list(combinations(range(length), r - 1)), dtype=np.int64)
-    columns = np.minimum(np.arange(n - r + 1), length)
-    diagonals = (steps[:, :, None] < columns).sum(axis=1)
-    # a path's predicate at S reads S only through (corank x, rank k), so
-    # it is a lookup in the path's (x, k) table, one byte per entry
-    verdict = diagonals[:, :, None] < np.arange(r + 1)
-    if mode is Mode.ABOVE:
-        verdict = ~verdict
-    tables = verdict.reshape(len(steps), -1)
-    key = corank.astype(np.int64) * (r + 1) + table
-    # paths whose tables agree at every (x, k) the matroid realises share
-    # one predicate: one row per class, weighted by its number of paths;
-    # np.take keeps each row contiguous for altsum's zeta pass
-    rows = [row.tobytes() for row in tables[:, np.flatnonzero(np.bincount(key))]]
-    classes = Counter(rows)
-    good = np.take(tables[[rows.index(row) for row in classes]], key, axis=1)
-    values = alternating_chain_sum(n, good).tolist()
-    sign = -1 if mode is Mode.BELOW and n % 2 == 0 else 1
-    return sign * sum(paths * v for paths, v in zip(classes.values(), values))
+    if not member[full] or (records and not is_crowding_record(matroid, full)):
+        return 0, 0
+    if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts
+        return 0, 1
+    rank = matroid.rank_array()
+    column = np.minimum(popcounts(n) - rank, length)
+    good = member & admits(column, rank, mode, r)
+    if records:  # record status is scanned only for members a chain can reach
+        for t in (np.flatnonzero(good[1:full]) + 1).tolist():
+            good[t] = is_crowding_record(matroid, t)
+    key, steps = column.astype(np.int16) * (r + 1) + rank, _link_steps(r, length, mode)
+    total = alternating_chain_sum(
+        n, good, [1] + [0] * (r - 1) + [1], lambda t, z: np.matmul(z[:, None], steps[key[t]])[:, 0]
+    )
+    last = np.array([comb(length, r - 1 - j) for j in range(r)])  # last row of A^L
+    return into_full * int(last @ total[:r]), int(total[r])
+
+
+@cache
+def _link_steps(r: int, length: int, mode: Mode) -> np.ndarray:
+    """M_t transposed, at x (r + 1) + y for t at clamped column x, rank y."""
+    steps = np.zeros(((length + 1) * (r + 1), r + 1, r + 1), dtype=np.int64)
+    steps[:, r, r] = 1
+    for (x, y), step in zip(np.ndindex(length + 1, r + 1), steps):
+        for j in range(r):
+            state = advance([0] * j + [1] + [0] * (r - 1 - j), x)
+            restrict(state, y, mode)
+            step[j, :r] = [-v for v in advance(state, -x)]
+    steps.flags.writeable = False  # one array per (r, L, mode), shared by every call
+    return steps
 
 
 # -- the chain-sum kernel -----------------------------------------------------
@@ -176,28 +183,21 @@ def _chain_sum(
     link: Callable[[int, int], int],
     scale: Callable[[int, int], int] | None = None,
 ) -> tuple[int, int]:
-    """Signed path counts summed over the chains 0 < t_1 < ... < t_k < E.
-
-    `members` are the route's interior members, subsets before supersets.
-    `link(s, t)` is the sign of the link s -> t of a chain (s a proper
-    subset of t); a sign of 0 means no such link.  A chain enters at
-    s = 0 and leaves at t = E, and link(0, E) is the chain with no
-    interior member.  `scale(s, t)`, when given, multiplies the sign of
-    every link; it is read only for links that carry a nonzero path state.
-
-    A chain's path state is linear in its predecessor's, so the sum is a
-    transfer recursion over members rather than a walk over chains.  With
-    x_t the clamped corank of t, A^k the free advance by k columns and
-    mask_t the constraint of t, each member keeps its state pulled back
-    to column 0, so that a step is one weighted sum whatever the columns:
+    """Signed path counts summed over the chains 0 < t_1 < ... < t_k < E of
+    `members` (interior, subsets first), for inward-flats (Mobius values,
+    `scale`) and the two final routes (`link` reads s).  `link(s, t)` is
+    the sign of the link s -> t (0: no such link); a chain enters at s = 0
+    and leaves at t = E, and link(0, E) is the chain with no interior
+    member.  `scale(s, t)` multiplies the sign of each link that carries
+    a nonzero path state.  With x_t the clamped corank of t, A^k the free
+    advance by k columns and mask_t the constraint of t:
 
         U(0) = e_0,  U(t) = A^{-x_t} mask_t A^{x_t} sum over s < t of link(s, t) U(s)
 
-    where s runs over the empty set and the members below t.  E is the
-    last member and takes no constraint: the covalue is the last
-    coordinate of A^L U(E).  A chain reaches t iff a path prefix meets
-    t's own constraint (`admits`), so the chain count is the same
-    recursion on counts, C(0) = 1 and C(t) = sum of C(s), read at E.
+    over the empty set and the members s below t, in O(|P|^2 r) for |P|
+    members.  E takes no constraint: the covalue is the last coordinate of
+    A^L U(E).  The chain count is the same recursion on counts, C(0) = 1,
+    over the members that admit a path prefix (`admits`).
     """
     n, r = matroid.n, matroid.r
     length = n - r - 1
@@ -243,27 +243,6 @@ def _chain_sum(
         reached.append((t, state if any(state) else None, count))
     state, chains = gather(full)
     return advance(state, length)[-1], chains
-
-
-def _poset_sum(
-    matroid: Matroid, poset: list[int], records_only: bool = False
-) -> tuple[int, int]:
-    """Chains of poset members (of its crowding records only, if asked)
-    from the empty set to the ground set, with sign (-1)^(length-1) and
-    weakly-above path counts.  The empty set is in every poset passed
-    here and is a crowding record of every matroid."""
-    full = matroid.full_mask
-
-    def link(s: int, t: int) -> int:
-        # record status is scanned only for members a chain can reach
-        if records_only and not is_crowding_record(matroid, t):
-            return 0
-        return 1 if t == full else -1
-
-    if full not in poset or not link(0, full):
-        return 0, 0
-    interior = [m for m in poset if m not in (0, full)]
-    return _chain_sum(matroid, interior, Mode.ABOVE, link)
 
 
 def _inward_flats_sum(matroid: Matroid) -> tuple[int, int]:

@@ -68,8 +68,7 @@ def crowded_sets(matroid: Matroid) -> list[int]:
 
 def crowded_flats(matroid: Matroid) -> list[int]:
     """All crowded flats, ascending by cardinality then value."""
-    flats = np.sort(np.array(flat_lattice(matroid).flats, dtype=np.int64))
-    flats = flats[crowding_array(matroid)[flats] >= 0]
+    flats = np.flatnonzero(flat_lattice(matroid).is_flat & (crowding_array(matroid) >= 0))
     return flats[np.argsort(popcounts(matroid.n)[flats], kind="stable")].tolist()
 
 

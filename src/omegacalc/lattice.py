@@ -30,6 +30,7 @@ class FlatLattice:
     matroid: Matroid
     flats_by_rank: tuple[tuple[int, ...], ...]
     bottom: int
+    is_flat: np.ndarray = field(repr=False)  # read-only, indexed by mask
     _mu: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
     _predecessors: tuple | None = field(default=None, init=False, repr=False)
     _level_masks: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -104,6 +105,7 @@ def flat_lattice(matroid: Matroid) -> FlatLattice:
         # axes: bits above e, bit e, bits below e; only S without e is tested
         v = rank.reshape(-1, 2, 1 << e)
         is_flat.reshape(-1, 2, 1 << e)[:, 0, :] &= v[:, 1, :] > v[:, 0, :]
+    is_flat.flags.writeable = False
     flats = np.flatnonzero(is_flat)
     flat_ranks = rank[flats]
     lattice = FlatLattice(
@@ -112,6 +114,7 @@ def flat_lattice(matroid: Matroid) -> FlatLattice:
             tuple(flats[flat_ranks == k].tolist()) for k in range(matroid.r + 1)
         ),
         bottom=matroid.closure(0),
+        is_flat=is_flat,
     )
     matroid._flat_lattice = lattice
     return lattice

@@ -178,9 +178,7 @@ def check_identity(
     elif kind is IdentityKind.OUTWARD_SETS:
         values = alternating_chain_sum(n, ~within[live])
     elif kind is IdentityKind.OUTER_FLATS:
-        is_flat = np.zeros(1 << n, dtype=np.bool_)
-        is_flat[flat_lattice(matroid).flats] = True
-        values = alternating_chain_sum(n, ~within[live] & is_flat)
+        values = alternating_chain_sum(n, ~within[live] & flat_lattice(matroid).is_flat)
     else:
         values = _flats_identity_sum(matroid, within[live])
     rhs = np.zeros(len(live), dtype=values.dtype)

@@ -9,13 +9,7 @@ from helpers import random_derived_matroid
 
 from omegacalc.altsum import alternating_chain_sum, block_rows, popcounts
 from omegacalc.bitops import mask_of, popcount
-from omegacalc.chainsums import (
-    Variant,
-    _sets_global,
-    covalue,
-    omega_by_variant,
-    schubert_omega,
-)
+from omegacalc.chainsums import Variant, covalue, omega_by_variant, schubert_omega
 from omegacalc.corpus import generate_corpus, random_schubert
 from omegacalc.crowding import crowded_flats, crowded_sets, crowding, crowding_split, is_crowding_record
 from omegacalc.engine import compute_omega
@@ -113,6 +107,22 @@ def test_alternating_chain_sum_complement_duality():
             # a 1-D call gives one value, equal to its row's int
             for value, row in zip(values, rows):
                 assert np.ndim(value) == 0 and type(row) is int and value == row, (n, density)
+
+
+def test_vector_mode_matches_the_scalar_sum():
+    # start (1,) and transfer -Z give U(t) = v(t), the scalar recursion,
+    # whose result 1 + sum of v is the sum of U
+    rng = np.random.default_rng(77)
+    for n in range(1, 11):
+        for density in (0.0, 0.3, 0.7, 1.0):
+            good = rng.random(1 << n) < density
+            vector = alternating_chain_sum(n, good, start=(1,), transfer=lambda m, z: -z)
+            assert vector.tolist() == [int(alternating_chain_sum(n, good))], (n, density)
+    # 2^12 masks of 17 coordinates pass BATCH_SUMS entries, so the zeta pass
+    # runs in place and is turned back; each coordinate is a scaled copy
+    good = rng.random(1 << 12) < 0.5
+    vector = alternating_chain_sum(12, good, start=range(1, 18), transfer=lambda m, z: -z)
+    assert vector.tolist() == [k * int(alternating_chain_sum(12, good)) for k in range(1, 18)]
 
 
 def test_alternating_chain_sum_across_blocks():
@@ -234,14 +244,9 @@ def test_schubert_value_equals_covalue():
 # The set routes themselves run on every input of every cross-route corpus.
 SET_ROUTE_INPUTS = {("schubert", 3, 94, 16, 5): {1}}
 
-# The three crowded-set routes walk the largest member sets of the kernel.
-# On input 0 of that corpus crowded-sets alone takes ~2 s (6.4e9 chains,
-# covalue 0), so there they run on inputs 1 and 2 only (12,142 and 1,082
-# record chains).
 CROWDED_SET_ROUTES = [
     Variant.CROWDED_SETS.value, Variant.RECORD_SETS.value, Variant.FINAL_SETS.value
 ]
-CROWDED_ROUTE_INPUTS = {("schubert", 3, 94, 16, 5): {1, 2}}
 
 
 CROSS_ROUTE_CORPORA = [
@@ -262,18 +267,15 @@ def test_cross_route_agreement_n13_to_n16(corpus_args, top):
     from omegacalc.chainsums import FLAT_VARIANTS
     from omegacalc.closedform import omega_closed_form
 
-    crowded_inputs = CROWDED_ROUTE_INPUTS.get(corpus_args)
     values = []
-    for i, spec in enumerate(generate_corpus(*corpus_args)):
+    for spec in generate_corpus(*corpus_args):
         loaded = matroid_from_spec(spec)
         m = loaded.matroid
         expected = schubert_omega(*loaded.schubert)
         values.append(expected)
         assert omega_closed_form(m) in (None, expected), spec["id"]
         methods = ["auto"] + sorted(v.value for v in FLAT_VARIANTS)
-        methods += [Variant.INWARD_SETS.value, Variant.OUTWARD_SETS.value]
-        if crowded_inputs is None or i in crowded_inputs:
-            methods += CROWDED_SET_ROUTES
+        methods += [Variant.INWARD_SETS.value, Variant.OUTWARD_SETS.value] + CROWDED_SET_ROUTES
         results = compute_omega(m, methods).results
         assert len(results) == len(methods)
         assert all(res.omega == expected for res in results), (spec["id"], results)
@@ -298,14 +300,42 @@ def _sets_by_path(m, mode):
 
 
 @pytest.mark.parametrize("corpus_args", [args for args, _ in CROSS_ROUTE_CORPORA])
-def test_sets_global_matches_the_per_path_sum_n13_to_n16(corpus_args):
+def test_set_routes_match_the_per_path_sum_n13_to_n16(corpus_args):
     set_inputs = SET_ROUTE_INPUTS.get(corpus_args)
     for i, spec in enumerate(generate_corpus(*corpus_args)):
         if set_inputs is not None and i not in set_inputs:
             continue
         m = matroid_from_spec(spec).matroid
-        for mode in (Mode.BELOW, Mode.ABOVE):
-            assert _sets_global(m, mode) == _sets_by_path(m, mode), (spec["id"], mode)
+        for variant, mode in ((Variant.INWARD_SETS, Mode.BELOW), (Variant.OUTWARD_SETS, Mode.ABOVE)):
+            assert covalue(m, variant).covalue == _sets_by_path(m, mode), (spec["id"], mode)
+
+
+# (record-sets, record-flats) crowding-record scans per input of the
+# all-routes9 corpus (closure, n = 9, seed 2), each route on a fresh
+# matroid; None where record-flats does not apply (loops).  Only members
+# that admit a path prefix are scanned: scanning every crowded member
+# instead makes record-sets several times slower.
+RECORD_SCANS = [
+    (0, 0), (1, 1), (0, None), (1, 1), (0, 0), (1, 1), (10, None), (29, None), (1, 1), (0, 0),
+    (64, None), (0, 0), (2, 2), (1, 1), (220, None), (62, 3), (0, 0), (0, 0), (0, 0), (1, None),
+    (2, 2), (1, 1), (0, 0), (12, None), (0, 0), (0, 0), (0, 0), (1, 1), (0, 0), (0, 0),
+]
+
+
+def test_record_routes_scan_only_reachable_members():
+    scans = []
+    for spec in generate_corpus("closure", 30, 2, 9):
+        row = []
+        for variant in (Variant.RECORD_SETS, Variant.RECORD_FLATS):
+            m = matroid_from_spec(spec).matroid
+            try:
+                covalue(m, variant)
+            except VariantInapplicable:
+                row.append(None)
+                continue
+            row.append(len(m._records))
+        scans.append(tuple(row))
+    assert scans == RECORD_SCANS
 
 
 # -- brute-force chain oracle for the eight chain-sum routes ----------------
