@@ -1,30 +1,35 @@
 """Signed counting of chains inside a marked subposet of the boolean lattice.
 
-For a predicate `good` on the proper nonempty subsets of [n], computes
+One graded zeta kernel (Bjorklund, Husfeldt, Kaski and Koivisto, Fourier
+meets Mobius, STOC 2007).  From a start vector U(0) it takes one popcount
+level at a time and sets U(t) = transfer(t, Z(t)) at the level's marked
+masks t, where Z(t) is the sum of U over the proper subsets of t, and
+returns the sum of U.  Z comes from one subset-sum (zeta) pass over a
+scratch copy of U per level that has a marked mask: O(n^2 2^n) array work
+per predicate row, in blocks of `block_rows(n)` rows.
 
-    sum over chains 0 = T_0 < T_1 < ... < T_j < full, all T_i good,
+With start (1,) and transfer -Z, U(t) = v(t) for the recursion
+v(T) = -1 - sum of v over the marked proper subsets S of T, and the
+result 1 + sum of v is
+
+    sum over chains 0 = T_0 < T_1 < ... < T_j < full, all T_i marked,
     of (-1)^j
 
-which three identity kinds need, each as one call on a stack of
-predicates.  The recursion v(T) = -1 - sum of v over good proper subsets
-of T is evaluated level by level with a subset-sum (zeta) transform:
-O(n^2 2^n) array work per predicate, one pass per block of
-`block_rows(n)` predicates, so memory stays bounded by the block.
+which three identity kinds need, one predicate row per point.  The seven
+chain-sum routes whose link reads only t run on vectors (chainsums).
 
-int64 cannot overflow for n <= 16.  Let a(k) be the Fubini number, the
-number of chains from the empty set to a k-set in the boolean lattice
-(Stanley, EC I): a(0) = 1, and the sum of a(|S|) over the proper subsets
-S of T is a(|T|).  From v(T) = -1 - sum of v(S) over the marked S < T,
-induction gives |v(T)| <= a(0) + sum of a(|S|) over nonempty S < T =
-a(|T|).  A zeta partial sum at X adds v over submasks of X, and v is 0
-at the empty and the full set, so it is 0 at X = empty, at most
-2 a(|X|) <= a(|X| + 1) at any other proper X and a(n) - 1 at X = full;
-the result is at most a(n).  All of these are at most
-a(16) = 5,315,654,681,981,355 < 2^63.
-
-The vector mode's int64 arithmetic wraps modulo 2^64, which is exact when
-the values read lie in [-2^63, 2^63): a chain count, at most a(16), and a
-signed sum of at most C(10, 4) = 210 paths' alternating counts, < 2^63.
+int64 is exact for n <= 16.  The kernel only adds, negates and multiplies,
+and numpy int64 array arithmetic wraps modulo 2^64, so every value is
+right modulo 2^64 and a value read is exact when it lies in
+[-2^63, 2^63).  Let a(k) be the Fubini number, the number of chains from
+the empty set to a k-set in the boolean lattice (Stanley, EC I): a(0) = 1,
+and the sum of a(|S|) over the proper subsets S of T is a(|T|).  In a
+scalar row |U(T)| <= a(|T|) by induction, U(0) = 1 included, since U(0)
+enters every zeta sum; so zeta(0) = 1, |zeta(X)| <= 2 a(|X|) <=
+a(|X| + 1) <= a(16) at every other proper X, and the result is at most
+a(n) <= a(16) = 5,315,654,681,981,355 < 2^63: no value wraps at all.  In a vector row
+the values read are a chain count, at most a(16), and a signed sum of at
+most C(10, 4) = 210 paths' alternating counts, at most 210 a(16) < 2^63.
 """
 
 from __future__ import annotations
@@ -41,90 +46,78 @@ def block_rows(n: int) -> int:
     return max(1, BATCH_SUMS >> n)
 
 
+def subset_totals(weights: np.ndarray) -> np.ndarray:
+    """The sum of `weights` over every subset of its last axis, in its
+    dtype: entry [..., S] adds the weights at the bits of S.  Weight j fills
+    the masks with top bit j, from the totals of the masks below 2^j."""
+    k = weights.shape[-1]
+    out = np.zeros(weights.shape[:-1] + (1 << k,), dtype=weights.dtype)
+    for j in range(k):
+        np.add(out[..., : 1 << j], weights[..., j, None], out=out[..., 1 << j : 2 << j])
+    return out
+
+
 _POPCOUNT_CACHE: dict[int, np.ndarray] = {}
 
 
 def popcounts(n: int) -> np.ndarray:
-    """Popcount of every mask below 2^n, cached per n."""
+    """Popcount of every mask below 2^n, int8, cached per n."""
     cached = _POPCOUNT_CACHE.get(n)
     if cached is None:
-        masks = np.arange(1 << n, dtype=np.uint32)
-        cached = np.zeros(1 << n, dtype=np.int8)
-        while masks.any():
-            cached += (masks & 1).astype(np.int8)
-            masks >>= 1
-        _POPCOUNT_CACHE[n] = cached
+        cached = _POPCOUNT_CACHE[n] = subset_totals(np.ones(n, dtype=np.int8))
     return cached
 
 
 def submask_array(mask: int) -> np.ndarray:
-    """Every submask of mask, ascending, as an int64 array: one doubling
-    per element, each new (higher) bit appended to all the submasks so far."""
-    out = np.zeros(1, dtype=np.int64)
-    for e in bits(mask):
-        out = np.concatenate((out, out | (1 << e)))
-    return out
+    """Every submask of mask, ascending, as an int64 array."""
+    return subset_totals(np.array([1 << e for e in bits(mask)], dtype=np.int64))
+
+
+def _negate(masks: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return -z
 
 
 def alternating_chain_sum(n: int, good: np.ndarray, start=None, transfer=None) -> np.ndarray:
     """`good` is a boolean array whose last axis, of length 2^n, is indexed
-    by mask: one predicate gives a 0-d result, a (k, 2^n) stack k results,
-    for any k.  Entries at 0 and at the full mask are ignored (chain
-    endpoints are fixed, not marked).  Given a start vector U(0) and one
-    predicate, the same graded zeta runs on vectors (Bjorklund et al., STOC
-    2007): U(t) = transfer(masks, Z) at one level's good masks t, Z(t) the
-    sum of U over t's proper subsets, and the result is the sum of U."""
-    if start is not None:
-        return _vector_sum(n, good, np.asarray(start, dtype=np.int64), transfer)
+    by mask: one predicate row gives a 0-d result, a (k, 2^n) stack k
+    results, for any k.  Entries at 0 and at the full mask are ignored
+    (chain endpoints are fixed, not marked).  Given a start vector of width
+    w, `transfer(masks, Z)` maps the (m, w) sums Z at m marked masks to
+    their U, and each row's result is the (w,) sum of U."""
+    scalar = start is None
+    if scalar:
+        start, transfer = (1,), _negate
+    start = np.asarray(start, dtype=np.int64)
     rows = good.reshape(-1, 1 << n)
-    out = np.empty(len(rows), dtype=np.int64)
+    out = np.empty((len(rows), len(start)), dtype=np.int64)
     step = block_rows(n)
     for lo in range(0, len(rows), step):
-        out[lo : lo + step] = _block_sum(n, rows[lo : lo + step])
-    return out.reshape(good.shape[:-1])[()]
+        out[lo : lo + step] = _zeta_sums(n, rows[lo : lo + step], start, transfer)
+    if scalar:
+        return out[:, 0].reshape(good.shape[:-1])[()]
+    return out.reshape(good.shape[:-1] + start.shape)
 
 
-def _block_sum(n: int, good: np.ndarray) -> np.ndarray:
-    """One result per row of a (k, 2^n) block.  Levels 1 to n - 1 leave
-    out the endpoints; the zeta pass works in blocks of 2^(e+1) masks,
-    which never straddle two rows."""
-    pc = popcounts(n)
-    v = np.zeros(good.shape, dtype=np.int64)
+def _zeta_sums(n: int, good: np.ndarray, start: np.ndarray, transfer) -> np.ndarray:
+    """The kernel on a (k, 2^n) block: U is one (k 2^n, w) array, and the
+    zeta pass works in blocks of 2^(e+1) w entries, which never straddle two
+    rows; transfer sees BATCH_SUMS / w^2 masks at a time."""
+    pc, width, full = popcounts(n), len(start), (1 << n) - 1
+    chunk = max(1, BATCH_SUMS // width**2)
+    levels = pc * good  # the popcount of each marked mask, 0 elsewhere
+    counts = np.bincount(levels.ravel(), minlength=n)
+    u = np.zeros((good.size, width), dtype=np.int64)
+    u[:: 1 << n] = start
+    zeta = np.empty_like(u)
     for level in range(1, n):
-        marked = good & (pc == level)
-        if not marked.any():
+        if not counts[level]:
             continue
-        # subset sums of v: one pass per element e, adding S - e into S + e
-        zeta = v.copy()
+        marked = np.flatnonzero(levels == level)
+        np.copyto(zeta, u)
         for e in range(n):
-            z = zeta.reshape(-1, 2, 1 << e)
-            z[:, 1, :] += z[:, 0, :]
-        v[marked] = -1 - zeta[marked]
-    return 1 + v.sum(axis=-1)
-
-
-def _vector_sum(n: int, good: np.ndarray, start: np.ndarray, transfer) -> np.ndarray:
-    """U in one (2^n, width) array, 0 above the levels done.  The zeta pass
-    runs on a copy of a small u, or in place and then back (Mobius), clearing
-    the rows above; transfer sees BATCH_SUMS / width^2 masks at a time."""
-    pc, width = popcounts(n), len(start)
-    rows = max(1, BATCH_SUMS // width**2)
-    members = np.flatnonzero(good)
-    members = members[np.argsort(pc[members], kind="stable")]
-    ends = np.searchsorted(pc[members], np.arange(n + 1)).tolist()
-    u = np.zeros((1 << n, width), dtype=np.int64)
-    u[0] = start
-    for level in [k for k in range(1, n) if ends[k] < ends[k + 1]]:
-        masks = members[ends[level] : ends[level + 1]]
-        zeta = u.copy() if u.size <= BATCH_SUMS else u
-        for e in range(n):
-            v = zeta.reshape(-1, 2, width << e)
-            v[:, 1] += v[:, 0]
-        for block in (masks[lo : lo + rows] for lo in range(0, len(masks), rows)):
-            u[block] += transfer(block, zeta[block])
-        if zeta is u:
-            for e in range(n):
-                v = u.reshape(-1, 2, width << e)
-                v[:, 1] -= v[:, 0]
-            np.copyto(u, 0, where=(pc > level)[:, None])
-    return u.sum(axis=0)
+            z = zeta.reshape(-1, 2, width << e)
+            z[:, 1] += z[:, 0]
+        for lo in range(0, marked.size, chunk):
+            at = marked[lo : lo + chunk]
+            u[at] = transfer(at & full, zeta[at])
+    return u.reshape(len(good), 1 << n, width).sum(axis=1)

@@ -136,8 +136,8 @@ def _cube_sum(
 ) -> tuple[int, int]:
     """(covalue, chains) over the chains 0 < t_1 < ... < t_k < E of masks
     marked in `member` (of its crowding records only, if asked), with sign
-    -1 on each interior link and `into_full` on the link into E: altsum's
-    vector mode, U(0) = (e_0, 1) and U(t) = M_t Z(t) with M_t the link
+    -1 on each interior link and `into_full` on the link into E: the altsum
+    kernel from U(0) = (e_0, 1), U(t) = M_t Z(t) with M_t the link
     -A^{-x_t} mask_t A^{x_t} of `_chain_sum` and 1 on the chain count."""
     n, r, full = matroid.n, matroid.r, matroid.full_mask
     length = n - r - 1
@@ -145,7 +145,7 @@ def _cube_sum(
         return 0, 0
     if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts
         return 0, 1
-    rank = matroid.rank_array()
+    rank = matroid.ensure_rank_table()
     column = np.minimum(popcounts(n) - rank, length)
     good = member & admits(column, rank, mode, r)
     if records:  # record status is scanned only for members a chain can reach
@@ -206,7 +206,7 @@ def _chain_sum(
         return 0, int(link(0, full) != 0)
     factor = scale or (lambda lower, upper: 1)
     masks = np.array(members, dtype=np.int64)
-    ranks = matroid.rank_array()[masks]
+    ranks = matroid.ensure_rank_table()[masks]
     columns = np.minimum(popcounts(n)[masks] - ranks, length)
     keep = admits(columns, ranks, mode, r)
     # (mask, U or None when zero, C) of the empty set and every member a
@@ -269,7 +269,15 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
     A kernel chain 0 < t_1 < ... < t_k < E is read as H = (0, t_1, ..., E)
     when t_1 (E if k = 0) has positive crowding, and as H = (t_1, ..., E)
     when it has crowding 0; the empty set has crowding 0, no components
-    and is a crowding record, so exactly one reading applies."""
+    and is a crowding record, so exactly one reading applies.
+
+    The link s -> t tests zero(t) <= s in place of zero(t) <= zero(s), so
+    it never reads the zero part of s.  For s <= t the two agree: zero(s)
+    lies in s, and conversely a component C of M|t inside s is a
+    separator of M|t, r(X) = r(X & C) + r(X - C) for every X <= t, so it
+    separates M|s as well; being connected, it is a component of M|s with
+    the same crowding |C| - 2 r(C).  So every crowding-0 component of M|t
+    inside s is one of M|s, and zero(t) <= s gives zero(t) <= zero(s)."""
     full = matroid.full_mask
     universe = crowded_flats(matroid) if flats_only else crowded_sets(matroid)
     if full not in universe or not is_crowding_record(matroid, full):
@@ -281,7 +289,7 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
             zeros[mask] = crowding_split(matroid, mask)[0]
         return zeros[mask]
 
-    # record status and zero parts are read only for members a chain can reach
+    # record status and zero parts are read only for the t a chain can reach
     def link(s: int, t: int) -> int:
         if not is_crowding_record(matroid, t):
             return 0
@@ -289,7 +297,7 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
         level = crowding(matroid, t)
         if s == 0 and level == 0:  # t is H_0: -into times (-1)^c(t)
             return into * (1 if matroid.component_count(t) % 2 else -1)
-        if level <= crowding(matroid, s) or zero(t) & ~zero(s):
+        if level <= crowding(matroid, s) or zero(t) & ~s:
             return 0
         return into
 

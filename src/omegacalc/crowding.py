@@ -28,7 +28,7 @@ def crowding(matroid: Matroid, mask: int) -> int:
 
 def crowding_array(matroid: Matroid) -> np.ndarray:
     """|S| - 2 r(S) for every mask S, as int8 (values lie in [-32, 16])."""
-    return popcounts(matroid.n) - 2 * matroid.rank_array()
+    return popcounts(matroid.n) - 2 * matroid.ensure_rank_table()
 
 
 def is_crowding_record(matroid: Matroid, mask: int) -> bool:
@@ -37,7 +37,7 @@ def is_crowding_record(matroid: Matroid, mask: int) -> bool:
     if cached is not None:
         return cached
     subs = submask_array(mask)
-    rank = matroid.rank_array()
+    rank = matroid.ensure_rank_table()
     sub_crowding = popcounts(matroid.n)[subs] - 2 * rank[subs]
     whole = crowding(matroid, mask)
     split = rank[subs] + rank[mask ^ subs] != rank[mask]
@@ -88,7 +88,7 @@ def has_overcrowded_set(matroid: Matroid) -> bool:
     """Any set overcrowded in the full ground set forces the invariant to 0."""
     full = matroid.full_mask
     stress = crowding_array(matroid)
-    rank = matroid.rank_array()
+    rank = matroid.ensure_rank_table()
     top = stress[full]
     split = rank + rank[::-1] != matroid.r
     return bool(((stress > top) | ((stress == top) & split))[1:full].any())

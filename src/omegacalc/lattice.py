@@ -99,7 +99,7 @@ def flat_lattice(matroid: Matroid) -> FlatLattice:
     """Compute all flats, graded by rank, plus the Mobius machinery."""
     if matroid._flat_lattice is not None:
         return matroid._flat_lattice
-    rank = matroid.rank_array()
+    rank = matroid.ensure_rank_table()
     is_flat = np.ones(len(rank), dtype=np.bool_)
     for e in range(matroid.n):
         # axes: bits above e, bit e, bits below e; only S without e is tested

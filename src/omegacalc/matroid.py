@@ -61,7 +61,7 @@ class Matroid:
         self._restriction_components: dict[int, tuple[int, ...]] = {}
         self._records: dict[int, bool] = {}
         if not _validated:
-            _check_submodular(n, self.rank_array())
+            _check_submodular(n, self.ensure_rank_table())
 
     @property
     def full_mask(self) -> int:
@@ -88,10 +88,6 @@ class Matroid:
             table.flags.writeable = False
             self._rank_table = table
         return self._rank_table
-
-    def rank_array(self) -> np.ndarray:
-        """The rank table (see ensure_rank_table)."""
-        return self.ensure_rank_table()
 
     def rank(self, mask: int) -> int:
         """Rank of a subset: the largest intersection with a basis."""
@@ -150,7 +146,7 @@ class Matroid:
         """Bases of (M | (keep|contracted)) / contracted as masks inside keep:
         the size-element S inside keep with r(S | contracted) = r(contracted) + size."""
         subs = submask_array(keep)
-        rank = self.rank_array()
+        rank = self.ensure_rank_table()
         hit = (popcounts(self.n)[subs] == size) & (
             rank[subs | contracted] == rank[contracted] + size
         )

@@ -37,7 +37,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .altsum import alternating_chain_sum
+from .altsum import alternating_chain_sum, subset_totals
 from .bitops import bits
 from .errors import VariantInapplicable
 from .lattice import flat_lattice
@@ -95,9 +95,7 @@ def subset_sums(points: Sequence[RationalPoint]) -> SubsetSums:
     dtype = np.int64 if bound * (n + 1) < 1 << 63 else object
     scale_array = np.array(scale, dtype=dtype)[:, None]
     coords = np.array(coords, dtype=dtype)
-    scaled = np.zeros((len(points), 1), dtype=dtype)
-    for column in coords.T:
-        scaled = np.concatenate((scaled, scaled + column[:, None]), axis=1)
+    scaled = subset_totals(coords)
     ceiling = (scaled + (scale_array - 1)) // scale_array
     ceiling = np.clip(ceiling, -1, n + 1).astype(np.int64)
     in_box = ((coords >= 0) & (coords <= scale_array)).all(axis=1)
@@ -117,7 +115,7 @@ def in_base_polytope(matroid: Matroid, point: RationalPoint) -> bool:
         raise ValueError("point dimension mismatch")
     sums = subset_sums([point])
     on_plane = sums.scaled[0, -1] == sums.scale[0] * matroid.r
-    return bool(on_plane and (sums.ceiling <= matroid.rank_array()).all())
+    return bool(on_plane and (sums.ceiling <= matroid.ensure_rank_table()).all())
 
 
 def _in_chain_polytope(
@@ -169,7 +167,7 @@ def check_identity(
         raise ValueError("point dimension mismatch")
     if kind in (IdentityKind.INNER_FLATS, IdentityKind.OUTER_FLATS) and matroid.has_loops():
         raise VariantInapplicable("flats identities require a loop-free matroid")
-    within = sums.ceiling <= matroid.rank_array()
+    within = sums.ceiling <= matroid.ensure_rank_table()
     on_plane = sums.scaled[:, -1] == sums.scale * matroid.r
     lhs = (on_plane & within.all(axis=1)).astype(np.int64)
     live = on_plane & sums.in_box

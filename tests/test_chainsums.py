@@ -118,11 +118,19 @@ def test_vector_mode_matches_the_scalar_sum():
             good = rng.random(1 << n) < density
             vector = alternating_chain_sum(n, good, start=(1,), transfer=lambda m, z: -z)
             assert vector.tolist() == [int(alternating_chain_sum(n, good))], (n, density)
-    # 2^12 masks of 17 coordinates pass BATCH_SUMS entries, so the zeta pass
-    # runs in place and is turned back; each coordinate is a scaled copy
+    # 17 coordinates: transfer sees 2^16 // 17^2 = 226 masks at a time, so a
+    # level of up to C(12, 6) = 924 masks spreads over several calls; each
+    # coordinate is a scaled copy
     good = rng.random(1 << 12) < 0.5
     vector = alternating_chain_sum(12, good, start=range(1, 18), transfer=lambda m, z: -z)
     assert vector.tolist() == [k * int(alternating_chain_sum(12, good)) for k in range(1, 18)]
+    # a stack with a start: one (w,) result per row, equal to the scalar
+    # rows, so no zeta block of the flat (k 2^n, w) array straddles two rows
+    for n in (1, 5, 9):
+        stack = rng.random((7, 1 << n)) < 0.6
+        vector = alternating_chain_sum(n, stack, start=(1,), transfer=lambda m, z: -z)
+        assert vector.shape == (7, 1) and vector.dtype == np.int64
+        assert vector[:, 0].tolist() == alternating_chain_sum(n, stack).tolist(), n
 
 
 def test_alternating_chain_sum_across_blocks():
@@ -134,6 +142,30 @@ def test_alternating_chain_sum_across_blocks():
         expected = [int(alternating_chain_sum(n, row)) for row in stack]
         assert len(set(expected)) > 1, n
         assert alternating_chain_sum(n, stack).tolist() == expected, n
+
+
+def test_alternating_chain_sum_scratch_bound():
+    # the kernel keeps U and one scratch copy of it for the zeta pass, so a
+    # call peaks near twice the bytes of U; the rest is one level's masks
+    # and the transfer's chunk, which BATCH_SUMS // w^2 keeps small
+    import tracemalloc
+
+    def peak(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            alternating_chain_sum(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    popcounts(16)
+    good = np.ones(1 << 16, dtype=bool)
+    u_bytes = (1 << 16) * 9 * 8
+    assert peak(16, good, start=[1] * 9, transfer=lambda m, z: -z) <= 2.5 * u_bytes
+    # a scalar stack is the width-1 case in one block of 2^16 entries: U,
+    # its copy and the level's index arrays stay well under 2 MiB
+    stack = np.random.default_rng(8).random((256, 1 << 8)) < 0.5
+    assert peak(8, stack) < 2 << 20
 
 
 def test_empty_set_is_a_crowded_record_and_a_flat():
@@ -168,6 +200,28 @@ def test_cancellation_reduces_chains():
     assert counts[Variant.RECORD_FLATS] <= counts[Variant.CROWDED_FLATS]
     assert counts[Variant.FINAL_FLATS] <= counts[Variant.RECORD_FLATS]
     assert counts[Variant.RECORD_SETS] <= counts[Variant.CROWDED_SETS]
+
+
+def test_zero_part_inclusion_reads_only_the_smaller_set():
+    # the final routes link s -> t on zero(t) <= s in place of
+    # zero(t) <= zero(s) (proof in _final_sum): the two agree on every
+    # pair s < t, records or not
+    outcomes = set()
+    for n in (6, 7):
+        for family in ("closure", "schubert"):
+            for spec in generate_corpus(family, 6, n, n):
+                m = matroid_from_spec(spec).matroid
+                zero = [crowding_split(m, t)[0] for t in range(1 << n)]
+                for t in range(1, 1 << n):
+                    s = (t - 1) & t
+                    while True:
+                        inside = zero[t] & ~s == 0
+                        assert (zero[t] & ~zero[s] == 0) == inside, (spec["id"], s, t)
+                        outcomes.add((zero[t] != 0, inside))
+                        if not s:
+                            break
+                        s = (s - 1) & t
+    assert outcomes == {(False, True), (True, True), (True, False)}
 
 
 def test_uniform_final_flats_single_chain():
@@ -289,7 +343,7 @@ def _sets_by_path(m, mode):
     length = n - r - 1
     if r == 0 or r - 1 > length:
         return 0
-    table = m.rank_array()
+    table = m.ensure_rank_table()
     corank = popcounts(n) - table
     total = 0
     for steps in combinations(range(length), r - 1):

@@ -471,7 +471,8 @@ def test_rank_table_at_n15_n16():
         for s in masks:
             assert m.rank(s) == max(popcount(b & s) for b in m.bases), (n, s)
             assert type(m.rank(s)) is int
-        assert m.ensure_rank_table() is m.rank_array() and len(m.rank_array()) == 1 << n
+        table = m.ensure_rank_table()
+        assert table is m.ensure_rank_table() and len(table) == 1 << n
 
 
 def test_dual_rank_identity():
