@@ -9,10 +9,11 @@ the sign rule.
 
 No chain is ever enumerated.  In seven routes the sign of a link s -> t
 reads t alone, so the sum over the members below t is a subset sum over
-the 2^n cube: one graded zeta kernel (`_cube_sum`) evaluates them.  The
-other three (inward-flats, whose links carry Mobius values, and the final
-routes, whose links read s) are one transfer recursion over the route's
-members (`_chain_sum`).  Both keep path states pulled back to column 0.
+the 2^n cube: one graded zeta kernel (`_cube_sum`) evaluates them.
+Inward-flats, whose links carry Mobius values, is the same sum weighted
+by mu over the lattice of flats (`FlatLattice.chain_sum`), and the final
+routes, whose links read s, are one transfer recursion over their members
+(`_final_sum`).  All keep path states pulled back to column 0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 from math import comb
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -138,7 +139,7 @@ def _cube_sum(
     marked in `member` (of its crowding records only, if asked), with sign
     -1 on each interior link and `into_full` on the link into E: the altsum
     kernel from U(0) = (e_0, 1), U(t) = M_t Z(t) with M_t the link
-    -A^{-x_t} mask_t A^{x_t} of `_chain_sum` and 1 on the chain count."""
+    -A^{-x_t} mask_t A^{x_t} of `_final_sum` and 1 on the chain count."""
     n, r, full = matroid.n, matroid.r, matroid.full_mask
     length = n - r - 1
     if not member[full] or (records and not is_crowding_record(matroid, full)):
@@ -173,88 +174,28 @@ def _link_steps(r: int, length: int, mode: Mode) -> np.ndarray:
     return steps
 
 
-# -- the chain-sum kernel -----------------------------------------------------
-
-
-def _chain_sum(
-    matroid: Matroid,
-    members: Sequence[int],
-    mode: Mode,
-    link: Callable[[int, int], int],
-    scale: Callable[[int, int], int] | None = None,
-) -> tuple[int, int]:
-    """Signed path counts summed over the chains 0 < t_1 < ... < t_k < E of
-    `members` (interior, subsets first), for inward-flats (Mobius values,
-    `scale`) and the two final routes (`link` reads s).  `link(s, t)` is
-    the sign of the link s -> t (0: no such link); a chain enters at s = 0
-    and leaves at t = E, and link(0, E) is the chain with no interior
-    member.  `scale(s, t)` multiplies the sign of each link that carries
-    a nonzero path state.  With x_t the clamped corank of t, A^k the free
-    advance by k columns and mask_t the constraint of t:
-
-        U(0) = e_0,  U(t) = A^{-x_t} mask_t A^{x_t} sum over s < t of link(s, t) U(s)
-
-    over the empty set and the members s below t, in O(|P|^2 r) for |P|
-    members.  E takes no constraint: the covalue is the last coordinate of
-    A^L U(E).  The chain count is the same recursion on counts, C(0) = 1,
-    over the members that admit a path prefix (`admits`).
-    """
-    n, r = matroid.n, matroid.r
-    length = n - r - 1
-    full = matroid.full_mask
-    if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts
-        return 0, int(link(0, full) != 0)
-    factor = scale or (lambda lower, upper: 1)
-    masks = np.array(members, dtype=np.int64)
-    ranks = matroid.ensure_rank_table()[masks]
-    columns = np.minimum(popcounts(n)[masks] - ranks, length)
-    keep = admits(columns, ranks, mode, r)
-    # (mask, U or None when zero, C) of the empty set and every member a
-    # chain can reach, with the masks also in an array to find a member's
-    # subsets
-    reached: list[tuple[int, list[int] | None, int]] = [(0, [1] + [0] * (r - 1), 1)]
-    reached_masks = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
-
-    def gather(t: int) -> tuple[list[int], int]:
-        """The sums over s < t of link(s, t) U(s) and of C(s)."""
-        state, count = [0] * r, 0
-        below = np.flatnonzero((reached_masks[: len(reached)] & ~t) == 0)
-        for i in below.tolist():
-            s, s_state, s_count = reached[i]
-            sign = link(s, t)
-            if not sign:
-                continue
-            count += s_count
-            if s_state is not None:
-                weight = sign * factor(s, t)
-                for d, v in enumerate(s_state):
-                    state[d] += weight * v
-        return state, count
-
-    for t, rk, col in zip(masks[keep].tolist(), ranks[keep].tolist(), columns[keep].tolist()):
-        state, count = gather(t)
-        if not count:
-            continue
-        if any(state):
-            state = advance(state, col)
-            restrict(state, rk, mode)
-            state = advance(state, -col)
-        reached_masks[len(reached)] = t
-        reached.append((t, state if any(state) else None, count))
-    state, chains = gather(full)
-    return advance(state, length)[-1], chains
+# -- the Mobius-weighted flats sum --------------------------------------------
 
 
 def _inward_flats_sum(matroid: Matroid) -> tuple[int, int]:
     """All chains of flats, with strictly-below path counts and sign
     (-1)^length times the product of interval Mobius values along the
-    chain."""
-    lattice = flat_lattice(matroid)
-    full = matroid.full_mask
-    interior = [f for f in lattice.flats if f not in (0, full)]
-    # the Mobius values scale the links rather than being the signs, so
-    # they are read only for links that carry a path state
-    return _chain_sum(matroid, interior, Mode.BELOW, lambda s, t: -1, scale=lattice.mobius)
+    chain: `FlatLattice.chain_sum` with the M_t of `_cube_sum` (every flat
+    above 0 has rank >= 1 and admits a path prefix) and S(t) = -2 Z(t) in
+    the count column.  S = 2C, C(t) the sum of C below t, is the sum of C
+    over F <= t, so Mobius inversion gives Z(t) = C(t) - S(t) = -C(t)."""
+    n, r = matroid.n, matroid.r
+    length = n - r - 1
+    if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts
+        return 0, 1
+    rank = matroid.ensure_rank_table()
+    key = np.minimum(popcounts(n) - rank, length).astype(np.int16) * (r + 1) + rank
+    steps = _link_steps(r, length, Mode.BELOW) * np.array([1] * r + [-2])
+    total = flat_lattice(matroid).chain_sum(
+        [1] + [0] * (r - 1) + [1], lambda t, z: np.matmul(z[:, None], steps[key[t]])[:, 0]
+    )
+    last = np.array([comb(length, r - 1 - j) for j in range(r)])  # last row of A^L
+    return -int(last @ total[:r]), -int(total[r])
 
 
 # -- the fully cancelled sums -------------------------------------------------
@@ -277,19 +218,22 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
     separator of M|t, r(X) = r(X & C) + r(X - C) for every X <= t, so it
     separates M|s as well; being connected, it is a component of M|s with
     the same crowding |C| - 2 r(C).  So every crowding-0 component of M|t
-    inside s is one of M|s, and zero(t) <= s gives zero(t) <= zero(s)."""
-    full = matroid.full_mask
+    inside s is one of M|s, and zero(t) <= s gives zero(t) <= zero(s).
+
+    The link reads s: a transfer recursion over the members P, O(|P|^2 r),
+    U(0) = e_0 and U(t) = A^{-x_t} mask_t A^{x_t} sum over s < t of
+    link(s, t) U(s), with x_t the clamped corank of t and A^k the advance
+    by k columns; the covalue is the last coordinate of A^L U(E), and the
+    chain count the same recursion on counts, C(0) = 1."""
+    n, r, full = matroid.n, matroid.r, matroid.full_mask
+    length = n - r - 1
     universe = crowded_flats(matroid) if flats_only else crowded_sets(matroid)
     if full not in universe or not is_crowding_record(matroid, full):
         return 0, 0
-    zeros: dict[int, int] = {}
+    zero = cache(lambda mask: crowding_split(matroid, mask)[0])
 
-    def zero(mask: int) -> int:
-        if mask not in zeros:
-            zeros[mask] = crowding_split(matroid, mask)[0]
-        return zeros[mask]
-
-    # record status and zero parts are read only for the t a chain can reach
+    # the sign of s -> t (0: no link), link(0, E) the chain with no interior
+    # member; record status and zero parts are read only where a chain reaches
     def link(s: int, t: int) -> int:
         if not is_crowding_record(matroid, t):
             return 0
@@ -301,5 +245,42 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
             return 0
         return into
 
-    interior = [m for m in universe if m not in (0, full)]
-    return _chain_sum(matroid, interior, Mode.ABOVE, link)
+    if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts
+        return 0, int(link(0, full) != 0)
+    masks = np.array([m for m in universe if m not in (0, full)], dtype=np.int64)
+    ranks = matroid.ensure_rank_table()[masks]
+    columns = np.minimum(popcounts(n)[masks] - ranks, length)
+    keep = admits(columns, ranks, Mode.ABOVE, r)
+    # (mask, U or None when zero, C) of the empty set and every member a
+    # chain can reach, with the masks also in an array to find a member's
+    # subsets
+    reached: list[tuple[int, list[int] | None, int]] = [(0, [1] + [0] * (r - 1), 1)]
+    reached_masks = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+
+    def gather(t: int) -> tuple[list[int], int]:
+        """The sums over s < t of link(s, t) U(s) and of C(s)."""
+        state, count = [0] * r, 0
+        below = np.flatnonzero((reached_masks[: len(reached)] & ~t) == 0)
+        for i in below.tolist():
+            s, s_state, s_count = reached[i]
+            sign = link(s, t)
+            if not sign:
+                continue
+            count += s_count
+            if s_state is not None:
+                for d, v in enumerate(s_state):
+                    state[d] += sign * v
+        return state, count
+
+    for t, rk, col in zip(masks[keep].tolist(), ranks[keep].tolist(), columns[keep].tolist()):
+        state, count = gather(t)
+        if not count:
+            continue
+        if any(state):
+            state = advance(state, col)
+            restrict(state, rk, Mode.ABOVE)
+            state = advance(state, -col)
+        reached_masks[len(reached)] = t
+        reached.append((t, state if any(state) else None, count))
+    state, chains = gather(full)
+    return advance(state, length)[-1], chains

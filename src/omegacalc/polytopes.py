@@ -22,9 +22,8 @@ The sums over chains of arbitrary subsets reduce, at a fixed point, to an
 alternating chain count over the subsets whose inequality the point
 satisfies or fails (altsum, one predicate per row), and so does the
 outer-flats sum, over the flats that fail it.  The inner-flats sum is one
-rank-ordered pass over the lattice of flats, one column per flat and one
-row per point, with each flat's predecessors and their Mobius values
-prepared once per lattice.
+Mobius-weighted chain sum over the lattice of flats, one column per point
+(`FlatLattice.chain_sum`), in int64 like the other three.
 """
 
 from __future__ import annotations
@@ -185,22 +184,15 @@ def check_identity(
 
 
 def _flats_identity_sum(matroid: Matroid, within: np.ndarray) -> np.ndarray:
-    """The inner-flats sum at every row of `within`, in Python ints.  Outer
-    flats carry no Mobius weight and go through altsum (int64 by its
-    bound): chains of subsets that are all flats are chains of flats, and
-    the bottom flat (the empty set, the matroid being loop-free) and E are
-    altsum's endpoints."""
-    # t(G) = Mobius-weighted sum over chains from the bottom flat to G
-    # whose interior flats all satisfy their inequality: t(bottom) = 1 and
-    # t(G) = -sum of t(F) * mu(F, G) over flats F < G; t is 0 at a flat
-    # that fails its inequality, except at the top, where it is always
-    # summed.  One row per point, one column per flat.
-    order, below = flat_lattice(matroid).weighted_predecessors()
-    good = within[:, order]
-    good[:, -1] = True
-    t = np.zeros(good.shape, dtype=object)
-    t[:, 0] = 1
-    for i in range(1, len(order)):
-        lower, mu = below[i]
-        t[:, i] = np.where(good[:, i], -(t[:, lower] @ np.array(mu, dtype=object)), 0)
-    return t[:, -1]
+    """The inner-flats sum at every row of `within`, in int64 (the bound is
+    in `FlatLattice.chain_sum`).  t(G) is the Mobius-weighted sum over the
+    chains from the bottom flat to G whose interior flats all satisfy their
+    inequality: t(bottom) = 1, t(G) = -good(G) Z(G) with Z(G) the sum of
+    mu(F, G) t(F) over the flats F < G, and the sum is t(E) = -Z(E), since
+    E is always summed.  One column of U per point.  Outer flats carry no
+    Mobius weight and go through altsum: chains of subsets that are all
+    flats are chains of flats, and the bottom flat (the empty set, the
+    matroid being loop-free) and E are altsum's endpoints."""
+    good = within.T
+    start = np.ones(len(within), dtype=np.int64)
+    return -flat_lattice(matroid).chain_sum(start, lambda masks, z: -z * good[masks])

@@ -13,6 +13,11 @@ def omega_of(matroid: Matroid, method: str = "final-flats") -> int:
     return compute_omega(matroid, [method]).results[0].omega
 
 
+def all_flats(lattice) -> list[int]:
+    """Every flat of a FlatLattice, rank by rank."""
+    return [f for level in lattice.flats_by_rank for f in level]
+
+
 def identity_at(matroid: Matroid, kind, point) -> tuple[int, int]:
     """(lhs, rhs) of check_identity at one point, as a batch of one row."""
     lhs, rhs = check_identity(matroid, kind, subset_sums([point]))

@@ -5,11 +5,11 @@ from math import comb
 
 import numpy as np
 import pytest
-from helpers import random_derived_matroid
+from helpers import all_flats, random_derived_matroid
 
 from omegacalc.altsum import alternating_chain_sum, block_rows, popcounts
 from omegacalc.bitops import mask_of, popcount
-from omegacalc.chainsums import Variant, covalue, omega_by_variant, schubert_omega
+from omegacalc.chainsums import Variant, component_sign, covalue, omega_by_variant, schubert_omega
 from omegacalc.corpus import generate_corpus, random_schubert
 from omegacalc.crowding import crowded_flats, crowded_sets, crowding, crowding_split, is_crowding_record
 from omegacalc.engine import compute_omega
@@ -180,7 +180,7 @@ def test_empty_set_is_a_crowded_record_and_a_flat():
                 assert is_crowding_record(m, 0) and 0 in crowded_sets(m), spec
                 if not m.has_loops():
                     loop_free += 1
-                    assert 0 in crowded_flats(m) and 0 in flat_lattice(m).flats, spec
+                    assert 0 in crowded_flats(m) and 0 in all_flats(flat_lattice(m)), spec
     assert loop_free >= 32
 
 
@@ -291,6 +291,17 @@ def test_schubert_value_equals_covalue():
         assert omega_by_variant(m, Variant.FINAL_FLATS) == direct
         assert covalue(m, Variant.OUTWARD_FLATS).covalue == direct
 
+
+
+def test_inward_flats_on_a_large_lattice():
+    # Schubert n = 16, r = 7, seed 1, input 0: 14,685 flats; the chain
+    # count is pinned from the chain walk that once took ~500 s here
+    loaded = matroid_from_spec(generate_corpus("schubert", 3, 1, 16, 7)[0])
+    m = loaded.matroid
+    assert len(flat_lattice(m)) == 14_685
+    run = covalue(m, Variant.INWARD_FLATS)
+    assert component_sign(m) * run.covalue == schubert_omega(*loaded.schubert) == 28
+    assert run.chains == 39_179_067
 
 # The per-path oracle of the set routes (`_sets_by_path`, one alternating
 # chain sum per path) takes 5-7 s per input at n = 16, r = 5, so on that
@@ -506,7 +517,7 @@ def _oracle_routes(m):
     }
     if m.has_loops():
         return out
-    flats = flat_lattice(m).flats
+    flats = all_flats(flat_lattice(m))
     cflats = crowded_flats(m)
     out[Variant.CROWDED_FLATS] = _oracle_poset(m, cflats)
     out[Variant.RECORD_FLATS] = _oracle_poset(m, [t for t in cflats if is_crowding_record(m, t)])

@@ -1,5 +1,10 @@
 from itertools import combinations
 
+import numpy as np
+import pytest
+from helpers import all_flats
+
+from omegacalc.altsum import alternating_chain_sum
 from omegacalc.bitops import mask_of
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, uniform
@@ -7,7 +12,7 @@ from omegacalc.matroid import from_bases, uniform
 
 def test_two_element_chain():
     lat = flat_lattice(uniform(1, 2))
-    assert lat.flats == [0, 0b11]
+    assert all_flats(lat) == [0, 0b11]
     assert lat.mobius(0, 0b11) == -1
 
 
@@ -55,7 +60,7 @@ def test_mobius_alternating_sum_vanishes():
     # for every flat pair F < G the interval sums of mu are zero
     for m in (uniform(2, 4), uniform(3, 5), _k4_graphic_matroid()):
         lat = flat_lattice(m)
-        flats = lat.flats
+        flats = all_flats(lat)
         for f in flats:
             for g in flats:
                 if f == g or (f & ~g) != 0:
@@ -76,7 +81,7 @@ def test_bottom_is_closure_of_empty():
 
 def _mobius_reference(lat, lower):
     """mu(lower, -) by the defining recursion, one flat at a time."""
-    above = [g for g in lat.flats if g != lower and lower & ~g == 0]
+    above = [g for g in all_flats(lat) if g != lower and lower & ~g == 0]
     known = {}
     for g in above:
         known[g] = -1 - sum(v for h, v in known.items() if h & ~g == 0)
@@ -94,8 +99,46 @@ def test_mobius_matches_the_recursion_in_python_ints():
         if m.has_loops():
             continue
         lat = flat_lattice(m)
-        for f in lat.flats:
+        for f in all_flats(lat):
             for g, value in _mobius_reference(lat, f).items():
                 assert lat.mobius(f, g) == value, (spec["id"], f, g)
                 checked += 1
     assert checked > 10_000
+
+
+def test_mobius_rejects_a_set_that_is_not_a_flat():
+    # in U(2, 4) the flats are the empty set, the four points and E
+    lat = flat_lattice(uniform(2, 4))
+    for lower, upper in [(0, 0b11), (0b11, 0b1111), (0b11, 0b11), (0b1, 0b11)]:
+        with pytest.raises(ValueError, match="comparable flats"):
+            lat.mobius(lower, upper)
+    assert lat.mobius(0b1, 0b1111) == -1
+    with pytest.raises(ValueError, match="comparable flats"):
+        lat.mobius(0b1, 0b10)  # incomparable flats, as before
+
+
+def test_chain_sum_against_the_cube_kernel():
+    # on loop-free closure matroids at n = 8: the inner-flats recursion
+    # t(G) = -good(G) Z(G) ends at the signed chain count through the
+    # flats that fail (altsum on ~good & is_flat), and the doubled count
+    # column S = -2 Z ends at minus the number of chains of flats
+    from omegacalc.corpus import generate_corpus
+    from omegacalc.specfile import matroid_from_spec
+
+    rng = np.random.default_rng(0)
+    checked = 0
+    for seed in (1, 2, 3):
+        for spec in generate_corpus("closure", 15, seed, 8):
+            m = matroid_from_spec(spec).matroid
+            if m.has_loops():
+                continue
+            lat = flat_lattice(m)
+            cube = rng.random((6, 1 << m.n)) < 0.5
+            inner = -lat.chain_sum(np.ones(6, dtype=np.int64), lambda masks, z: -z * cube.T[masks])
+            expected = alternating_chain_sum(m.n, ~cube & lat.is_flat)
+            assert inner.tolist() == expected.tolist(), spec["id"]
+            chains = -lat.chain_sum([1], lambda masks, z: -2 * z)
+            count = alternating_chain_sum(m.n, lat.is_flat, (1,), lambda masks, z: z)
+            assert chains.tolist() == count.tolist(), spec["id"]
+            checked += 1
+    assert checked == 38
