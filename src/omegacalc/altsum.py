@@ -6,7 +6,10 @@ level at a time and sets U(t) = transfer(t, Z(t)) at the level's marked
 masks t, where Z(t) is the sum of U over the proper subsets of t, and
 returns the sum of U.  Z comes from one subset-sum (zeta) pass over a
 scratch copy of U per level that has a marked mask: O(n^2 2^n) array work
-per predicate row, in blocks of `block_rows(n)` rows.
+per predicate row, in blocks of `block_rows(n)` rows.  A block of k rows
+of width w is stored mask-major, mask t of row i at entry t k + i, so the
+zeta step on every element, the lowest included, adds contiguous runs of
+at least k w entries: the k rows of a stack share each step's array add.
 
 With start (1,) and transfer -Z, U(t) = v(t) for the recursion
 v(T) = -1 - sum of v over the marked proper subsets S of T, and the
@@ -99,15 +102,17 @@ def alternating_chain_sum(n: int, good: np.ndarray, start=None, transfer=None) -
 
 
 def _zeta_sums(n: int, good: np.ndarray, start: np.ndarray, transfer) -> np.ndarray:
-    """The kernel on a (k, 2^n) block: U is one (k 2^n, w) array, and the
-    zeta pass works in blocks of 2^(e+1) w entries, which never straddle two
-    rows; transfer sees BATCH_SUMS / w^2 masks at a time."""
-    pc, width, full = popcounts(n), len(start), (1 << n) - 1
+    """The kernel on a (k, 2^n) block: U is one (2^n k, w) array, mask
+    t of row i at entry t k + i, so the zeta step on element e adds
+    contiguous runs of 2^e k w entries; transfer sees BATCH_SUMS / w^2
+    masks at a time."""
+    rows, width = len(good), len(start)
     chunk = max(1, BATCH_SUMS // width**2)
-    levels = pc * good  # the popcount of each marked mask, 0 elsewhere
-    counts = np.bincount(levels.ravel(), minlength=n)
-    u = np.zeros((good.size, width), dtype=np.int64)
-    u[:: 1 << n] = start
+    # the popcount of each marked mask, 0 elsewhere, in the order of U
+    levels = (popcounts(n) * good).T.ravel()
+    counts = np.bincount(levels, minlength=n)
+    u = np.zeros((rows << n, width), dtype=np.int64)
+    u[:rows] = start
     zeta = np.empty_like(u)
     for level in range(1, n):
         if not counts[level]:
@@ -115,9 +120,9 @@ def _zeta_sums(n: int, good: np.ndarray, start: np.ndarray, transfer) -> np.ndar
         marked = np.flatnonzero(levels == level)
         np.copyto(zeta, u)
         for e in range(n):
-            z = zeta.reshape(-1, 2, width << e)
+            z = zeta.reshape(-1, 2, (rows * width) << e)
             z[:, 1] += z[:, 0]
         for lo in range(0, marked.size, chunk):
-            at = marked[lo : lo + chunk]
-            u[at] = transfer(at & full, zeta[at])
-    return u.reshape(len(good), 1 << n, width).sum(axis=1)
+            at = marked[lo : lo + chunk]  # one row's entries are its masks
+            u[at] = transfer(at // rows if rows > 1 else at, zeta[at])
+    return u.reshape(1 << n, rows, width).sum(axis=0)

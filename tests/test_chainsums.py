@@ -125,12 +125,27 @@ def test_vector_mode_matches_the_scalar_sum():
     vector = alternating_chain_sum(12, good, start=range(1, 18), transfer=lambda m, z: -z)
     assert vector.tolist() == [k * int(alternating_chain_sum(12, good)) for k in range(1, 18)]
     # a stack with a start: one (w,) result per row, equal to the scalar
-    # rows, so no zeta block of the flat (k 2^n, w) array straddles two rows
+    # rows, although the rows share every zeta block of the mask-major U
     for n in (1, 5, 9):
         stack = rng.random((7, 1 << n)) < 0.6
         vector = alternating_chain_sum(n, stack, start=(1,), transfer=lambda m, z: -z)
         assert vector.shape == (7, 1) and vector.dtype == np.int64
         assert vector[:, 0].tolist() == alternating_chain_sum(n, stack).tolist(), n
+    # a transfer that reads its masks, on a stack: transfer gets masks, not
+    # positions in U, also when a level of three rows at n = 12 spreads over
+    # several chunks of 226 masks; each row equals its own call
+    seen = []
+
+    def weighted(masks, z):
+        seen.append(masks)
+        return z * (masks % 3 + 1)[:, None]
+
+    stack = rng.random((3, 1 << 12)) < 0.5
+    expected = [alternating_chain_sum(12, row, range(1, 18), weighted).tolist() for row in stack]
+    seen.clear()
+    assert alternating_chain_sum(12, stack, range(1, 18), weighted).tolist() == expected
+    masks = np.concatenate(seen)
+    assert len(seen) > 11 and masks.min() >= 0 and masks.max() < 1 << 12
 
 
 def test_alternating_chain_sum_across_blocks():

@@ -2,9 +2,11 @@
 
 A helper that only its own tests call is code to maintain that the
 program never runs.  This test parses the package with `ast` and fails on
-any module-level function or class method whose name nothing else in the
-package refers to (as a name or an attribute), unless the name is on the
-allowlist below with its reason.  Command-line entry points need no entry:
+any module-level function whose name nothing else in the package refers
+to (as a name or an attribute), or any class method that nothing else in
+the package reads as an attribute (`x.name`; a local variable of the same
+name is not a use), unless the name is on the allowlist below with its
+reason.  Command-line entry points need no entry:
 `main` is called under `__main__` and every `cmd_*` is bound with
 `set_defaults(func=...)`.  Dunder methods are called by Python itself.
 """
@@ -39,36 +41,47 @@ ALLOWED = {
 }
 
 
-def _references(node: ast.AST) -> Counter:
-    out: Counter = Counter()
+def _references(node: ast.AST) -> tuple[Counter, Counter]:
+    """Counts of the names and of the attribute reads under node."""
+    names: Counter = Counter()
+    attributes: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out[sub.id] += 1
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out[sub.attr] += 1
-    return out
+            attributes[sub.attr] += 1
+    return names, attributes
 
 
 def _definitions(tree: ast.Module):
+    """(function, is_method) for every module-level function and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
+            yield node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield item
+                    yield item, True
 
 
 def _unreferenced() -> set[str]:
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.glob("*.py"))}
-    everywhere = sum((_references(t) for t in trees.values()), Counter())
+    names, attributes = Counter(), Counter()
+    for tree in trees.values():
+        tree_names, tree_attributes = _references(tree)
+        names += tree_names
+        attributes += tree_attributes
     found = set()
     for tree in trees.values():
-        for fn in _definitions(tree):
+        for fn, is_method in _definitions(tree):
             if fn.name.startswith("__") and fn.name.endswith("__"):
                 continue
+            own_names, own_attributes = _references(fn)
             # a recursive call inside the function itself is not a use
-            if everywhere[fn.name] - _references(fn)[fn.name] <= 0:
+            uses = attributes[fn.name] - own_attributes[fn.name]
+            if not is_method:
+                uses += names[fn.name] - own_names[fn.name]
+            if uses <= 0:
                 found.add(fn.name)
     return found
 
