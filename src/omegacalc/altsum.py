@@ -1,6 +1,6 @@
-"""Signed counting of chains inside a marked subposet of the boolean lattice.
+"""Signed counting of chains: the graded zeta kernel and the predecessor walk.
 
-One graded zeta kernel (Bjorklund, Husfeldt, Kaski and Koivisto, Fourier
+The graded zeta kernel (Bjorklund, Husfeldt, Kaski and Koivisto, Fourier
 meets Mobius, STOC 2007).  From a start vector U(0) it takes one popcount
 level at a time and sets U(t) = transfer(t, Z(t)) at the level's marked
 masks t, where Z(t) is the sum of U over the proper subsets of t, and
@@ -19,9 +19,12 @@ result 1 + sum of v is
     of (-1)^j
 
 which three identity kinds need, one predicate row per point.  The seven
-chain-sum routes whose link reads only t run on vectors (chainsums).
+chain-sum routes whose link reads only t run on vectors (chainsums).  The
+predecessor walk takes the same start and transfer over an explicit
+weighted relation, in O(links w): Mobius values on the flats (inward-flats
+and the inner-flats identity), and the final routes, whose link reads s.
 
-int64 is exact for n <= 16.  The kernel only adds, negates and multiplies,
+int64 is exact for n <= 16.  Both kernels only add, negate and multiply,
 and numpy int64 array arithmetic wraps modulo 2^64, so every value is
 right modulo 2^64 and a value read is exact when it lies in
 [-2^63, 2^63).  Let a(k) be the Fubini number, the number of chains from
@@ -30,9 +33,10 @@ and the sum of a(|S|) over the proper subsets S of T is a(|T|).  In a
 scalar row |U(T)| <= a(|T|) by induction, U(0) = 1 included, since U(0)
 enters every zeta sum; so zeta(0) = 1, |zeta(X)| <= 2 a(|X|) <=
 a(|X| + 1) <= a(16) at every other proper X, and the result is at most
-a(n) <= a(16) = 5,315,654,681,981,355 < 2^63: no value wraps at all.  In a vector row
-the values read are a chain count, at most a(16), and a signed sum of at
-most C(10, 4) = 210 paths' alternating counts, at most 210 a(16) < 2^63.
+a(n) <= a(16) = 5,315,654,681,981,355 < 2^63: no value wraps at all.  In a
+vector row, and in the walk, the values read are a chain count, at most
+a(16), and a signed sum over at most C(10, 4) = 210 paths of values at
+most a(16) each (for the walk's Mobius rows, see its docstring).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import numpy as np
 from .bitops import bits
 
 BATCH_SUMS = 1 << 16  # mask entries per block of rows
+BLOCK_ENTRIES = 1 << 18  # per block: walk terms, subset comparisons (Mobius too)
 
 
 def block_rows(n: int) -> int:
@@ -126,3 +131,52 @@ def _zeta_sums(n: int, good: np.ndarray, start: np.ndarray, transfer) -> np.ndar
             at = marked[lo : lo + chunk]  # one row's entries are its masks
             u[at] = transfer(at // rows if rows > 1 else at, zeta[at])
     return u.reshape(1 << n, rows, width).sum(axis=0)
+
+
+def subset_pairs(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, below): the positions i, j of every pair of members with
+    masks[j] a proper subset of masks[i], ordered by i, then by j.  The
+    masks are distinct, each after its subsets, so j < i."""
+    rows = max(1, BLOCK_ENTRIES // len(masks))  # rows compared at once
+    upper, below = [], []
+    for lo in range(0, len(masks), rows):
+        block, earlier = masks[lo : lo + rows, None], masks[: lo + rows]
+        i, j = np.nonzero(((earlier & ~block) == 0) & (earlier != block))
+        upper.append(i + lo)
+        below.append(j)
+    return np.concatenate(upper), np.concatenate(below)
+
+
+def predecessor_walk(members: np.ndarray, relation, start, transfer) -> np.ndarray:
+    """Z(top) for U(bottom) = start, of width w, and U(t) = transfer(labels,
+    Z) at the members between, Z(t) the weighted sum of U over the
+    predecessors of t.  `members` holds the labels for `transfer`, bottom
+    first and top last, each after its predecessors; `relation` = (upper,
+    below, weight) lists the links below -> upper by position, ordered by
+    upper, then below, at least one (of weight 0, if need be) into every
+    member but the bottom.  Members that do not precede one another are
+    summed at once.  In the final routes a path's value is a signed count
+    of chains of subsets, at most a(16).  The Mobius callers sum rows
+    t(bottom) = 1, t(G) = -good(G) Z(G).  With H(G) the sum of mu(F, G)
+    t(F) over F <= G, Mobius inversion gives t(G) = good(G) Z_H(G) and
+    H(G) = (good(G) - 1) Z_H(G), Z_H(G) the sum of H over F < G: H is the
+    signed chain count through the flats that fail, so |t(G)| <= a(16)."""
+    upper, below, weight = relation
+    top = len(members) - 1
+    starts = np.searchsorted(upper, np.arange(top + 2))  # links into i: starts[i]:starts[i + 1]
+    u = np.zeros((top + 1, len(start)), dtype=np.int64)
+    u[0] = start
+    budget = BLOCK_ENTRIES // max(1, len(start))  # terms per block
+    i = 1
+    while i < top:
+        j = int(np.searchsorted(starts, starts[i] + budget, side="right")) - 1
+        j = min(top, max(i + 1, j))
+        a, b = starts[i], starts[j]
+        inside = upper[a:b][below[a:b] >= i]  # members linked from inside the block
+        if inside.size:  # the block ends before the first of them
+            j, b = int(inside[0]), starts[inside[0]]
+        z = np.add.reduceat(weight[a:b, None] * u[below[a:b]], starts[i:j] - a)
+        u[i:j] = transfer(members[i:j], z)
+        i = j
+    a, b = starts[top : top + 2]
+    return weight[a:b] @ u[below[a:b]]

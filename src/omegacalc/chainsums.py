@@ -7,13 +7,12 @@ records, records with strictly increasing crowding), the path bound
 (strictly below versus weakly above the chain's constraint points) and
 the sign rule.
 
-No chain is ever enumerated.  In seven routes the sign of a link s -> t
-reads t alone, so the sum over the members below t is a subset sum over
-the 2^n cube: one graded zeta kernel (`_cube_sum`) evaluates them.
-Inward-flats, whose links carry Mobius values, is the same sum weighted
-by mu over the lattice of flats (`FlatLattice.chain_sum`), and the final
-routes, whose links read s, are one transfer recursion over their members
-(`_final_sum`).  All keep path states pulled back to column 0.
+No chain is ever enumerated.  Two kernels of `altsum` evaluate the ten
+sums on path states pulled back to column 0, with the link matrices M_t of
+one table (`_link_steps`).  In seven routes the sign of a link s -> t
+reads t alone, so the sum below t is a subset sum over the 2^n cube
+(`_cube_sum`).  Inward-flats, whose links carry Mobius values, and the
+final routes, whose links read s, run on `altsum.predecessor_walk`.
 """
 
 from __future__ import annotations
@@ -26,20 +25,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .altsum import alternating_chain_sum, popcounts
+from .altsum import alternating_chain_sum, popcounts, predecessor_walk, subset_pairs
 from .bitops import popcount
 from .crowding import (
     crowded_flats,
     crowded_sets,
-    crowding,
     crowding_array,
-    crowding_split,
     is_crowding_record,
+    zero_part,
 )
 from .errors import VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
-from .paths import Mode, admits, advance, restrict
+from .paths import Mode, admits
 
 
 class Variant(str, Enum):
@@ -138,8 +136,7 @@ def _cube_sum(
     """(covalue, chains) over the chains 0 < t_1 < ... < t_k < E of masks
     marked in `member` (of its crowding records only, if asked), with sign
     -1 on each interior link and `into_full` on the link into E: the altsum
-    kernel from U(0) = (e_0, 1), U(t) = M_t Z(t) with M_t the link
-    -A^{-x_t} mask_t A^{x_t} of `_final_sum` and 1 on the chain count."""
+    kernel from U(0) = (e_0, 1), U(t) = M_t Z(t) with M_t of `_link_steps`."""
     n, r, full = matroid.n, matroid.r, matroid.full_mask
     length = n - r - 1
     if not member[full] or (records and not is_crowding_record(matroid, full)):
@@ -156,31 +153,45 @@ def _cube_sum(
     total = alternating_chain_sum(
         n, good, [1] + [0] * (r - 1) + [1], lambda t, z: np.matmul(z[:, None], steps[key[t]])[:, 0]
     )
-    last = np.array([comb(length, r - 1 - j) for j in range(r)])  # last row of A^L
-    return into_full * int(last @ total[:r]), int(total[r])
+    return into_full * _paths_at_end(total, length), int(total[r])
 
 
 @cache
 def _link_steps(r: int, length: int, mode: Mode) -> np.ndarray:
-    """M_t transposed, at x (r + 1) + y for t at clamped column x, rank y."""
-    steps = np.zeros(((length + 1) * (r + 1), r + 1, r + 1), dtype=np.int64)
-    steps[:, r, r] = 1
-    for (x, y), step in zip(np.ndindex(length + 1, r + 1), steps):
-        for j in range(r):
-            state = advance([0] * j + [1] + [0] * (r - 1 - j), x)
-            restrict(state, y, mode)
-            step[j, :r] = [-v for v in advance(state, -x)]
+    """M_t transposed, at x (r + 1) + y for t at clamped column x, rank y:
+    -(A^x)^T R_y (A^{-x})^T on the path state and 1 on the chain count, with
+    R_y the diagonal mask of a constraint of height y and (A^k)[d, j] =
+    C(k, d - j) the advance by k columns for any integer k (`paths.advance`)."""
+    k = np.arange(-length, length + 1)
+    binomials = np.ones((len(k), r), dtype=np.int64)  # C(k, i) = C(k, i - 1) (k - i + 1) / i
+    for i in range(1, r):
+        binomials[:, i] = binomials[:, i - 1] * (k - i + 1) // i
+    diagonal = np.arange(r)
+    gap = diagonal[:, None] - diagonal
+    power = np.where(gap >= 0, binomials[:, gap.clip(0)], 0)  # A^k at k + length
+    heights = np.arange(r + 1)[:, None]
+    keep = (diagonal >= heights if mode is Mode.ABOVE else diagonal < heights).astype(np.int64)
+    steps = np.zeros((length + 1, r + 1, r + 1, r + 1), dtype=np.int64)
+    steps[..., r, r] = 1
+    steps[..., :r, :r] = -np.einsum("xdj,yd,xed->xyje", power[length:], keep, power[length::-1])
+    steps = steps.reshape(-1, r + 1, r + 1)
     steps.flags.writeable = False  # one array per (r, L, mode), shared by every call
     return steps
 
 
-# -- the Mobius-weighted flats sum --------------------------------------------
+def _paths_at_end(total: np.ndarray, length: int) -> int:
+    """The last coordinate of A^L times the path state total[:r]."""
+    r = len(total) - 1
+    return int(np.array([comb(length, r - 1 - j) for j in range(r)]) @ total[:r])
+
+
+# -- the predecessor walks ----------------------------------------------------
 
 
 def _inward_flats_sum(matroid: Matroid) -> tuple[int, int]:
     """All chains of flats, with strictly-below path counts and sign
     (-1)^length times the product of interval Mobius values along the
-    chain: `FlatLattice.chain_sum` with the M_t of `_cube_sum` (every flat
+    chain: the walk over the flats with the M_t of `_cube_sum` (every flat
     above 0 has rank >= 1 and admits a path prefix) and S(t) = -2 Z(t) in
     the count column.  S = 2C, C(t) the sum of C below t, is the sum of C
     over F <= t, so Mobius inversion gives Z(t) = C(t) - S(t) = -C(t)."""
@@ -191,14 +202,12 @@ def _inward_flats_sum(matroid: Matroid) -> tuple[int, int]:
     rank = matroid.ensure_rank_table()
     key = np.minimum(popcounts(n) - rank, length).astype(np.int16) * (r + 1) + rank
     steps = _link_steps(r, length, Mode.BELOW) * np.array([1] * r + [-2])
-    total = flat_lattice(matroid).chain_sum(
-        [1] + [0] * (r - 1) + [1], lambda t, z: np.matmul(z[:, None], steps[key[t]])[:, 0]
+    total = predecessor_walk(
+        *flat_lattice(matroid).weighted_predecessors(),
+        [1] + [0] * (r - 1) + [1],
+        lambda t, z: np.matmul(z[:, None], steps[key[t]])[:, 0],
     )
-    last = np.array([comb(length, r - 1 - j) for j in range(r)])  # last row of A^L
-    return -int(last @ total[:r]), -int(total[r])
-
-
-# -- the fully cancelled sums -------------------------------------------------
+    return -_paths_at_end(total, length), -int(total[r])
 
 
 def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
@@ -207,7 +216,7 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
     (-1)^(c(H_0) + m - 1); paths are bounded weakly above at every chain
     member except the empty set and the ground set.
 
-    A kernel chain 0 < t_1 < ... < t_k < E is read as H = (0, t_1, ..., E)
+    A walk chain 0 < t_1 < ... < t_k < E is read as H = (0, t_1, ..., E)
     when t_1 (E if k = 0) has positive crowding, and as H = (t_1, ..., E)
     when it has crowding 0; the empty set has crowding 0, no components
     and is a crowding record, so exactly one reading applies.
@@ -220,67 +229,42 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
     the same crowding |C| - 2 r(C).  So every crowding-0 component of M|t
     inside s is one of M|s, and zero(t) <= s gives zero(t) <= zero(s).
 
-    The link reads s: a transfer recursion over the members P, O(|P|^2 r),
-    U(0) = e_0 and U(t) = A^{-x_t} mask_t A^{x_t} sum over s < t of
-    link(s, t) U(s), with x_t the clamped corank of t and A^k the advance
-    by k columns; the covalue is the last coordinate of A^L U(E), and the
-    chain count the same recursion on counts, C(0) = 1."""
+    The walk runs over 0, the records that admit a path prefix (popcount
+    order) and E, read at these members alone.  Link s -> t has weight 1
+    when s < t, c(s) < c(t) and zero(t) <= s, reading c(0) as -1 and
+    zero(t) as 0 if c(t) = 0: then t is H_0 and links from 0 alone.  Its
+    sign is -1 inside, +1 into E, times parity(t) = (-1)^(components + 1)
+    if c(t) = 0: U(t) = parity(t) M_t Z(t), and the covalue is parity(E)
+    times the last coordinate of A^L Z(E)."""
     n, r, full = matroid.n, matroid.r, matroid.full_mask
     length = n - r - 1
     universe = crowded_flats(matroid) if flats_only else crowded_sets(matroid)
-    if full not in universe or not is_crowding_record(matroid, full):
+    if universe[-1] != full or not is_crowding_record(matroid, full):
         return 0, 0
-    zero = cache(lambda mask: crowding_split(matroid, mask)[0])
-
-    # the sign of s -> t (0: no link), link(0, E) the chain with no interior
-    # member; record status and zero parts are read only where a chain reaches
-    def link(s: int, t: int) -> int:
-        if not is_crowding_record(matroid, t):
-            return 0
-        into = 1 if t == full else -1
-        level = crowding(matroid, t)
-        if s == 0 and level == 0:  # t is H_0: -into times (-1)^c(t)
-            return into * (1 if matroid.component_count(t) % 2 else -1)
-        if level <= crowding(matroid, s) or zero(t) & ~s:
-            return 0
-        return into
-
     if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts
-        return 0, int(link(0, full) != 0)
-    masks = np.array([m for m in universe if m not in (0, full)], dtype=np.int64)
-    ranks = matroid.ensure_rank_table()[masks]
-    columns = np.minimum(popcounts(n)[masks] - ranks, length)
-    keep = admits(columns, ranks, Mode.ABOVE, r)
-    # (mask, U or None when zero, C) of the empty set and every member a
-    # chain can reach, with the masks also in an array to find a member's
-    # subsets
-    reached: list[tuple[int, list[int] | None, int]] = [(0, [1] + [0] * (r - 1), 1)]
-    reached_masks = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
-
-    def gather(t: int) -> tuple[list[int], int]:
-        """The sums over s < t of link(s, t) U(s) and of C(s)."""
-        state, count = [0] * r, 0
-        below = np.flatnonzero((reached_masks[: len(reached)] & ~t) == 0)
-        for i in below.tolist():
-            s, s_state, s_count = reached[i]
-            sign = link(s, t)
-            if not sign:
-                continue
-            count += s_count
-            if s_state is not None:
-                for d, v in enumerate(s_state):
-                    state[d] += sign * v
-        return state, count
-
-    for t, rk, col in zip(masks[keep].tolist(), ranks[keep].tolist(), columns[keep].tolist()):
-        state, count = gather(t)
-        if not count:
-            continue
-        if any(state):
-            state = advance(state, col)
-            restrict(state, rk, Mode.ABOVE)
-            state = advance(state, -col)
-        reached_masks[len(reached)] = t
-        reached.append((t, state if any(state) else None, count))
-    state, chains = gather(full)
-    return advance(state, length)[-1], chains
+        return 0, int(n == 2 * r or not zero_part(matroid, full))  # c(E) = n - 2r
+    rank = matroid.ensure_rank_table()
+    inner = np.array(universe[1:-1], dtype=np.int64)  # universe[0] is the empty set
+    column = np.minimum(popcounts(n)[inner] - rank[inner], length)
+    inner = inner[admits(column, rank[inner], Mode.ABOVE, r)].tolist()
+    members = np.array([0, *(t for t in inner if is_crowding_record(matroid, t)), full])
+    ranks = rank[members].astype(np.int64)
+    level = popcounts(n)[members] - 2 * ranks
+    labelled = list(zip(members.tolist(), level.tolist()))
+    zero = np.array([zero_part(matroid, t) if c else 0 for t, c in labelled])
+    even = [c == 0 and t > 0 and matroid.component_count(t) % 2 == 0 for t, c in labelled]
+    parity = np.where(even, -1, 1)  # (-1)^(components + 1) where c(t) = 0
+    level[0] = -1
+    upper, below = subset_pairs(members)
+    linked = (level[below] < level[upper]) & (zero[upper] & ~members[below] == 0)
+    kept = linked | (below == 0)  # every member keeps its link from 0, of weight 0 or 1
+    column = np.minimum(popcounts(n)[members] - ranks, length)
+    steps = _link_steps(r, length, Mode.ABOVE)[column * (r + 1) + ranks]
+    steps[:, :, :r] *= parity[:, None, None]
+    total = predecessor_walk(
+        np.arange(len(members)),
+        (upper[kept], below[kept], linked[kept].astype(np.int64)),
+        [1] + [0] * (r - 1) + [1],
+        lambda at, z: np.matmul(z[:, None], steps[at])[:, 0],
+    )
+    return int(parity[-1]) * _paths_at_end(total, length), int(total[r])

@@ -46,18 +46,10 @@ def is_crowding_record(matroid: Matroid, mask: int) -> bool:
     return verdict
 
 
-def crowding_split(matroid: Matroid, mask: int) -> tuple[int, int]:
-    """(zero part, positive part): unions of components of the restriction
-    with crowding exactly zero / strictly positive."""
-    zero = positive = 0
-    if mask:
-        for comp in matroid.restriction_components(mask):
-            s = crowding(matroid, comp)
-            if s == 0:
-                zero |= comp
-            elif s > 0:
-                positive |= comp
-    return zero, positive
+def zero_part(matroid: Matroid, mask: int) -> int:
+    """The union (the sum: they are disjoint) of the components of the
+    restriction to mask whose crowding is exactly zero."""
+    return sum(c for c in matroid.restriction_components(mask) if crowding(matroid, c) == 0)
 
 
 def crowded_sets(matroid: Matroid) -> list[int]:

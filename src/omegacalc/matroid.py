@@ -43,7 +43,7 @@ class Matroid:
     )
 
     def __init__(self, n: int, bases: Iterable[int], *, _validated: bool = False):
-        _check_ground_size(n)
+        check_ground_size(n)
         basis_list = sorted(set(bases))
         if not basis_list:
             raise NotAMatroid("a matroid must have at least one basis")
@@ -305,7 +305,7 @@ def _components(rank, ground: int) -> tuple[int, ...]:
 # -- constructors ------------------------------------------------------------
 
 
-def _check_ground_size(n: int) -> None:
+def check_ground_size(n: int) -> None:
     """Reject a ground-set size before anything is enumerated over it."""
     if n < 1:
         raise EmptyGroundSet("ground set must be nonempty")
@@ -323,7 +323,7 @@ def from_bases(n: int, bases: Iterable[int]) -> Matroid:
 
 
 def uniform(r: int, n: int) -> Matroid:
-    _check_ground_size(n)
+    check_ground_size(n)
     if r < 0 or r > n:
         raise InvalidRank(f"rank {r} out of range for n={n}")
     bases = np.flatnonzero(popcounts(n) == r).tolist()
@@ -331,7 +331,7 @@ def uniform(r: int, n: int) -> Matroid:
 
 
 def _check_chain(n: int, chain: Sequence[int]) -> None:
-    _check_ground_size(n)
+    check_ground_size(n)
     full = (1 << n) - 1
     if not chain or chain[-1] != full:
         raise InvalidProfile("chain must end with the full ground set")
@@ -422,7 +422,7 @@ def schubert_from_order(order: Sequence[int], subset: int) -> Matroid:
     iff, after sorting both by the order, b_i >= a_i elementwise.
     """
     n = len(order)
-    _check_ground_size(n)
+    check_ground_size(n)
     if sorted(order) != list(range(n)):
         raise OmegacalcError("order must be a permutation of the ground set")
     if subset >> n:

@@ -23,7 +23,7 @@ alternating chain count over the subsets whose inequality the point
 satisfies or fails (altsum, one predicate per row), and so does the
 outer-flats sum, over the flats that fail it.  The inner-flats sum is one
 Mobius-weighted chain sum over the lattice of flats, one column per point
-(`FlatLattice.chain_sum`), in int64 like the other three.
+(`altsum.predecessor_walk`), in int64 like the other three.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .altsum import alternating_chain_sum, subset_totals
+from .altsum import alternating_chain_sum, predecessor_walk, subset_totals
 from .bitops import bits
 from .errors import VariantInapplicable
 from .lattice import flat_lattice
@@ -185,7 +185,7 @@ def check_identity(
 
 def _flats_identity_sum(matroid: Matroid, within: np.ndarray) -> np.ndarray:
     """The inner-flats sum at every row of `within`, in int64 (the bound is
-    in `FlatLattice.chain_sum`).  t(G) is the Mobius-weighted sum over the
+    in `altsum.predecessor_walk`).  t(G) is the Mobius-weighted sum over the
     chains from the bottom flat to G whose interior flats all satisfy their
     inequality: t(bottom) = 1, t(G) = -good(G) Z(G) with Z(G) the sum of
     mu(F, G) t(F) over the flats F < G, and the sum is t(E) = -Z(E), since
@@ -195,4 +195,5 @@ def _flats_identity_sum(matroid: Matroid, within: np.ndarray) -> np.ndarray:
     matroid being loop-free) and E are altsum's endpoints."""
     good = within.T
     start = np.ones(len(within), dtype=np.int64)
-    return -flat_lattice(matroid).chain_sum(start, lambda masks, z: -z * good[masks])
+    flats = flat_lattice(matroid).weighted_predecessors()
+    return -predecessor_walk(*flats, start, lambda masks, z: -z * good[masks])

@@ -34,6 +34,7 @@ from .bitops import mask_of
 from .errors import OmegacalcError, SpecFileError
 from .matroid import (
     Matroid,
+    check_ground_size,
     from_bases,
     order_as_lower,
     schubert_from_order,
@@ -81,6 +82,8 @@ def _require(obj: dict, key: str, kind: str):
     check, what = _FIELD_TYPES.get(key, (lambda v: True, ""))
     if not check(obj[key]):
         raise SpecFileError(f"{kind}: field {key!r} must be {what}")
+    if key == "n":
+        check_ground_size(obj[key])  # before any mask or list is built over it
     return obj[key]
 
 

@@ -24,14 +24,18 @@ def identity_at(matroid: Matroid, kind, point) -> tuple[int, int]:
     return int(lhs[0]), int(rhs[0])
 
 
-# Specs whose fields have the wrong JSON type; each must be rejected as a
-# malformed spec (exit 2 on the command line), not raise a Python error.
+# Specs whose fields have the wrong JSON type, or a ground-set size far
+# above the cap (checked before any mask or list is built over it); each
+# must be rejected as a malformed spec (exit 2 on the command line), not
+# raise a Python error.
 BAD_FIELD_SPECS = {
     "string-n": {"kind": "uniform", "n": "6", "r": 2},
     "float-n": {"kind": "uniform", "n": 6.0, "r": 2},
     "string-order-entry": {"kind": "schubert_order", "n": 3, "order": [0, 1, "x"], "set": [0]},
     "non-object-parts": {"kind": "direct_sum", "parts": [1, 2]},
     "bool-element": {"kind": "bases", "n": 2, "bases": [[True]]},
+    "huge-n-bases": {"kind": "bases", "n": 10**20, "bases": [[10**20 - 1]]},
+    "huge-n-order": {"kind": "schubert_order", "n": 10**20, "order": [0], "set": [0]},
 }
 
 

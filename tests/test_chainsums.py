@@ -9,14 +9,21 @@ from helpers import all_flats, random_derived_matroid
 
 from omegacalc.altsum import alternating_chain_sum, block_rows, popcounts
 from omegacalc.bitops import mask_of, popcount
-from omegacalc.chainsums import Variant, component_sign, covalue, omega_by_variant, schubert_omega
+from omegacalc.chainsums import (
+    Variant,
+    _link_steps,
+    component_sign,
+    covalue,
+    omega_by_variant,
+    schubert_omega,
+)
 from omegacalc.corpus import generate_corpus, random_schubert
-from omegacalc.crowding import crowded_flats, crowded_sets, crowding, crowding_split, is_crowding_record
+from omegacalc.crowding import crowded_flats, crowded_sets, crowding, is_crowding_record, zero_part
 from omegacalc.engine import compute_omega
 from omegacalc.errors import VariantInapplicable
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
-from omegacalc.paths import Mode, PathConstraint, PathProblem, count_paths_brute
+from omegacalc.paths import Mode, PathConstraint, PathProblem, advance, count_paths_brute, restrict
 from omegacalc.specfile import matroid_from_spec
 
 EXAMPLE_CHAIN = (mask_of(range(2)), mask_of(range(7)), mask_of(range(10)))
@@ -226,7 +233,7 @@ def test_zero_part_inclusion_reads_only_the_smaller_set():
         for family in ("closure", "schubert"):
             for spec in generate_corpus(family, 6, n, n):
                 m = matroid_from_spec(spec).matroid
-                zero = [crowding_split(m, t)[0] for t in range(1 << n)]
+                zero = [zero_part(m, t) for t in range(1 << n)]
                 for t in range(1, 1 << n):
                     s = (t - 1) & t
                     while True:
@@ -317,6 +324,54 @@ def test_inward_flats_on_a_large_lattice():
     run = covalue(m, Variant.INWARD_FLATS)
     assert component_sign(m) * run.covalue == schubert_omega(*loaded.schubert) == 28
     assert run.chains == 39_179_067
+
+# (covalue, chains) of the final routes at n = 16, pinned from the
+# transfer recursion with Python-int path states that the predecessor
+# walk replaced; None where the flats route does not apply (loops)
+FINAL_ROUTE_PINS = [
+    (("closure", 4, 2, 16), 2, (6, 4_349_492), (6, 2)),
+    (("schubert", 3, 94, 16, 5), 1, (25, 12_142), (25, 2)),
+    (("schubert", 3, 94, 16, 5), 2, (0, 1_082), None),
+]
+
+
+@pytest.mark.parametrize("corpus_args, index, sets, flats", FINAL_ROUTE_PINS)
+def test_final_routes_at_n16(corpus_args, index, sets, flats):
+    m = matroid_from_spec(generate_corpus(*corpus_args)[index]).matroid
+    run = covalue(m, Variant.FINAL_SETS)
+    assert (run.covalue, run.chains) == sets
+    if flats is None:
+        with pytest.raises(VariantInapplicable):
+            covalue(m, Variant.FINAL_FLATS)
+    else:
+        run = covalue(m, Variant.FINAL_FLATS)
+        assert (run.covalue, run.chains) == flats
+
+
+def _link_steps_by_columns(r, length, mode):
+    """The link matrices one unit vector at a time: advance by x columns,
+    restrict, advance back, negate (the oracle of `_link_steps`)."""
+    steps = np.zeros(((length + 1) * (r + 1), r + 1, r + 1), dtype=np.int64)
+    steps[:, r, r] = 1
+    for (x, y), step in zip(np.ndindex(length + 1, r + 1), steps):
+        for j in range(r):
+            state = advance([0] * j + [1] + [0] * (r - 1 - j), x)
+            restrict(state, y, mode)
+            step[j, :r] = [-v for v in advance(state, -x)]
+    return steps
+
+
+def test_link_steps_match_advance_and_restrict():
+    # every (r, L) with a path at n <= 16: 1 <= r, r - 1 <= L <= 15 - r
+    tables = 0
+    for r in range(1, 9):
+        for length in range(r - 1, 16 - r):
+            for mode in Mode:
+                expected = _link_steps_by_columns(r, length, mode)
+                assert np.array_equal(_link_steps(r, length, mode), expected), (r, length, mode)
+                tables += 1
+    assert tables == 128
+
 
 # The per-path oracle of the set routes (`_sets_by_path`, one alternating
 # chain sum per path) takes 5-7 s per input at n = 16, r = 5, so on that
@@ -502,7 +557,7 @@ def _oracle_final(m, universe):
         return 0, 0
 
     crowd = {t: crowding(m, t) for t in records}
-    zero = {t: crowding_split(m, t)[0] for t in records}
+    zero = {t: zero_part(m, t) for t in records}
 
     def comps(t):
         return m.component_count(t) if t else 0

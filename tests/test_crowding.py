@@ -7,10 +7,10 @@ from omegacalc.crowding import (
     crowded_flats,
     crowded_sets,
     crowding,
-    crowding_split,
     has_overcrowded_set,
     is_crowding_record,
     minimal_crowded_sets,
+    zero_part,
 )
 from omegacalc.matroid import from_bases, uniform
 
@@ -73,16 +73,15 @@ def test_minimal_crowded_sets():
     assert minimal_crowded_sets(uniform(1, 2)) == [0b11]
 
 
-def test_crowding_split():
+def test_zero_part():
     m = uniform(2, 5)
-    zero, positive = crowding_split(m, m.full_mask)
-    assert zero == 0 and positive == m.full_mask
+    assert zero_part(m, m.full_mask) == 0  # one component, crowding 1
     q = mask_of([0, 1, 2, 3])
-    zero, positive = crowding_split(m, q)
-    assert zero == q and positive == 0
+    assert zero_part(m, q) == q
     two_blocks = uniform(1, 2).direct_sum(uniform(1, 2))
-    zero, positive = crowding_split(two_blocks, two_blocks.full_mask)
-    assert zero == two_blocks.full_mask and positive == 0
+    assert zero_part(two_blocks, two_blocks.full_mask) == two_blocks.full_mask
+    mixed = uniform(1, 2).direct_sum(uniform(2, 5))  # crowding 0 and 1
+    assert zero_part(mixed, mixed.full_mask) == 0b11
 
 
 def test_summand_detection():

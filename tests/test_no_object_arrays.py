@@ -1,11 +1,11 @@
 """Python-int `object` arrays appear in src/omegacalc in one place only.
 
 The kernels run in int64, each with its bound proved in a docstring
-(`altsum`, `FlatLattice.chain_sum`, `polytopes.subset_sums`).  An `object`
-array is the slow escape from such a proof, so this test parses the
-package with `ast` and fails on any use of `object` as a dtype outside
-`polytopes.subset_sums`, whose dtype follows its input: a batch of points
-with huge denominators does not fit int64.  A use is the name `object`,
+(`altsum`'s cube kernel and predecessor walk, `polytopes.subset_sums`).
+An `object` array is the slow escape from such a proof, so this test
+parses the package with `ast` and fails on any use of `object` as a dtype
+outside `polytopes.subset_sums`, whose dtype follows its input: a batch
+of points with huge denominators does not fit int64.  A use is the name `object`,
 the attribute `object_`, or the dtype string "O" or "object" passed as a
 `dtype=` keyword or to `astype`.
 """
