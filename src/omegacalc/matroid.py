@@ -108,19 +108,13 @@ class Matroid:
                 out |= 1 << e
         return out
 
-    # -- loops, coloops, connectivity ----------------------------------------
+    # -- loops, connectivity -------------------------------------------------
 
     def loops(self) -> int:
         out = 0
         for b in self.bases:
             out |= b
         return self.full_mask & ~out
-
-    def coloops(self) -> int:
-        out = self.full_mask
-        for b in self.bases:
-            out &= b
-        return out
 
     def has_loops(self) -> bool:
         return self.loops() != 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 from .errors import ConstraintOutOfRange
 
@@ -89,37 +88,6 @@ def restrict(state: list[int], y: int, mode: Mode) -> None:
         state[y:] = [0] * (len(state) - y)
     else:
         state[:y] = [0] * min(y, len(state))
-
-
-def count_paths_brute(problem: PathProblem) -> int:
-    """Independent oracle: enumerate every step sequence explicitly."""
-    n, r = problem.n, problem.r
-    if r == 0:
-        return 0
-    length = n - r - 1
-    diagonals = r - 1
-    if diagonals > length:
-        return 0
-    for c in problem.constraints:
-        if c.x < 0 or c.x > n - r:
-            raise ConstraintOutOfRange(f"column {c.x} outside [0, {n - r}]")
-    total = 0
-    for positions in combinations(range(length), diagonals):
-        ok = True
-        for c in problem.constraints:
-            upto = min(c.x, length)
-            d = sum(1 for p in positions if p < upto)
-            if c.mode is Mode.BELOW:
-                if not d < c.y:
-                    ok = False
-                    break
-            else:
-                if not d >= c.y:
-                    ok = False
-                    break
-        if ok:
-            total += 1
-    return total
 
 
 class ChainPathCounter:

@@ -1,4 +1,4 @@
-"""Exact rational membership tests and decomposition identities on point batches.
+"""The base-polytope decomposition identities, checked exactly on point batches.
 
 Points are tuples of Fraction coordinates; no floating point.  The four
 identity kinds express the indicator of a matroid base polytope as a
@@ -28,16 +28,14 @@ Mobius-weighted chain sum over the lattice of flats, one column per point
 
 from __future__ import annotations
 
-import operator
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .altsum import alternating_chain_sum, predecessor_walk, subset_totals
-from .bitops import bits
 from .errors import VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
@@ -50,10 +48,6 @@ class IdentityKind(str, Enum):
     OUTWARD_SETS = "outward-sets"
     INNER_FLATS = "inner-flats"
     OUTER_FLATS = "outer-flats"
-
-
-def as_point(coords: Sequence) -> RationalPoint:
-    return tuple(Fraction(c) for c in coords)
 
 
 class SubsetSums(NamedTuple):
@@ -99,56 +93,6 @@ def subset_sums(points: Sequence[RationalPoint]) -> SubsetSums:
     ceiling = np.clip(ceiling, -1, n + 1).astype(np.int64)
     in_box = ((coords >= 0) & (coords <= scale_array)).all(axis=1)
     return SubsetSums(scale_array[:, 0], scaled, ceiling, in_box)
-
-
-def in_hypersimplex(n: int, r: int, point: RationalPoint) -> bool:
-    if len(point) != n:
-        raise ValueError("point dimension mismatch")
-    return all(0 <= c <= 1 for c in point) and sum(point) == r
-
-
-def in_base_polytope(matroid: Matroid, point: RationalPoint) -> bool:
-    """Rank-function description: all subset sums bounded by rank, total
-    sum equal to the rank.  Nonnegativity is implied by these."""
-    if len(point) != matroid.n:
-        raise ValueError("point dimension mismatch")
-    sums = subset_sums([point])
-    on_plane = sums.scaled[0, -1] == sums.scale[0] * matroid.r
-    return bool(on_plane and (sums.ceiling <= matroid.ensure_rank_table()).all())
-
-
-def _in_chain_polytope(
-    holds: Callable[[Fraction, int], bool],
-    n: int,
-    chain: Sequence[int],
-    profile: Sequence[int],
-    point: RationalPoint,
-) -> bool:
-    """Hypersimplex cut by `holds(sum over S, a)` along the interior chain."""
-    if not in_hypersimplex(n, profile[-1], point):
-        return False
-    return all(
-        holds(sum(point[e] for e in bits(s)), a) for s, a in zip(chain[:-1], profile[1:-1])
-    )
-
-
-def in_schubert_lower(
-    n: int, chain: Sequence[int], profile: Sequence[int], point: RationalPoint
-) -> bool:
-    return _in_chain_polytope(operator.le, n, chain, profile, point)
-
-
-def in_schubert_upper(
-    n: int, chain: Sequence[int], profile: Sequence[int], point: RationalPoint
-) -> bool:
-    return _in_chain_polytope(operator.ge, n, chain, profile, point)
-
-
-def in_halfopen(
-    n: int, chain: Sequence[int], profile: Sequence[int], point: RationalPoint
-) -> bool:
-    """Hypersimplex cut by strict lower bounds along the interior chain."""
-    return _in_chain_polytope(operator.gt, n, chain, profile, point)
 
 
 def check_identity(

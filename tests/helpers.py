@@ -1,11 +1,15 @@
 """Shared helpers for the test suite."""
 
 import random
+from fractions import Fraction
+from itertools import combinations
 
 from omegacalc.corpus import random_schubert
 from omegacalc.engine import compute_omega
+from omegacalc.errors import ConstraintOutOfRange
 from omegacalc.matroid import Matroid
-from omegacalc.polytopes import check_identity, subset_sums
+from omegacalc.paths import Mode, PathProblem
+from omegacalc.polytopes import RationalPoint, check_identity, subset_sums
 
 
 def omega_of(matroid: Matroid, method: str = "final-flats") -> int:
@@ -16,6 +20,51 @@ def omega_of(matroid: Matroid, method: str = "final-flats") -> int:
 def all_flats(lattice) -> list[int]:
     """Every flat of a FlatLattice, rank by rank."""
     return [f for level in lattice.flats_by_rank for f in level]
+
+
+def as_point(coords) -> RationalPoint:
+    """An exact rational point from integer, Fraction or string coordinates."""
+    return tuple(Fraction(c) for c in coords)
+
+
+def coloops(matroid: Matroid) -> int:
+    """The mask of the elements in every basis."""
+    out = matroid.full_mask
+    for b in matroid.bases:
+        out &= b
+    return out
+
+
+def count_paths_brute(problem: PathProblem) -> int:
+    """Independent oracle for `paths.count_paths`: enumerate every step
+    sequence explicitly."""
+    n, r = problem.n, problem.r
+    if r == 0:
+        return 0
+    length = n - r - 1
+    diagonals = r - 1
+    if diagonals > length:
+        return 0
+    for c in problem.constraints:
+        if c.x < 0 or c.x > n - r:
+            raise ConstraintOutOfRange(f"column {c.x} outside [0, {n - r}]")
+    total = 0
+    for positions in combinations(range(length), diagonals):
+        ok = True
+        for c in problem.constraints:
+            upto = min(c.x, length)
+            d = sum(1 for p in positions if p < upto)
+            if c.mode is Mode.BELOW:
+                if not d < c.y:
+                    ok = False
+                    break
+            else:
+                if not d >= c.y:
+                    ok = False
+                    break
+        if ok:
+            total += 1
+    return total
 
 
 def identity_at(matroid: Matroid, kind, point) -> tuple[int, int]:
@@ -66,7 +115,7 @@ def random_simple_matroid(rng: random.Random, n: int, r: int, tries: int = 200) 
         m = random_schubert(rng, n, r, loop_free=True)
         if m.r != r or m.has_loops():
             continue
-        if m.coloops():
+        if coloops(m):
             continue
         simple = m.simplify()
         if simple.n != m.n:

@@ -10,7 +10,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from helpers import omega_of, random_derived_matroid, random_simple_matroid
+from helpers import (
+    coloops,
+    count_paths_brute,
+    omega_of,
+    random_derived_matroid,
+    random_simple_matroid,
+)
 from omegacalc.bergman import as_weights, bergman_contains, graded_matroid, x_values, y_values
 from omegacalc.bitops import bits, mask_of, popcount
 from omegacalc.chainsums import Variant, covalue, schubert_omega
@@ -20,7 +26,7 @@ from omegacalc.crowding import has_overcrowded_set
 from omegacalc.engine import compute_omega
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
-from omegacalc.paths import Mode, PathConstraint, PathProblem, count_paths, count_paths_brute
+from omegacalc.paths import Mode, PathConstraint, PathProblem, count_paths
 from omegacalc.polytopes import IdentityKind, check_identity, subset_sums
 
 EXAMPLE_CHAIN = (mask_of(range(2)), mask_of(range(7)), mask_of(range(10)))
@@ -170,14 +176,14 @@ def test_criterion_5_vanishing():
         m = random_derived_matroid(rng, 8)
         if m.has_loops() and len(loopy) < 12:
             loopy.append(m)
-        elif m.coloops() and len(coloopy) < 12:
+        elif coloops(m) and len(coloopy) < 12:
             coloopy.append(m)
         elif m.n < 2 * m.r and len(overfull) < 12:
             overfull.append(m)
         elif (
             m.n >= 2 * m.r
             and not m.has_loops()
-            and not m.coloops()
+            and not coloops(m)
             and has_overcrowded_set(m)
             and len(overcrowded) < 12
         ):

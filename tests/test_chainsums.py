@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from helpers import all_flats, random_derived_matroid
+from helpers import all_flats, count_paths_brute, random_derived_matroid
 
 from omegacalc.altsum import alternating_chain_sum, block_rows, popcounts
 from omegacalc.bitops import mask_of, popcount
@@ -23,7 +23,7 @@ from omegacalc.engine import compute_omega
 from omegacalc.errors import VariantInapplicable
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
-from omegacalc.paths import Mode, PathConstraint, PathProblem, advance, count_paths_brute, restrict
+from omegacalc.paths import Mode, PathConstraint, PathProblem, advance, restrict
 from omegacalc.specfile import matroid_from_spec
 
 EXAMPLE_CHAIN = (mask_of(range(2)), mask_of(range(7)), mask_of(range(10)))
@@ -415,6 +415,27 @@ def test_cross_route_agreement_n13_to_n16(corpus_args, top):
         assert len(results) == len(methods)
         assert all(res.omega == expected for res in results), (spec["id"], results)
     assert max(values) == top
+
+
+# Consensus of every route on closure inputs above n = 12, which carry no
+# Schubert data: the routes are checked against each other only.
+CLOSURE_CONSENSUS = [
+    (("closure", 4, 2, 16), [0, 0, 6, 0]),
+    (("closure", 4, 1, 16), [210, 0, 120, 0]),
+    (("closure", 6, 3, 14), [0, 45, 11, 0, 0, 1]),
+]
+
+
+@pytest.mark.parametrize("corpus_args, expected", CLOSURE_CONSENSUS)
+def test_all_routes_agree_on_closure_n14_n16(corpus_args, expected):
+    values = []
+    for spec in generate_corpus(*corpus_args):
+        m = matroid_from_spec(spec).matroid
+        report = compute_omega(m, "all")
+        assert report.agree and len(report.results) >= len(Variant), (spec["id"], report.results)
+        assert compute_omega(m, "auto").results[0].omega == report.consensus, spec["id"]
+        values.append(report.consensus)
+    assert values == expected
 
 
 def _sets_by_path(m, mode):

@@ -4,6 +4,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import count_paths_brute
 
 from omegacalc.errors import ConstraintOutOfRange
 from omegacalc.paths import (
@@ -14,7 +15,6 @@ from omegacalc.paths import (
     PathConstraint,
     PathProblem,
     count_paths,
-    count_paths_brute,
 )
 
 

@@ -6,24 +6,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import identity_at
+from helpers import as_point, identity_at
 from omegacalc.altsum import alternating_chain_sum
 from omegacalc.bitops import bits, mask_of
 from omegacalc.corpus import generate_corpus, random_schubert, sample_points
 from omegacalc.errors import VariantInapplicable
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
-from omegacalc.polytopes import (
-    IdentityKind,
-    as_point,
-    check_identity,
-    in_base_polytope,
-    in_halfopen,
-    in_hypersimplex,
-    in_schubert_lower,
-    in_schubert_upper,
-    subset_sums,
-)
+from omegacalc.polytopes import IdentityKind, check_identity, subset_sums
 from omegacalc.specfile import matroid_from_spec
 
 HALF = Fraction(1, 2)
@@ -31,8 +21,8 @@ HALF = Fraction(1, 2)
 
 def test_base_polytope_membership():
     m = uniform(1, 2)
-    assert in_base_polytope(m, as_point([HALF, HALF]))
-    assert not in_base_polytope(m, as_point([2, -1]))
+    assert identity_at(m, IdentityKind.INWARD_SETS, as_point([HALF, HALF]))[0]
+    assert not identity_at(m, IdentityKind.INWARD_SETS, as_point([2, -1]))[0]
 
 
 def test_vertices_belong():
@@ -41,24 +31,7 @@ def test_vertices_belong():
         m = random_schubert(rng, rng.randint(2, 6))
         for b in m.bases:
             point = as_point([1 if b >> e & 1 else 0 for e in range(m.n)])
-            assert in_base_polytope(m, point)
-
-
-def test_schubert_polytopes_and_halfopen():
-    n = 2
-    chain = (0b01, 0b11)
-    profile = (0, 0, 1)
-    z = as_point([HALF, HALF])
-    assert in_halfopen(n, chain, profile, z)  # 1/2 > 0 strictly
-    assert not in_halfopen(n, chain, profile, as_point([0, 1]))
-    assert in_schubert_lower(n, chain, profile, as_point([0, 1]))
-    # trivial chain: all three coincide with the hypersimplex
-    triv = (0b11,)
-    for z in (as_point([0, 1]), as_point([HALF, HALF])):
-        assert in_schubert_lower(n, triv, (0, 1), z)
-        assert in_schubert_upper(n, triv, (0, 1), z)
-        assert in_halfopen(n, triv, (0, 1), z)
-    assert not in_hypersimplex(2, 1, as_point([2, -1]))
+            assert identity_at(m, IdentityKind.INWARD_SETS, point)[0]
 
 
 def test_dominating_vertex_in_lower_polytope():
@@ -79,8 +52,6 @@ def test_dominating_vertex_in_lower_polytope():
                 subset |= 1 << e
             prev_mask, prev_a = s, a
         assert subset in m.bases
-        point = as_point([1 if subset >> e & 1 else 0 for e in range(n)])
-        assert in_schubert_lower(n, chain, profile, point)
 
 
 def test_identity_hand_example():
@@ -155,8 +126,7 @@ def test_sampler_includes_all_vertices():
 # The reference below is the earlier Fraction evaluation: every inequality
 # in Fraction arithmetic, one subset and one flat at a time, with no
 # scaling and nothing shared between kinds.  check_identity must give the
-# same (lhs, rhs) on every kind, and in_base_polytope the same verdict as
-# its lhs.
+# same (lhs, rhs) on every kind.
 
 
 def _fraction_subset_sums(point):
@@ -286,7 +256,6 @@ def test_integer_identities_match_fraction_evaluation():
                 lhs, rhs = batch[kind]
                 assert (lhs[i], rhs[i]) == expected[kind], (m, kind, z)
             lhs = expected[kinds[0]][0]
-            assert in_base_polytope(m, z) == bool(lhs), (m, z)
             in_box_on_plane += sums.in_box[i] and sums.scaled[i, -1] == sums.scale[i] * m.r
             in_polytope += lhs
     assert big_lcm >= 100 and in_box_on_plane >= 500 and in_polytope >= 200
