@@ -146,7 +146,7 @@ def _cube_sum(
     rank = matroid.ensure_rank_table()
     column = np.minimum(popcounts(n) - rank, length)
     good = member & admits(column, rank, mode, r)
-    if records:  # record status is scanned only for members a chain can reach
+    if records:  # record status is asked only at members a chain can reach
         for t in (np.flatnonzero(good[1:full]) + 1).tolist():
             good[t] = is_crowding_record(matroid, t)
     key, steps = column.astype(np.int16) * (r + 1) + rank, _link_steps(r, length, mode)

@@ -37,6 +37,7 @@ class Matroid:
         "r",
         "bases",
         "_rank_table",
+        "_record_arrays",
         "_flat_lattice",
         "_restriction_components",
         "_records",
@@ -57,6 +58,7 @@ class Matroid:
         self.r = r
         self.bases: tuple[int, ...] = tuple(basis_list)
         self._rank_table: np.ndarray | None = None
+        self._record_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._flat_lattice = None
         self._restriction_components: dict[int, tuple[int, ...]] = {}
         self._records: dict[int, bool] = {}

@@ -26,10 +26,11 @@ from omegacalc.crowding import (
     crowding_array,
     has_overcrowded_set,
     is_crowding_record,
+    record_arrays,
 )
 from omegacalc.errors import OmegacalcError
 from omegacalc.lattice import flat_lattice
-from omegacalc.matroid import from_bases, uniform
+from omegacalc.matroid import from_bases, schubert_lower, uniform
 from omegacalc.specfile import matroid_from_spec
 
 
@@ -162,6 +163,8 @@ def large_matroids():
 
 SMALL = small_matroids()
 LARGE = large_matroids()
+# the all-routes9 benchmark corpus
+ROUTES9 = [matroid_from_spec(spec).matroid for spec in generate_corpus("closure", 30, 2, 9)]
 
 
 def probe_masks(m, rng, count):
@@ -222,14 +225,125 @@ def test_scans_match_the_definition_loops(m):
     assert positive == reference_has_proper_positive_subset(m)
 
 
+def reference_proper_subset_max(m):
+    """best(t) by brute force: the max crowding over the nonempty proper
+    submasks of t, -128 where there is none."""
+    stress = crowding_array(m)
+    return [
+        int(stress[subs[1:-1]].max()) if len(subs) > 2 else -128
+        for subs in map(submask_array, range(1 << m.n))
+    ]
+
+
+def per_bit_proper_subset_max(stress):
+    """The subset-max pass one element at a time on the mask-order array."""
+    n = stress.size.bit_length() - 1
+    f, best = stress.copy(), np.full_like(stress, -128)
+    f[0] = -128
+    for e in range(n):
+        fv, bv = f.reshape(-1, 2, 1 << e), best.reshape(-1, 2, 1 << e)
+        bv[:, 1] = np.maximum(bv[:, 1], fv[:, 0])
+        fv[:, 1] = np.maximum(fv[:, 1], fv[:, 0])
+    return best
+
+
+def tie_masks(m):
+    """The crowded masks t with best(t) = c(t): the record verdicts that
+    need the components of M|t."""
+    stress, best = record_arrays(m)
+    return np.flatnonzero((stress >= 0) & (stress == best)).tolist()
+
+
+def test_best_matches_the_brute_force_max():
+    for m in SMALL:
+        stress, best = record_arrays(m)
+        assert stress.tolist() == crowding_array(m).tolist()
+        assert best.tolist() == reference_proper_subset_max(m), m
+
+
+def test_record_arrays_are_read_only_int8_built_once():
+    m = uniform(3, 7)
+    arrays = record_arrays(m)
+    for array in arrays:
+        assert array.dtype == np.int8 and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1
+    for mask in range(1 << m.n):
+        is_crowding_record(m, mask)
+    assert record_arrays(m) is arrays
+
+
+@pytest.mark.parametrize("m", LARGE, ids=repr)
+def test_transposed_pass_equals_the_per_bit_pass(m):
+    stress, best = record_arrays(m)
+    assert m.n == 16
+    assert np.array_equal(best, per_bit_proper_subset_max(stress))
+
+
 def test_records_match_the_definition_scan():
     for m in SMALL:
         for mask in range(1 << m.n):
             assert is_crowding_record(m, mask) == reference_is_record(m, mask), (m, mask)
+    crowded, tie_verdicts = 0, []
+    for m in ROUTES9:
+        stress, _ = record_arrays(m)
+        for mask in np.flatnonzero(stress >= 0).tolist()[1:]:  # 0 is crowded and first
+            crowded += 1
+            assert is_crowding_record(m, mask) == reference_is_record(m, mask), (m, mask)
+        for mask in tie_masks(m):
+            # a tie is decided on the components of M|t, cached per mask
+            assert mask in m._restriction_components
+            tie_verdicts.append(is_crowding_record(m, mask))
+    assert crowded == 5787 and len(tie_verdicts) == 925
+    assert set(tie_verdicts) == {True, False}
     rng = random.Random(5)
+    tied_large = 0
     for m in LARGE:
         for mask in probe_masks(m, rng, 12):
             assert is_crowding_record(m, mask) == reference_is_record(m, mask), (m, mask)
+        ties = [t for t in tie_masks(m) if popcount(t) <= 12]  # the oracle scans 2^|t| submasks
+        for mask in rng.sample(ties, min(4, len(ties))):
+            tied_large += 1
+            assert is_crowding_record(m, mask) == reference_is_record(m, mask), (m, mask)
+            assert mask in m._restriction_components
+    assert tied_large >= 12
+
+
+def test_record_edge_cases():
+    assert is_crowding_record(uniform(2, 5), 0)
+    coloop = uniform(1, 1)  # strict (no nonempty proper subset), but c = -1
+    assert record_arrays(coloop)[1][1] == -128 and reference_crowding(coloop, 1) == -1
+    assert not is_crowding_record(coloop, 1)
+    loop = from_bases(1, [0])  # c = 1
+    assert is_crowding_record(loop, 1)
+
+
+def _crowded_and_strict(m):
+    stress, best = record_arrays(m)
+    return best[m.full_mask] < stress[m.full_mask] >= 0
+
+
+def test_direct_sums_of_tied_parts():
+    # five points on a line of a rank-3 matroid on 7 elements: c = 1 on
+    # the line and on the whole connected matroid, a tie and no record
+    line = schubert_lower(7, (0b11111, 0b1111111), (0, 2, 3))
+    assert reference_crowding(line, 0b11111) == reference_crowding(line, line.full_mask) == 1
+    assert line.component_count() == 1 and not _crowded_and_strict(line)
+    assert not is_crowding_record(line, line.full_mask)
+    parts = [uniform(1, 2), from_bases(1, [0]), uniform(1, 3), uniform(2, 4), line]
+    verdicts = set()
+    for i, a in enumerate(parts):
+        for b in parts[i:]:
+            if a.n + b.n > 12:
+                continue
+            whole = a.direct_sum(b)
+            if whole.full_mask not in tie_masks(whole):
+                continue
+            expected = _crowded_and_strict(a) and _crowded_and_strict(b)
+            assert is_crowding_record(whole, whole.full_mask) == expected
+            assert reference_is_record(whole, whole.full_mask) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def _outcome(fn, m):
