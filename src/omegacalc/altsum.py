@@ -1,4 +1,6 @@
-"""Signed counting of chains: the graded zeta kernel and the predecessor walk.
+"""Signed counting of chains: the graded zeta kernel and the predecessor walk,
+and `subset_pass`, the per-element cube pass of the rank table, the flats,
+crowding's subset max and the submodularity check.
 
 The graded zeta kernel (Bjorklund, Husfeldt, Kaski and Koivisto, Fourier
 meets Mobius, STOC 2007).  From a start vector U(0) it takes one popcount
@@ -79,6 +81,33 @@ def popcounts(n: int) -> np.ndarray:
 def submask_array(mask: int) -> np.ndarray:
     """Every submask of mask, ascending, as an int64 array."""
     return subset_totals(np.array([1 << e for e in bits(mask)], dtype=np.int64))
+
+
+LOW_BITS = 5  # elements that step on the transposed copy
+
+
+def subset_pass(arrays, step) -> list[np.ndarray]:
+    """Copies of `arrays` (last axis 2^n, by mask) after step(e, *views)
+    for e = 0, ..., n - 1, each view (..., m, 2, run) pairing S - e at
+    [..., 0, :] with S + e at [..., 1, :].  The e < k = min(n, LOW_BITS)
+    step on the transposed copy, mask h 2^k + l at l 2^(n-k) + h, in runs
+    of 2^(e+n-k) instead of 2^e (as in Bjorklund, Husfeldt, Kaski and
+    Koivisto, STOC 2007); the copies are returned in mask order."""
+    n = arrays[0].shape[-1].bit_length() - 1
+    k = min(n, LOW_BITS)
+    high = 1 << (n - k)
+    work = [_swap(a, high, 1 << k) for a in arrays]
+    for e in range(n):
+        if e == k:  # back to mask order (the copy is in mask order if k = n)
+            work = [_swap(a, 1 << k, high) for a in work]
+        run = high << e if e < k else 1 << e
+        step(e, *[a.reshape(a.shape[:-1] + (-1, 2, run)) for a in work])
+    return work
+
+
+def _swap(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A copy of a whose last axis, read as rows x cols, is transposed."""
+    return a.reshape(a.shape[:-1] + (rows, cols)).swapaxes(-1, -2).copy().reshape(a.shape)
 
 
 def _negate(masks: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -95,9 +95,8 @@ def graded_matroid(matroid: Matroid, z: Weights) -> Matroid:
     prev = 0
     block_bases: list[list[int]] = []
     for cur in chain:
-        keep = cur & ~prev
-        size = matroid.rank(cur) - matroid.rank(prev)
-        block_bases.append(matroid._minor_bases(keep, prev, size))
+        subs, _, hit = matroid._minor_bases(cur & ~prev, prev)
+        block_bases.append(subs[hit].tolist())
         prev = cur
     bases = [0]
     for blocks in block_bases:

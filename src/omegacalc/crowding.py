@@ -11,15 +11,15 @@ matroid's rank array and crowding_array; the complement of mask m in the
 ground set is index full - m, so the array read backwards pairs each T
 with E - T.  The record test reads two cached arrays per matroid, the
 crowding c and best, the largest c over the nonempty proper subsets
-(`record_arrays`, one subset-max pass), and looks at the components of a
-candidate only when best and c tie.
+(`record_arrays`, one subset-max `altsum.subset_pass`), and looks at the
+components of a candidate only when best and c tie.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .altsum import popcounts
+from .altsum import popcounts, subset_pass
 from .bitops import popcount
 from .lattice import flat_lattice
 from .matroid import Matroid
@@ -32,9 +32,6 @@ def crowding(matroid: Matroid, mask: int) -> int:
 def crowding_array(matroid: Matroid) -> np.ndarray:
     """|S| - 2 r(S) for every mask S, as int8 (values lie in [-32, 16])."""
     return popcounts(matroid.n) - 2 * matroid.ensure_rank_table()
-
-
-LOW_BITS = 5  # elements whose subset-max step runs on the transposed copy
 
 
 def record_arrays(matroid: Matroid) -> tuple[np.ndarray, np.ndarray]:
@@ -53,30 +50,20 @@ def record_arrays(matroid: Matroid) -> tuple[np.ndarray, np.ndarray]:
 def _proper_subset_max(c: np.ndarray) -> np.ndarray:
     """best(t) = max c(X) over the nonempty proper X < t: the subset zeta
     transform with max for + (Yates; Bjorklund, Husfeldt, Kaski and
-    Koivisto, STOC 2007), O(n 2^n).  After the steps on elements 0..j,
-    f(t) is the max over the nonempty X <= t that agree with t above j and
-    best(t) the same over X != t; the step on j takes both from f(t - j).
-    A plain step on element e works in runs of 2^e entries, so the low
-    elements step on the transposed copy, mask h 2^k + l at l 2^(n-k) + h,
-    in runs of 2^(e+n-k)."""
-    n = c.size.bit_length() - 1
-    k = min(n, LOW_BITS)
-    f = c.reshape(-1, 1 << k).T.copy()
-    f[0, 0] = -128  # the empty set is no candidate
-    best = np.full_like(f, -128)
-    _max_steps(f, best, range(k), 1 << (n - k))
-    f, best = f.T.ravel(), best.T.ravel()  # back to mask order (copies)
-    _max_steps(f, best, range(k, n), 1)
+    Koivisto, STOC 2007), O(n 2^n) on `subset_pass`.  After the steps on a
+    set J of elements, f(t) is the max over the nonempty X <= t that agree
+    with t outside J and best(t) the same over X != t; the step on e takes
+    both from f(t - e)."""
+    f = c.copy()
+    f[0] = -128  # the empty set is no candidate
+    _, best = subset_pass((f, np.full_like(f, -128)), _subset_max_step)
     return best
 
 
-def _max_steps(f: np.ndarray, best: np.ndarray, elements: range, run: int) -> None:
-    for e in elements:
-        lower = f.reshape(-1, 2, run << e)[:, 0]
-        upper = best.reshape(-1, 2, run << e)[:, 1]
-        np.maximum(upper, lower, out=upper)
-        upper = f.reshape(-1, 2, run << e)[:, 1]
-        np.maximum(upper, lower, out=upper)
+def _subset_max_step(e: int, f: np.ndarray, best: np.ndarray) -> None:
+    lower, upper, above = f[:, 0], f[:, 1], best[:, 1]
+    np.maximum(above, lower, out=above)
+    np.maximum(upper, lower, out=upper)
 
 
 def is_crowding_record(matroid: Matroid, mask: int) -> bool:

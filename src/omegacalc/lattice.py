@@ -1,7 +1,7 @@
 """Lattice of flats of a matroid, with interval Mobius values.
 
-The flats are read off the rank array in one pass per element: S is a
-flat iff r(S + e) > r(S) for every e not in S (Oxley, Matroid Theory,
+The flats are read off the rank array in one `altsum.subset_pass`: S is
+a flat iff r(S + e) > r(S) for every e not in S (Oxley, Matroid Theory,
 section 1.4); flats_by_rank[k] lists the flats of rank k in ascending
 order.  Mobius values are computed by the direct recursion mu(F, F) = 1,
 mu(F, G) = -sum of mu(F, H) over flats F <= H < G.  For a fixed F the
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .altsum import BLOCK_ENTRIES, subset_pairs
+from .altsum import BLOCK_ENTRIES, subset_pairs, subset_pass
 from .matroid import Matroid
 
 
@@ -91,11 +91,7 @@ def flat_lattice(matroid: Matroid) -> FlatLattice:
     if matroid._flat_lattice is not None:
         return matroid._flat_lattice
     rank = matroid.ensure_rank_table()
-    is_flat = np.ones(len(rank), dtype=np.bool_)
-    for e in range(matroid.n):
-        # axes: bits above e, bit e, bits below e; only S without e is tested
-        v = rank.reshape(-1, 2, 1 << e)
-        is_flat.reshape(-1, 2, 1 << e)[:, 0, :] &= v[:, 1, :] > v[:, 0, :]
+    _, is_flat = subset_pass((rank, np.ones(len(rank), dtype=np.bool_)), _rank_rises)
     is_flat.flags.writeable = False
     flats = np.flatnonzero(is_flat)
     flat_ranks = rank[flats]
@@ -109,3 +105,8 @@ def flat_lattice(matroid: Matroid) -> FlatLattice:
     )
     matroid._flat_lattice = lattice
     return lattice
+
+
+def _rank_rises(e: int, rank: np.ndarray, is_flat: np.ndarray) -> None:
+    # only S without e is tested
+    is_flat[:, 0] &= rank[:, 1] > rank[:, 0]

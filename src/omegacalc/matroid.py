@@ -3,19 +3,20 @@
 Ground sets are {0, ..., n-1} with n <= 16; subsets are integer bitmasks
 (see bitops).  A Matroid is immutable after construction.  Every rank
 query reads one read-only int8 numpy array of all 2^n ranks, filled on
-the first query: `rank` reads one entry of it as a Python int, and
-questions about many subsets at once (minors here; flats, crowding scans
-and identity checks elsewhere) index it whole.  A basis list from
-outside (from_bases) is checked on that array for submodularity.
+the first query (or read off the matroid a minor came from): `rank`
+reads one entry of it as a Python int, and questions about many subsets
+at once (flats, crowding scans and identity checks) index it whole.  A
+basis list from outside (from_bases) is checked on it for submodularity.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .altsum import popcounts, submask_array
+from .altsum import popcounts, submask_array, subset_pass
 from .bitops import bits, elements_of, mask_of, popcount
 from .errors import (
     EmptyGroundSet,
@@ -138,15 +139,24 @@ class Matroid:
 
     # -- minors, dual, sums ---------------------------------------------------
 
-    def _minor_bases(self, keep: int, contracted: int, size: int) -> list[int]:
-        """Bases of (M | (keep|contracted)) / contracted as masks inside keep:
-        the size-element S inside keep with r(S | contracted) = r(contracted) + size."""
+    def _minor_bases(self, keep: int, contracted: int) -> tuple[np.ndarray, ...]:
+        """(subs, ranks, bases) of N = (M | (keep|contracted)) / contracted:
+        subs = submask_array(keep), whose entry i is the submask that
+        relabelling keep in order turns into i; N's rank table, ranks[i] =
+        r(subs[i] | contracted) - r(contracted); and N's bases, the i with
+        ranks[i] = |i| = r(N), as a boolean array."""
+        base = self.rank(contracted)
         subs = submask_array(keep)
-        rank = self.ensure_rank_table()
-        hit = (popcounts(self.n)[subs] == size) & (
-            rank[subs | contracted] == rank[contracted] + size
-        )
-        return subs[hit].tolist()
+        ranks = self.ensure_rank_table()[subs | contracted] - base
+        return subs, ranks, (ranks == ranks[-1]) & (popcounts(popcount(keep)) == ranks[-1])
+
+    def _minor(self, keep: int, contracted: int) -> "Matroid":
+        """N above, relabelled in order, with the rank table read off this one."""
+        _, ranks, bases = self._minor_bases(keep, contracted)
+        ranks.flags.writeable = False
+        minor = Matroid(popcount(keep), np.flatnonzero(bases).tolist(), _validated=True)
+        minor._rank_table = ranks
+        return minor
 
     def dual(self) -> "Matroid":
         full = self.full_mask
@@ -157,18 +167,14 @@ class Matroid:
         keep = self.full_mask & ~mask
         if keep == 0:
             raise EmptyGroundSet("deleting every element")
-        rk = self.rank(keep)
-        bases = self._minor_bases(keep, 0, rk)
-        return _relabel(self.n, bases, keep)
+        return self._minor(keep, 0)
 
     def contract(self, mask: int) -> "Matroid":
         """Contract the elements of mask, relabelling the rest in order."""
         keep = self.full_mask & ~mask
         if keep == 0:
             raise EmptyGroundSet("contracting every element")
-        size = self.r - self.rank(mask)
-        bases = self._minor_bases(keep, mask, size)
-        return _relabel(self.n, bases, keep)
+        return self._minor(keep, mask)
 
     def restrict(self, mask: int) -> "Matroid":
         """Restriction to mask = deletion of the complement."""
@@ -213,29 +219,25 @@ class Matroid:
         return self.delete(drop) if drop else self
 
 
-def _relabel(n: int, bases: Iterable[int], keep: int) -> Matroid:
-    positions = {e: i for i, e in enumerate(elements_of(keep))}
-    out = [mask_of(positions[e] for e in bits(b)) for b in bases]
-    return Matroid(len(positions), out, _validated=True)
-
-
 def _rank_array(n: int, bases: Sequence[int]) -> np.ndarray:
     """r(S) = max |B & S| over the bases, for every mask S below 2^n (int8: r <= 16).
 
     Independent sets are the down-closure of the bases and r(S) the largest
-    popcount of one inside S: two subset transforms, each one numpy pass per
-    element e over the view pairing S - e (row 0) with S + e (row 1).
+    popcount of one inside S: two `subset_pass` transforms, OR down, max up.
     """
     indep = np.zeros(1 << n, dtype=np.bool_)
     indep[np.fromiter(bases, dtype=np.int64, count=len(bases))] = True
-    for e in range(n):
-        v = indep.reshape(-1, 2, 1 << e)
-        v[:, 0, :] |= v[:, 1, :]
-    rank = popcounts(n) * indep
-    for e in range(n):
-        v = rank.reshape(-1, 2, 1 << e)
-        np.maximum(v[:, 1, :], v[:, 0, :], out=v[:, 1, :])
+    (indep,) = subset_pass((indep,), _or_down)
+    (rank,) = subset_pass((popcounts(n) * indep,), _max_up)
     return rank
+
+
+def _or_down(e: int, v: np.ndarray) -> None:
+    np.logical_or(v[:, 0], v[:, 1], out=v[:, 0])
+
+
+def _max_up(e: int, v: np.ndarray) -> None:
+    np.maximum(v[:, 1], v[:, 0], out=v[:, 1])
 
 
 def _check_submodular(n: int, rank: np.ndarray) -> None:
@@ -244,20 +246,26 @@ def _check_submodular(n: int, rank: np.ndarray) -> None:
     r(S) = max |B & S| over equal-size sets B is normalised, monotone and
     unit-increasing, so it is a rank function with the B as bases iff it is
     submodular (Oxley, ch. 1), iff this local inequality holds for all S and
-    e, f not in S.  One vectorised comparison per pair e < f: O(n^2 2^n).
+    e, f not in S: d_e(S + f) <= d_e(S) for the marginals d_e.  One
+    `subset_pass` over their stack fills row f at the step on f and checks
+    the rows e < f there (the inequality is symmetric): O(n^2 2^n).
     """
-    for f in range(1, n):
-        for e in range(f):
-            # axes: bits above f, bit f, bits between, bit e, bits below e
-            v = rank.reshape(-1, 2, 1 << (f - e - 1), 2, 1 << e)
-            bad = v[:, 0, :, 1, :] + v[:, 1, :, 0, :] < v[:, 1, :, 1, :] + v[:, 0, :, 0, :]
-            if bad.any():
-                high, mid, low = (int(i) for i in np.argwhere(bad)[0])
-                s = high << (f + 1) | mid << (e + 1) | low
-                raise NotAMatroid(
-                    "bases are not those of a matroid: "
-                    f"r(S+e) + r(S+f) < r(S+e+f) + r(S) at S={elements_of(s)}, e={e}, f={f}"
-                )
+    subset_pass((rank, np.zeros((n, 1 << n), dtype=np.bool_)), partial(_submodular_step, rank))
+
+
+def _submodular_step(rank: np.ndarray, f: int, r: np.ndarray, d: np.ndarray) -> None:
+    """Fill row f of d with d_f(S) = r(S + f) - r(S), 0 where f is in S,
+    and name the least e, then the least S, where a row e < f has d_e(S +
+    f) > d_e(S)."""
+    np.greater(r[:, 1], r[:, 0], out=d[f, :, 0])
+    if np.greater(d[:f, :, 1], d[:f, :, 0]).any():
+        s, e, g = np.arange(rank.size), 1 << np.arange(f)[:, None], 1 << f
+        bad = (s & (e | g) == 0) & (rank[s | e] + rank[s | g] < rank[s | e | g] + rank[s])
+        e, s = np.argwhere(bad)[0]
+        raise NotAMatroid(
+            "bases are not those of a matroid: "
+            f"r(S+e) + r(S+f) < r(S+e+f) + r(S) at S={elements_of(int(s))}, e={e}, f={f}"
+        )
 
 
 def _components(rank, ground: int) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from helpers import all_flats, coloops
 
-from omegacalc.altsum import submask_array
+from omegacalc.altsum import LOW_BITS, submask_array
 from omegacalc.bitops import bits, mask_of, popcount
 from omegacalc.corpus import random_schubert_data
 from omegacalc.errors import (
@@ -59,19 +59,19 @@ def _max_meet(bases, s: int) -> int:
     return max(popcount(b & s) for b in bases)
 
 
-def _random_family(rng: random.Random) -> tuple[int, set[int]]:
-    """An equal-size family on n <= 7: a matroid's bases, possibly with one
-    r-subset toggled, or a random sample of r-subsets."""
+def _random_family(rng: random.Random, low: int = 4, high: int = 7) -> tuple[int, set[int]]:
+    """An equal-size family on n <= high: a matroid's bases, possibly with
+    one r-subset toggled, or a random sample of r-subsets with n >= low."""
     from helpers import random_derived_matroid
 
     if rng.random() < 0.5:
-        m = random_derived_matroid(rng, 7)
+        m = random_derived_matroid(rng, high)
         n, r, family = m.n, m.r, set(m.bases)
         if rng.random() > 0.6:
             return n, family
     else:
         # below rank 2 or corank 2 every equal-size family is a matroid
-        n = rng.randint(4, 7)
+        n = rng.randint(low, high)
         r = rng.randint(2, n - 2)
         family = set()
     subsets = [mask_of(c) for c in combinations(range(n), r)]
@@ -82,15 +82,45 @@ def _random_family(rng: random.Random) -> tuple[int, set[int]]:
     return n, family or {subsets[0]}
 
 
+def _witness(error: NotAMatroid) -> tuple[int, int, int]:
+    """(S, e, f) as masks from the message of a NotAMatroid."""
+    found = re.search(r"S=\[([\d, ]*)\], e=(\d+), f=(\d+)", str(error))
+    assert found, str(error)
+    s = mask_of(int(x) for x in found[1].split(",") if x.strip())
+    return s, 1 << int(found[2]), 1 << int(found[3])
+
+
+def _assert_violated(family, s, e, f):
+    assert not s & (e | f) and e != f
+
+    def r(x):
+        return _max_meet(family, x)
+
+    assert r(s | e) + r(s | f) < r(s | e | f) + r(s)
+
+
+def _side(e: int, f: int) -> str:
+    """Where the elements of the masks e < f lie against LOW_BITS: the
+    elements below it step on the transposed layout of `subset_pass`."""
+    low = 1 << LOW_BITS
+    return "both below" if f < low else "both at or above" if e >= low else "one each side"
+
+
 def test_validation_matches_exchange_oracle():
     rng = random.Random(2024)
     verdicts = {True: 0, False: 0}
-    for _ in range(2500):
-        n, family = _random_family(rng)
+    sides = {"both below": 0, "both at or above": 0, "one each side": 0}
+    for trial in range(4500):
+        # then families with n = 6..8, whose violations lie on either side
+        # of LOW_BITS, or across it
+        n, family = _random_family(rng) if trial < 2500 else _random_family(rng, 6, 8)
         try:
             m = from_bases(n, family)
-        except NotAMatroid:
+        except NotAMatroid as error:
             accepted = False
+            s, e, f = _witness(error)
+            _assert_violated(family, s, e, f)
+            sides[_side(e, f)] += 1
         else:
             accepted = True
             for s in (0, m.full_mask, rng.getrandbits(n), rng.getrandbits(n)):
@@ -98,6 +128,7 @@ def test_validation_matches_exchange_oracle():
         assert accepted == _exchange_holds(family), (n, sorted(family))
         verdicts[accepted] += 1
     assert min(verdicts.values()) >= 500, verdicts
+    assert min(sides.values()) >= 5, sides
 
 
 def test_non_matroid_error_names_its_witness():
@@ -107,18 +138,24 @@ def test_non_matroid_error_names_its_witness():
     assert not _exchange_holds(family)
     with pytest.raises(NotAMatroid) as info:
         from_bases(4, family)
-    found = re.search(r"S=\[([\d, ]*)\], e=(\d+), f=(\d+)", str(info.value))
-    assert found, str(info.value)
-    s = mask_of(int(x) for x in found[1].split(",") if x.strip())
-    e, f = 1 << int(found[2]), 1 << int(found[3])
-    assert not s & (e | f) and e != f
-
-    def r(x):
-        return _max_meet(family, x)
-
-    assert r(s | e) + r(s | f) < r(s | e | f) + r(s)
+    _assert_violated(family, *_witness(info.value))
 
 
+@pytest.mark.parametrize(
+    "side, a, b, c, d",
+    [("both below", 1, 3, 6, 7), ("both at or above", 5, 7, 0, 2), ("one each side", 2, 6, 4, 0)],
+)
+def test_planted_violation_is_named_at_n8(side, a, b, c, d):
+    # the family above on a, b, c, d, whose one violation is S = {d},
+    # e = a, f = b, summed with U(2, 4) on the other four elements
+    part = {1 << x | 1 << y for x, y in ((a, b), (a, c), (b, c), (c, d))}
+    rest = [x for x in range(8) if x not in (a, b, c, d)]
+    family = {p | 1 << x | 1 << y for p in part for x, y in combinations(rest, 2)}
+    with pytest.raises(NotAMatroid) as info:
+        from_bases(8, family)
+    s, e, f = _witness(info.value)
+    _assert_violated(family, s, e, f)
+    assert (s, e, f) == (1 << d, 1 << a, 1 << b) and _side(e, f) == side
 def test_rank_table_entries_are_python_ints():
     base = from_bases(4, [0b0011, 0b0101, 0b0110, 0b1001, 0b1010])
     minor = rank4_example().contract(0b1).delete(0b10)

@@ -10,17 +10,19 @@ crowded flats and proper crowded flats.
 """
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 from helpers import all_flats, random_derived_matroid
 
-from omegacalc.altsum import submask_array
+from omegacalc.altsum import LOW_BITS, popcounts, submask_array, subset_pass
 from omegacalc.bergman import level_chain
 from omegacalc.bitops import bits, elements_of, mask_of, popcount
 from omegacalc.closedform import _has_proper_crowded_flat, _has_proper_crowded_subset, _near_middle
 from omegacalc.corpus import generate_corpus, random_schubert
 from omegacalc.crowding import (
+    _subset_max_step,
     crowded_flats,
     crowded_sets,
     crowding_array,
@@ -29,8 +31,16 @@ from omegacalc.crowding import (
     record_arrays,
 )
 from omegacalc.errors import OmegacalcError
-from omegacalc.lattice import flat_lattice
-from omegacalc.matroid import from_bases, schubert_lower, uniform
+from omegacalc.lattice import _rank_rises, flat_lattice
+from omegacalc.matroid import (
+    _max_up,
+    _or_down,
+    _rank_array,
+    _submodular_step,
+    from_bases,
+    schubert_lower,
+    uniform,
+)
 from omegacalc.specfile import matroid_from_spec
 
 
@@ -197,6 +207,14 @@ def test_rank_array_is_the_read_only_table():
     assert [fresh.rank(s) for s in range(1 << 6)] == table.tolist()
 
 
+@pytest.mark.parametrize("m", LARGE, ids=repr)
+def test_rank_table_is_the_largest_basis_meet_at_n16(m):
+    rng = random.Random(11)
+    table = m.ensure_rank_table()
+    for s in probe_masks(m, rng, 30):
+        assert table[s] == max(popcount(b & s) for b in m.bases), (m, s)
+
+
 def test_crowding_array_matches_the_definition():
     for m in SMALL:
         stress = crowding_array(m)
@@ -235,16 +253,14 @@ def reference_proper_subset_max(m):
     ]
 
 
-def per_bit_proper_subset_max(stress):
-    """The subset-max pass one element at a time on the mask-order array."""
-    n = stress.size.bit_length() - 1
-    f, best = stress.copy(), np.full_like(stress, -128)
-    f[0] = -128
+def per_bit_pass(arrays, step):
+    """`subset_pass` one element at a time on mask-order copies, in runs of
+    2^e entries."""
+    n = arrays[0].shape[-1].bit_length() - 1
+    work = [a.copy() for a in arrays]
     for e in range(n):
-        fv, bv = f.reshape(-1, 2, 1 << e), best.reshape(-1, 2, 1 << e)
-        bv[:, 1] = np.maximum(bv[:, 1], fv[:, 0])
-        fv[:, 1] = np.maximum(fv[:, 1], fv[:, 0])
-    return best
+        step(e, *[a.reshape(a.shape[:-1] + (-1, 2, 1 << e)) for a in work])
+    return work
 
 
 def tie_masks(m):
@@ -273,11 +289,39 @@ def test_record_arrays_are_read_only_int8_built_once():
     assert record_arrays(m) is arrays
 
 
-@pytest.mark.parametrize("m", LARGE, ids=repr)
+def pass_cases(m):
+    """(arrays, step) for each caller of `subset_pass`: the OR down-closure
+    and the popcount max of the rank table, the flat test, crowding's
+    subset max and the marginal step of the submodularity check."""
+    n, rank = m.n, m.ensure_rank_table()
+    bases = np.zeros(1 << n, dtype=np.bool_)
+    bases[list(m.bases)] = True
+    stress = crowding_array(m).copy()
+    stress[0] = -128
+    return [
+        ((bases,), _or_down),
+        ((popcounts(n) * bases,), _max_up),
+        ((rank, np.ones(1 << n, dtype=np.bool_)), _rank_rises),
+        ((stress, np.full_like(stress, -128)), _subset_max_step),
+        ((rank, np.zeros((n, 1 << n), dtype=np.bool_)), partial(_submodular_step, rank)),
+    ]
+
+
+# n < LOW_BITS, n = LOW_BITS, one above it and n = 16
+PASS_INPUTS = [uniform(2, 4), uniform(1, 2).direct_sum(uniform(2, 3)), uniform(3, 7)] + LARGE
+
+
+@pytest.mark.parametrize("m", PASS_INPUTS, ids=repr)
 def test_transposed_pass_equals_the_per_bit_pass(m):
-    stress, best = record_arrays(m)
-    assert m.n == 16
-    assert np.array_equal(best, per_bit_proper_subset_max(stress))
+    assert sorted({x.n for x in PASS_INPUTS}) == [4, 5, 7, 16] and LOW_BITS == 5
+    for arrays, step in pass_cases(m):
+        before = [a.copy() for a in arrays]
+        got = subset_pass(arrays, step)
+        for a, old in zip(arrays, before):
+            assert np.array_equal(a, old), step  # the inputs are left alone
+        for g, want in zip(got, per_bit_pass(arrays, step)):
+            assert g.shape == want.shape and np.array_equal(g, want), (m, step)
+    assert np.array_equal(record_arrays(m)[1], per_bit_pass(*pass_cases(m)[3])[1])
 
 
 def test_records_match_the_definition_scan():
@@ -410,14 +454,25 @@ def test_minor_bases_match_the_dfs():
     rng = random.Random(6)
     for m in SMALL:
         for keep, contracted, size in _minor_cases(m, rng, 4):
-            got = m._minor_bases(keep, contracted, size)
+            subs, _, bases = m._minor_bases(keep, contracted)
+            got = subs[bases].tolist()
             assert sorted(got) == sorted(reference_minor_bases(m, keep, contracted, size))
             assert all(b & ~keep == 0 and popcount(b) == size for b in got)
     for m in LARGE:
         for keep, contracted, size in _minor_cases(m, rng, 2):
-            assert sorted(m._minor_bases(keep, contracted, size)) == sorted(
-                reference_minor_bases(m, keep, contracted, size)
-            )
+            subs, _, bases = m._minor_bases(keep, contracted)
+            assert subs[bases].tolist() == sorted(reference_minor_bases(m, keep, contracted, size))
+
+
+def test_minors_inherit_their_rank_table():
+    rng = random.Random(12)
+    for m in SMALL + LARGE:
+        for _ in range(2):
+            drop = rng.randrange(1 << m.n) & ~(1 << rng.randrange(m.n))
+            for minor in (m.delete(drop), m.contract(drop)):
+                table = minor._rank_table
+                assert table.dtype == np.int8 and not table.flags.writeable
+                assert np.array_equal(table, _rank_array(minor.n, minor.bases)), (m, drop)
 
 
 def test_minors_are_the_relabelled_minor_bases():
