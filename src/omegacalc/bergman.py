@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bitops import mask_of, popcount
-from .matroid import Matroid
+from .matroid import Matroid, basis_marks
 
 Weights = tuple[Fraction, ...]
 
@@ -101,7 +101,7 @@ def graded_matroid(matroid: Matroid, z: Weights) -> Matroid:
     bases = [0]
     for blocks in block_bases:
         bases = [b | extra for b in bases for extra in blocks]
-    return Matroid(matroid.n, bases, _validated=True)
+    return Matroid(matroid.n, basis_marks(matroid.n, bases))
 
 
 def bergman_contains(matroid: Matroid, z: Weights) -> bool:

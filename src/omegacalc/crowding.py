@@ -83,20 +83,13 @@ def is_crowding_record(matroid: Matroid, mask: int) -> bool:
     union of components, a separator.  Only if: for nonempty proper Y < C,
     X = (t - C) | Y is no separator and c(X) = c(t) - c(C) + c(Y), so c(Y)
     < c(C); and X = t - C gives c(t) - c(C) <= c(t), so c(C) >= 0."""
-    cached = matroid._records.get(mask)
-    if cached is not None:
-        return cached
     c, best = record_arrays(matroid)
     top, below = c.item(mask), best.item(mask)
     if top < 0 or below > top:
-        verdict = False
-    elif below < top:
-        verdict = True
-    else:
-        parts = matroid.restriction_components(mask)
-        verdict = all(best.item(part) < c.item(part) for part in parts)
-    matroid._records[mask] = verdict
-    return verdict
+        return False
+    if below < top:
+        return True
+    return all(best.item(part) < c.item(part) for part in matroid.restriction_components(mask))
 
 
 def zero_part(matroid: Matroid, mask: int) -> int:

@@ -1,12 +1,14 @@
 """Exact matroids on small ground sets, represented by explicit basis lists.
 
 Ground sets are {0, ..., n-1} with n <= 16; subsets are integer bitmasks
-(see bitops).  A Matroid is immutable after construction.  Every rank
-query reads one read-only int8 numpy array of all 2^n ranks, filled on
-the first query (or read off the matroid a minor came from): `rank`
-reads one entry of it as a Python int, and questions about many subsets
-at once (flats, crowding scans and identity checks) index it whole.  A
-basis list from outside (from_bases) is checked on it for submodularity.
+(see bitops).  A Matroid is immutable after construction, and is built
+from a boolean array that marks its bases over the 2^n masks; the
+constructor trusts it.  Every rank query reads one read-only int8 numpy
+array of all 2^n ranks, filled on the first query (or read off the
+matroid a minor came from): `rank` reads one entry of it as a Python
+int, and questions about many subsets at once (flats, crowding scans and
+identity checks) index it whole.  A basis list from outside enters only
+through from_bases, which checks it, for submodularity on that table.
 """
 
 from __future__ import annotations
@@ -31,40 +33,35 @@ GROUND_SET_CAP = 16
 
 
 class Matroid:
-    """A matroid given by its ground-set size, rank and list of bases."""
+    """A matroid given by its ground-set size, rank and list of bases.
+
+    The constructor trusts its input: marks is a boolean array over the
+    2^n masks, True exactly at the bases of a matroid, and rank, if given,
+    is that matroid's read-only rank table.  Nothing is checked; a basis
+    list from outside enters through from_bases.
+    """
 
     __slots__ = (
         "n",
         "r",
         "bases",
+        "_loops",
         "_rank_table",
         "_record_arrays",
         "_flat_lattice",
         "_restriction_components",
-        "_records",
     )
 
-    def __init__(self, n: int, bases: Iterable[int], *, _validated: bool = False):
-        check_ground_size(n)
-        basis_list = sorted(set(bases))
-        if not basis_list:
-            raise NotAMatroid("a matroid must have at least one basis")
-        full = (1 << n) - 1
-        if any(b & ~full for b in basis_list):
-            raise NotAMatroid("basis mask uses elements outside the ground set")
-        r = popcount(basis_list[0])
-        if any(popcount(b) != r for b in basis_list):
-            raise NotAMatroid("bases must all have the same cardinality")
+    def __init__(self, n: int, marks: np.ndarray, rank: np.ndarray | None = None):
+        found = np.flatnonzero(marks)
         self.n = n
-        self.r = r
-        self.bases: tuple[int, ...] = tuple(basis_list)
-        self._rank_table: np.ndarray | None = None
+        self.bases: tuple[int, ...] = tuple(found.tolist())
+        self.r = popcount(self.bases[0])
+        self._loops = ((1 << n) - 1) & ~int(np.bitwise_or.reduce(found))
+        self._rank_table = rank
         self._record_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._flat_lattice = None
         self._restriction_components: dict[int, tuple[int, ...]] = {}
-        self._records: dict[int, bool] = {}
-        if not _validated:
-            _check_submodular(n, self.ensure_rank_table())
 
     @property
     def full_mask(self) -> int:
@@ -114,13 +111,10 @@ class Matroid:
     # -- loops, connectivity -------------------------------------------------
 
     def loops(self) -> int:
-        out = 0
-        for b in self.bases:
-            out |= b
-        return self.full_mask & ~out
+        return self._loops
 
     def has_loops(self) -> bool:
-        return self.loops() != 0
+        return self._loops != 0
 
     def connected_components(self) -> tuple[int, ...]:
         """Partition of the ground set into connected components."""
@@ -154,13 +148,11 @@ class Matroid:
         """N above, relabelled in order, with the rank table read off this one."""
         _, ranks, bases = self._minor_bases(keep, contracted)
         ranks.flags.writeable = False
-        minor = Matroid(popcount(keep), np.flatnonzero(bases).tolist(), _validated=True)
-        minor._rank_table = ranks
-        return minor
+        return Matroid(popcount(keep), bases, ranks)
 
     def dual(self) -> "Matroid":
-        full = self.full_mask
-        return Matroid(self.n, (full ^ b for b in self.bases), _validated=True)
+        """The bases are the complements E - B: the marks read backwards."""
+        return Matroid(self.n, basis_marks(self.n, self.bases)[::-1])
 
     def delete(self, mask: int) -> "Matroid":
         """Delete the elements of mask, relabelling the rest in order."""
@@ -184,10 +176,9 @@ class Matroid:
         n = self.n + other.n
         if n > GROUND_SET_CAP:
             raise OmegacalcError("direct sum exceeds the ground-set cap")
-        bases = [
-            b1 | (b2 << self.n) for b1 in self.bases for b2 in other.bases
-        ]
-        return Matroid(n, bases, _validated=True)
+        # mask b1 | (b2 << self.n) is entry (b2, b1) of the outer product
+        high, low = basis_marks(other.n, other.bases), basis_marks(self.n, self.bases)
+        return Matroid(n, np.logical_and.outer(high, low).ravel())
 
     def parallel_extend(self, element: int) -> "Matroid":
         """Add one new element (labelled n) parallel to a non-loop element."""
@@ -199,7 +190,7 @@ class Matroid:
         new_bit = 1 << self.n
         bases = list(self.bases)
         bases.extend((b ^ bit) | new_bit for b in self.bases if b & bit)
-        return Matroid(self.n + 1, bases, _validated=True)
+        return Matroid(self.n + 1, basis_marks(self.n + 1, bases))
 
     def simplify(self) -> "Matroid":
         """Collapse parallel classes, keeping the smallest element of each.
@@ -219,15 +210,20 @@ class Matroid:
         return self.delete(drop) if drop else self
 
 
+def basis_marks(n: int, bases: Sequence[int]) -> np.ndarray:
+    """The boolean array over the 2^n masks that is True at the bases."""
+    marks = np.zeros(1 << n, dtype=np.bool_)
+    marks[np.array(bases, dtype=np.int64)] = True
+    return marks
+
+
 def _rank_array(n: int, bases: Sequence[int]) -> np.ndarray:
     """r(S) = max |B & S| over the bases, for every mask S below 2^n (int8: r <= 16).
 
     Independent sets are the down-closure of the bases and r(S) the largest
     popcount of one inside S: two `subset_pass` transforms, OR down, max up.
     """
-    indep = np.zeros(1 << n, dtype=np.bool_)
-    indep[np.fromiter(bases, dtype=np.int64, count=len(bases))] = True
-    (indep,) = subset_pass((indep,), _or_down)
+    (indep,) = subset_pass((basis_marks(n, bases),), _or_down)
     (rank,) = subset_pass((popcounts(n) * indep,), _max_up)
     return rank
 
@@ -320,18 +316,34 @@ def check_ground_size(n: int) -> None:
 def from_bases(n: int, bases: Iterable[int]) -> Matroid:
     """Build a matroid from an explicit basis list, checking that it is one.
 
-    The check is the submodularity of r(S) = max |B & S| on the 2^n rank
-    table (see _check_submodular): O(n^2 2^n), whatever the number of bases.
+    The only constructor that checks a basis list, and the way in for lists
+    from outside: the ground-set size, at least one basis, every mask
+    inside the ground set (before any numpy conversion, so no mask can
+    overflow int64), one cardinality, and then the submodularity of r(S) =
+    max |B & S| on the 2^n rank table (see _check_submodular): O(n^2 2^n),
+    whatever the number of bases.  Duplicate bases count once.
     """
-    return Matroid(n, bases)
+    check_ground_size(n)
+    basis_list = list(bases)
+    if not basis_list:
+        raise NotAMatroid("a matroid must have at least one basis")
+    full = (1 << n) - 1
+    if any(b & ~full for b in basis_list):
+        raise NotAMatroid("basis mask uses elements outside the ground set")
+    marks = basis_marks(n, basis_list)
+    sizes = popcounts(n)[marks]
+    if (sizes != sizes[0]).any():
+        raise NotAMatroid("bases must all have the same cardinality")
+    matroid = Matroid(n, marks)
+    _check_submodular(n, matroid.ensure_rank_table())
+    return matroid
 
 
 def uniform(r: int, n: int) -> Matroid:
     check_ground_size(n)
     if r < 0 or r > n:
         raise InvalidRank(f"rank {r} out of range for n={n}")
-    bases = np.flatnonzero(popcounts(n) == r).tolist()
-    return Matroid(n, bases, _validated=True)
+    return Matroid(n, popcounts(n) == r)
 
 
 def _check_chain(n: int, chain: Sequence[int]) -> None:
@@ -373,10 +385,9 @@ def schubert_lower(n: int, chain: Sequence[int], profile: Sequence[int]) -> Matr
     good = pc == r
     for s, a in zip(chain[:-1], profile[1:-1]):
         good &= pc[masks & s] <= a
-    bases = np.flatnonzero(good).tolist()
-    if not bases:
+    if not good.any():
         raise InvalidProfile("profile admits no basis")
-    return Matroid(n, bases, _validated=True)
+    return Matroid(n, good)
 
 
 def schubert_upper(n: int, chain: Sequence[int], profile: Sequence[int]) -> Matroid:

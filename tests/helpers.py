@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from omegacalc.bitops import bits, mask_of, popcount
 from omegacalc.corpus import random_schubert
 from omegacalc.engine import compute_omega
 from omegacalc.errors import ConstraintOutOfRange
@@ -33,6 +34,54 @@ def coloops(matroid: Matroid) -> int:
     for b in matroid.bases:
         out &= b
     return out
+
+
+# -- basis lists built one basis at a time, the oracles of the constructors
+# that hand Matroid a boolean array of their bases
+
+
+def uniform_bases(r: int, n: int) -> tuple[int, ...]:
+    """The r-subsets of the n-element ground set."""
+    return tuple(sorted(mask_of(c) for c in combinations(range(n), r)))
+
+
+def schubert_lower_bases(n, chain, profile) -> tuple[int, ...]:
+    """The r-subsets B with |B & S_i| <= a_i along the chain, one at a time."""
+    interior = list(zip(chain[:-1], profile[1:-1]))
+    found = uniform_bases(profile[-1], n)
+    return tuple(b for b in found if all(popcount(b & s) <= a for s, a in interior))
+
+
+def dual_bases(matroid: Matroid) -> tuple[int, ...]:
+    """The complements of the bases."""
+    return tuple(sorted(matroid.full_mask ^ b for b in matroid.bases))
+
+
+def direct_sum_bases(first: Matroid, second: Matroid) -> tuple[int, ...]:
+    """Every union of a basis of first with a basis of second, shifted past it."""
+    return tuple(sorted(b1 | (b2 << first.n) for b1 in first.bases for b2 in second.bases))
+
+
+def parallel_extend_bases(matroid: Matroid, element: int) -> tuple[int, ...]:
+    """The bases, and those through element with the new element n in its place."""
+    bit, new_bit = 1 << element, 1 << matroid.n
+    swapped = [(b ^ bit) | new_bit for b in matroid.bases if b & bit]
+    return tuple(sorted([*matroid.bases, *swapped]))
+
+
+def graded_bases(matroid: Matroid, z) -> tuple[int, ...]:
+    """The bases of largest z-weight."""
+    weights = [sum(z[e] for e in bits(b)) for b in matroid.bases]
+    top = max(weights)
+    return tuple(b for b, w in zip(matroid.bases, weights) if w == top)
+
+
+def loops_of(matroid: Matroid) -> int:
+    """The mask of the elements in no basis."""
+    out = 0
+    for b in matroid.bases:
+        out |= b
+    return matroid.full_mask & ~out
 
 
 def count_paths_brute(problem: PathProblem) -> int:

@@ -1,10 +1,13 @@
+import ast
 import random
 import re
 from itertools import combinations
+from pathlib import Path
 
 import pytest
-from helpers import all_flats, coloops
+from helpers import all_flats, coloops, schubert_lower_bases, uniform_bases
 
+import omegacalc
 from omegacalc.altsum import LOW_BITS, submask_array
 from omegacalc.bitops import bits, mask_of, popcount
 from omegacalc.corpus import random_schubert_data
@@ -182,6 +185,46 @@ def test_from_bases_rejects_mixed_cardinalities():
         from_bases(3, [0b110, 0b001])
 
 
+def test_from_bases_dedups_and_reads_a_generator_once():
+    bases = [0b110, 0b101, 0b011]
+    assert from_bases(3, bases + bases[:2]).bases == (0b011, 0b101, 0b110)
+    assert from_bases(3, (b for b in bases)).bases == (0b011, 0b101, 0b110)
+
+
+@pytest.mark.parametrize(
+    "bases, message",
+    [
+        ([], "a matroid must have at least one basis"),
+        ([1 << 70], "basis mask uses elements outside the ground set"),
+        ([-1], "basis mask uses elements outside the ground set"),
+        ([0b011, 1 << 70], "basis mask uses elements outside the ground set"),
+        ([0b110, 0b001], "bases must all have the same cardinality"),
+    ],
+)
+def test_from_bases_rejects_bad_lists_as_not_a_matroid(bases, message):
+    with pytest.raises(NotAMatroid) as info:
+        from_bases(3, bases)
+    assert str(info.value) == message
+    with pytest.raises(NotAMatroid) as info:
+        from_bases(3, iter(bases))
+    assert str(info.value) == message
+
+
+def test_matroid_is_constructed_only_in_matroid_and_bergman():
+    """Matroid() trusts its marks; everything else goes through from_bases
+    or the checked constructors."""
+    package = Path(omegacalc.__file__).parent
+    callers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "Matroid":
+                    callers.add(path.name)
+    assert callers == {"matroid.py", "bergman.py"}
+
+
 def test_uniform_counts():
     assert len(uniform(2, 3).bases) == 3
     assert len(uniform(1, 2).bases) == 2
@@ -293,13 +336,6 @@ def test_rank4_example_equals_order_indexing():
     ).bases
 
 
-def _lower_bases_by_combinations(n, chain, profile):
-    """Oracle: the r-subsets B with |B & S_i| <= a_i along the chain, one at a time."""
-    interior = list(zip(chain[:-1], profile[1:-1]))
-    found = (mask_of(c) for c in combinations(range(n), profile[-1]))
-    return tuple(sorted(b for b in found if all(popcount(b & s) <= a for s, a in interior)))
-
-
 def _gale_bases_by_combinations(order, subset):
     """Oracle: the sets B dominating subset in the Gale order, b_i >= a_i."""
     position = {e: i for i, e in enumerate(order)}
@@ -316,7 +352,7 @@ def test_cube_constructions_match_combination_oracles():
     for i in range(80):
         n = 16 if i < 4 else rng.randint(1, 13)
         _, chain, profile = random_schubert_data(rng, n, r=rng.randint(0, 5) if n == 16 else None)
-        assert schubert_lower(n, chain, profile).bases == _lower_bases_by_combinations(
+        assert schubert_lower(n, chain, profile).bases == schubert_lower_bases(
             n, chain, profile
         )
         order = list(range(n))
@@ -326,7 +362,7 @@ def test_cube_constructions_match_combination_oracles():
             order, subset
         )
         r = rng.randint(0, n)
-        assert uniform(r, n).bases == tuple(sorted(mask_of(c) for c in combinations(range(n), r)))
+        assert uniform(r, n).bases == uniform_bases(r, n)
 
 
 def test_order_subset_outside_ground_set_rejected():

@@ -14,13 +14,23 @@ from functools import partial
 
 import numpy as np
 import pytest
-from helpers import all_flats, random_derived_matroid
+from helpers import (
+    all_flats,
+    direct_sum_bases,
+    dual_bases,
+    graded_bases,
+    loops_of,
+    parallel_extend_bases,
+    random_derived_matroid,
+    schubert_lower_bases,
+    uniform_bases,
+)
 
 from omegacalc.altsum import LOW_BITS, popcounts, submask_array, subset_pass
-from omegacalc.bergman import level_chain
+from omegacalc.bergman import as_weights, graded_matroid, level_chain
 from omegacalc.bitops import bits, elements_of, mask_of, popcount
 from omegacalc.closedform import _has_proper_crowded_flat, _has_proper_crowded_subset, _near_middle
-from omegacalc.corpus import generate_corpus, random_schubert
+from omegacalc.corpus import generate_corpus, random_schubert, random_schubert_data
 from omegacalc.crowding import (
     _subset_max_step,
     crowded_flats,
@@ -473,6 +483,32 @@ def test_minors_inherit_their_rank_table():
                 table = minor._rank_table
                 assert table.dtype == np.int8 and not table.flags.writeable
                 assert np.array_equal(table, _rank_array(minor.n, minor.bases)), (m, drop)
+
+
+def test_constructors_match_the_basis_list_oracles():
+    """Every constructor that hands Matroid a boolean array of its bases
+    gives the bases, rank and loops of the list built one basis at a time."""
+    rng = random.Random(24)
+    matroids = SMALL + LARGE
+    for i, m in enumerate(matroids):
+        _, chain, profile = random_schubert_data(rng, m.n, m.r)
+        z = as_weights([rng.randint(0, 2) for _ in range(m.n)])
+        built = [
+            (uniform(m.r, m.n), uniform_bases(m.r, m.n)),
+            (schubert_lower(m.n, chain, profile), schubert_lower_bases(m.n, chain, profile)),
+            (m.dual(), dual_bases(m)),
+            (graded_matroid(m, z), graded_bases(m, z)),
+        ]
+        other = matroids[(i + 1) % len(SMALL)]
+        if m.n + other.n <= 16:
+            built.append((m.direct_sum(other), direct_sum_bases(m, other)))
+        non_loops = [e for e in range(m.n) if m.rank(1 << e)]
+        if non_loops and m.n < 16:
+            e = rng.choice(non_loops)
+            built.append((m.parallel_extend(e), parallel_extend_bases(m, e)))
+        for got, bases in built:
+            assert got.bases == bases, (m, got)
+            assert got.r == popcount(bases[0]) and got.loops() == loops_of(got), (m, got)
 
 
 def test_minors_are_the_relabelled_minor_bases():
