@@ -9,7 +9,10 @@ methods apply to an input is the engine's decision (`compute_omega`).
 
 JSON output is one record per line with sorted keys and, by default, no
 timing fields, so identical seeds and configs produce byte-identical
-output; --timings adds wall-clock seconds to each record.
+output; --timings adds wall-clock seconds to each record.  `bench` is
+`compute` with its own defaults: the standard corpus, every route with
+the closed and schubert rows hidden, seconds in every JSON record, and
+one cancellation line per matroid after the table.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .altsum import block_rows
-from .chainsums import Variant
 from .corpus import generate_corpus, sample_points
 from .engine import (
     ALL_METHOD_NAMES,
@@ -130,20 +133,25 @@ def _render_table(reports: list[OmegaReport]) -> list[str]:
     return lines
 
 
-def cmd_compute(args) -> int:
-    loaded = _load_inputs(args.input)
-    payloads = [(item, args.method) for item in loaded]
-    reports = _map_inputs(_compute_one, payloads, args.jobs)
+def _write_reports(args, reports: list[OmegaReport], timings: bool, trailer: list[str]) -> int:
+    """The reports as JSON records, or as the table followed by the trailer
+    lines; exit 0 iff every report agrees."""
     if args.format == "json":
         lines = [
             json.dumps(rec, sort_keys=True)
             for rep in reports
-            for rec in _report_records(rep, args.timings)
+            for rec in _report_records(rep, timings)
         ]
     else:
-        lines = _render_table(reports)
+        lines = _render_table(reports) + trailer
     _write_lines(lines, args.out)
     return EXIT_OK if all(rep.agree for rep in reports) else EXIT_DISAGREE
+
+
+def cmd_compute(args) -> int:
+    payloads = [(item, args.method) for item in _load_inputs(args.input)]
+    reports = _map_inputs(_compute_one, payloads, args.jobs)
+    return _write_reports(args, reports, args.timings, [])
 
 
 def _identities_one(payload) -> tuple[list[str], list[dict], int]:
@@ -243,58 +251,37 @@ _BENCH_SPECS = [
 ]
 
 
+# the flats routes from the least to the most cancelled
+_CANCELLATION = ("outward-flats", "crowded-flats", "record-flats", "final-flats")
+
+
+def _cancellation_lines(rep: OmegaReport) -> list[str]:
+    """The chain counts of the flats routes present, if more than one."""
+    chains = {res.method: res.chains for res in rep.results if res.chains is not None}
+    present = [f"{v}:{chains[v]}" for v in _CANCELLATION if v in chains]
+    if len(present) < 2:
+        return []
+    return [f"{rep.matroid_id:<24} cancellation: " + " >= ".join(present)]
+
+
 def cmd_bench(args) -> int:
     if args.input:
         loaded = _load_inputs(args.input)
     else:
         loaded = [matroid_from_spec(spec) for spec in _BENCH_SPECS]
     methods = args.methods.split(",") if args.methods else METHOD_ALL
-    lines = []
-    records = []
-    all_agree = True
-    for item in loaded:
-        rep = compute_omega(item.matroid, methods, item.matroid_id, item.schubert)
-        all_agree &= rep.agree
-        # the chain-sum rows; "all" also runs closed and schubert, which
-        # count towards agreement but have no chains to compare
-        shown = rep.results if args.methods else [
-            res for res in rep.results if res.method not in (METHOD_CLOSED, METHOD_SCHUBERT)
+    reports = [
+        compute_omega(item.matroid, methods, item.matroid_id, item.schubert) for item in loaded
+    ]
+    if not args.methods:
+        # closed and schubert count towards agreement but have no chains to compare
+        hidden = (METHOD_CLOSED, METHOD_SCHUBERT)
+        reports = [
+            replace(rep, results=[res for res in rep.results if res.method not in hidden])
+            for rep in reports
         ]
-        chain_counts = {res.method: res.chains for res in shown}
-        for res in shown:
-            chains = "-" if res.chains is None else str(res.chains)
-            lines.append(
-                f"{item.matroid_id:<24} {res.method:<16} omega={res.omega:<8} "
-                f"chains={chains:<10} time={res.seconds:.3f}s"
-            )
-            records.append(
-                {
-                    "id": item.matroid_id,
-                    "method": res.method,
-                    "omega": res.omega,
-                    "chains": res.chains,
-                    "seconds": round(res.seconds, 6),
-                }
-            )
-        ordered = [
-            Variant.OUTWARD_FLATS.value,
-            Variant.CROWDED_FLATS.value,
-            Variant.RECORD_FLATS.value,
-            Variant.FINAL_FLATS.value,
-        ]
-        present = [v for v in ordered if chain_counts.get(v) is not None]
-        if len(present) > 1:
-            counts = [str(chain_counts[v]) for v in present]
-            lines.append(
-                f"{item.matroid_id:<24} cancellation: "
-                + " >= ".join(f"{v}:{c}" for v, c in zip(present, counts))
-            )
-    if args.format == "json":
-        out_lines = [json.dumps(rec, sort_keys=True) for rec in records]
-    else:
-        out_lines = lines
-    _write_lines(out_lines, args.out)
-    return EXIT_OK if all_agree else EXIT_DISAGREE
+    trailer = [line for rep in reports for line in _cancellation_lines(rep)]
+    return _write_reports(args, reports, True, trailer)
 
 
 def _int_between(low: int, high: int | None = None):

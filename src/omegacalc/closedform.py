@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import comb
 
 from .bitops import popcount
-from .crowding import crowded_flats, crowding_array, has_overcrowded_set, minimal_crowded_sets
+from .crowding import crowding_array, has_overcrowded_set, minimal_crowded_sets
 from .errors import NonIntegralRank4, OmegacalcError
 from .lattice import flat_lattice
 from .matroid import Matroid
@@ -42,7 +42,7 @@ def omega_closed_form(matroid: Matroid) -> int | None:
     if has_overcrowded_set(matroid):
         return 0
     if r == 1:
-        return 1 if n >= 2 else 0
+        return 1
     if 2 <= r <= 4:
         return _low_rank(matroid)
     if n == 2 * r:
@@ -53,8 +53,8 @@ def omega_closed_form(matroid: Matroid) -> int | None:
 
 
 def _has_proper_crowded_flat(matroid: Matroid) -> bool:
-    full = matroid.full_mask
-    return any(flat not in (0, full) for flat in crowded_flats(matroid))
+    crowded = flat_lattice(matroid).is_flat & (crowding_array(matroid) >= 0)
+    return bool(crowded[1 : matroid.full_mask].any())
 
 
 def _has_proper_crowded_subset(matroid: Matroid) -> bool:

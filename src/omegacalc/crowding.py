@@ -111,15 +111,11 @@ def crowded_flats(matroid: Matroid) -> list[int]:
 
 
 def minimal_crowded_sets(matroid: Matroid) -> list[int]:
-    """Inclusion-minimal nonempty sets of crowding >= 0."""
-    found: list[int] = []
-    for mask in crowded_sets(matroid):
-        if mask == 0:
-            continue
-        if any((t & ~mask) == 0 for t in found):
-            continue
-        found.append(mask)
-    return found
+    """Inclusion-minimal nonempty sets of crowding >= 0, ascending by mask:
+    the t with c(t) >= 0 and best(t) < 0 (`record_arrays`: no nonempty
+    proper subset of t is crowded) but the first of them, the empty set."""
+    c, best = record_arrays(matroid)
+    return np.flatnonzero((c >= 0) & (best < 0))[1:].tolist()
 
 
 def has_overcrowded_set(matroid: Matroid) -> bool:

@@ -1,13 +1,15 @@
 """Dispatcher: run one, several or all routes to the invariant and compare.
 
-Method names accepted everywhere: "closed" (closed form), "auto" (closed
-form if one applies, else the fully cancelled flats sum), "all" (every
-applicable route), any chain-sum variant by its hyphenated name, and
-"schubert" for inputs that carry Schubert construction data.
+Method names accepted everywhere, alone or in a list: "closed" (closed
+form), "auto" (closed form if one applies, else the fully cancelled
+flats sum), "all" (every applicable route), any chain-sum variant by its
+hyphenated name, and "schubert" for inputs that carry Schubert
+construction data.
 
 `_run` is the one place that decides whether a route applies: it raises
-VariantInapplicable (no closed form, no Schubert data), and "all" runs
-every route and skips exactly that error.  Every route runs at every
+VariantInapplicable (no closed form, no Schubert data), and "all", as
+the whole selection or as one entry of a list, runs every route and
+skips exactly that error.  Every route runs at every
 ground-set size a Matroid admits.  A flats route on a matroid with loops
 is not an error: the invariant is 0, reported with note "loops".
 """
@@ -98,20 +100,22 @@ def compute_omega(
     matroid_id: str = "",
     schubert_data: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> OmegaReport:
-    """Run the selected methods and assemble an agreement report.
+    """Run the selected methods, in order, and assemble an agreement report.
 
-    schubert_data, when the input was built from a chain and profile,
-    enables the direct path-count formula as an extra method.  "all" runs
-    every method that applies; any other method must apply.
+    methods is one name or a list of names.  schubert_data, when the input
+    was built from a chain and profile, enables the direct path-count
+    formula as an extra method.  "all", alone or as a list entry, runs
+    every method that applies, in `ALL_METHOD_NAMES` order; any other
+    method must apply.
     """
     report = OmegaReport(matroid_id, matroid.n, matroid.r)
-    if methods == METHOD_ALL:
-        for name in ALL_METHOD_NAMES:
+    for name in [methods] if isinstance(methods, str) else methods:
+        if name != METHOD_ALL:
+            report.results.append(_run(matroid, name, schubert_data))
+            continue
+        for each in ALL_METHOD_NAMES:
             try:
-                report.results.append(_run(matroid, name, schubert_data))
+                report.results.append(_run(matroid, each, schubert_data))
             except VariantInapplicable:
                 continue
-    else:
-        for name in [methods] if isinstance(methods, str) else methods:
-            report.results.append(_run(matroid, name, schubert_data))
     return report.finish()

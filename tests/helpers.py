@@ -6,6 +6,7 @@ from itertools import combinations
 
 from omegacalc.bitops import bits, mask_of, popcount
 from omegacalc.corpus import random_schubert
+from omegacalc.crowding import crowded_sets
 from omegacalc.engine import compute_omega
 from omegacalc.errors import ConstraintOutOfRange
 from omegacalc.matroid import Matroid
@@ -82,6 +83,16 @@ def loops_of(matroid: Matroid) -> int:
     for b in matroid.bases:
         out |= b
     return matroid.full_mask & ~out
+
+
+def minimal_crowded_sets_scan(matroid: Matroid) -> list[int]:
+    """Oracle for `crowding.minimal_crowded_sets`: the crowded sets by
+    cardinality, each kept unless a kept one lies inside it."""
+    found: list[int] = []
+    for mask in crowded_sets(matroid):
+        if mask and not any((t & ~mask) == 0 for t in found):
+            found.append(mask)
+    return found
 
 
 def count_paths_brute(problem: PathProblem) -> int:

@@ -15,7 +15,7 @@ import omegacalc
 from omegacalc import cli
 from omegacalc.cli import LIST_CAP, main, worker_count
 from omegacalc.corpus import generate_corpus
-from omegacalc.engine import ALL_METHOD_NAMES
+from omegacalc.engine import ALL_METHOD_NAMES, compute_omega
 from omegacalc.specfile import load_matroid_file, matroid_from_spec
 
 EXAMPLE_SPEC = {
@@ -465,6 +465,45 @@ def test_bench_unknown_method_exits_2(schubert13_file, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: unknown method 'bogus'\n"
     assert captured.out == ""
+
+
+def test_bench_methods_all_lists_every_route_that_applies(schubert13_file, capsys):
+    assert main(["bench", "-i", schubert13_file, "--methods", "all", "--format", "json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    # the input carries its chain data and has a closed form
+    assert [rec["method"] for rec in records] == ALL_METHOD_NAMES
+    assert {rec["omega"] for rec in records} == {19}
+
+
+def test_all_inside_a_method_list_runs_every_route_after_the_others():
+    item = matroid_from_spec(SCHUBERT_13)
+    args = (item.matroid_id, item.schubert)
+    report = compute_omega(item.matroid, ["auto", "all"], *args)
+    expected = compute_omega(item.matroid, "auto", *args).results
+    expected += compute_omega(item.matroid, "all", *args).results
+
+    def rows(results):
+        return [(res.method, res.omega, res.chains) for res in results]
+
+    assert rows(report.results) == rows(expected)
+    assert len(expected) == 1 + len(ALL_METHOD_NAMES)
+    assert report.agree and report.consensus == 19
+
+
+def test_bench_json_is_compute_all_without_the_hidden_rows(tmp_path, capsys):
+    corpus = tmp_path / "bench.jsonl"
+    corpus.write_text("".join(json.dumps(spec) + "\n" for spec in cli._BENCH_SPECS))
+
+    def records(argv):
+        assert main(argv) == 0
+        out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        for rec in out:
+            del rec["seconds"]
+        return out
+
+    bench = records(["bench", "--format", "json"])
+    compute = records(["compute", "-i", str(corpus), "--method", "all", "--timings", "--format", "json"])
+    assert bench == [rec for rec in compute if rec["method"] not in ("closed", "schubert")]
 
 
 def test_random_closure_rejects_rank(tmp_path, capsys):

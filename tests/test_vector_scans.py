@@ -20,6 +20,7 @@ from helpers import (
     dual_bases,
     graded_bases,
     loops_of,
+    minimal_crowded_sets_scan,
     parallel_extend_bases,
     random_derived_matroid,
     schubert_lower_bases,
@@ -38,6 +39,7 @@ from omegacalc.crowding import (
     crowding_array,
     has_overcrowded_set,
     is_crowding_record,
+    minimal_crowded_sets,
     record_arrays,
 )
 from omegacalc.errors import OmegacalcError
@@ -437,6 +439,17 @@ def test_near_middle_matches_the_definition_loop():
     assert len(matroids) > 10
     for m in matroids:
         assert _outcome(_near_middle, m) == _outcome(reference_near_middle, m), m
+
+
+def test_minimal_crowded_sets_match_the_scan():
+    rng = random.Random(8)
+    matroids = [m for m in SMALL if m.n == 2 * m.r + 1]
+    matroids += [random_schubert(rng, 2 * r + 1, r) for r in range(1, 8) for _ in range(3)]
+    for n in range(9, 17):
+        specs = generate_corpus("closure", 2, n, n) + generate_corpus("schubert", 2, n, n)
+        matroids += [matroid_from_spec(spec).matroid for spec in specs]
+    for m in matroids:
+        assert minimal_crowded_sets(m) == sorted(minimal_crowded_sets_scan(m)), m
 
 
 # -- minors ---------------------------------------------------------------
