@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
+from omegacalc.altsum import alternating_chain_sum
 from omegacalc.bitops import bits, mask_of, popcount
 from omegacalc.corpus import random_schubert
 from omegacalc.crowding import crowded_sets
@@ -11,7 +14,7 @@ from omegacalc.engine import compute_omega
 from omegacalc.errors import ConstraintOutOfRange
 from omegacalc.matroid import Matroid
 from omegacalc.paths import Mode, PathProblem
-from omegacalc.polytopes import RationalPoint, check_identity, subset_sums
+from omegacalc.polytopes import RationalPoint, SubsetSums, check_identity, subset_sums
 
 
 def omega_of(matroid: Matroid, method: str = "final-flats") -> int:
@@ -131,6 +134,21 @@ def identity_at(matroid: Matroid, kind, point) -> tuple[int, int]:
     """(lhs, rhs) of check_identity at one point, as a batch of one row."""
     lhs, rhs = check_identity(matroid, kind, subset_sums([point]))
     return int(lhs[0]), int(rhs[0])
+
+
+def inward_sets_identity(matroid: Matroid, sums: SubsetSums) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for the inward-sets kind, which check_identity reports from the
+    outward-sets count: (lhs, rhs) at every row of the batch, with rhs the
+    inward sum evaluated on its own, (-1)^(n+1) times the signed chain count
+    through the subsets whose inequality the point satisfies."""
+    n = matroid.n
+    within = sums.ceiling <= matroid.ensure_rank_table()
+    on_plane = sums.scaled[:, -1] == sums.scale * matroid.r
+    lhs = (on_plane & within.all(axis=1)).astype(np.int64)
+    live = on_plane & sums.in_box
+    rhs = np.zeros(len(live), dtype=np.int64)
+    rhs[live] = alternating_chain_sum(n, within[live]) * (1 if n % 2 == 1 else -1)
+    return lhs, rhs
 
 
 # Specs whose fields have the wrong JSON type, or a ground-set size far

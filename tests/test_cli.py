@@ -2,20 +2,25 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from helpers import BAD_FIELD_SPECS
+from helpers import BAD_FIELD_SPECS, inward_sets_identity
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import omegacalc
-from omegacalc import cli
+from omegacalc import cli, polytopes
+from omegacalc.altsum import block_rows
 from omegacalc.cli import LIST_CAP, main, worker_count
-from omegacalc.corpus import generate_corpus
+from omegacalc.corpus import generate_corpus, sample_points
 from omegacalc.engine import ALL_METHOD_NAMES, compute_omega
+from omegacalc.polytopes import IdentityKind
 from omegacalc.specfile import load_matroid_file, matroid_from_spec
 
 EXAMPLE_SPEC = {
@@ -504,6 +509,109 @@ def test_bench_json_is_compute_all_without_the_hidden_rows(tmp_path, capsys):
     bench = records(["bench", "--format", "json"])
     compute = records(["compute", "-i", str(corpus), "--method", "all", "--timings", "--format", "json"])
     assert bench == [rec for rec in compute if rec["method"] not in ("closed", "schubert")]
+
+
+# -- check-identities reports inward-sets from the outward-sets call ---------
+
+
+def test_check_identities_output_matches_the_recorded_bytes(tmp_path):
+    # recorded when every kind ran its own kernel call: identities8's base
+    # corpus (closure n = 8, seed 1, 6 inputs) as a table and as JSON, and
+    # the lines of SCHUBERT_13 at 500 samples
+    corpus = tmp_path / "closure8.jsonl"
+    corpus.write_text("".join(json.dumps(spec) + "\n" for spec in generate_corpus("closure", 6, 1, 8)))
+    for fmt, recorded in [("table", "identities_closure8.txt"), ("json", "identities_closure8.jsonl")]:
+        out = tmp_path / recorded
+        argv = ["check-identities", "-i", str(corpus), "--samples", "100", "--seed", "0"]
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / recorded).read_bytes()
+    lines, _, failures = cli._identities_one((matroid_from_spec(SCHUBERT_13), 500, 42, None))
+    assert failures == 0
+    assert "".join(line + "\n" for line in lines) == (DATA / "identities_schubert13.txt").read_text()
+
+
+def _identity_cases():
+    """(item, samples, explicit points): closure inputs at n = 8-13, loops
+    among them, and low-rank Schubert inputs at n = 14-16 with explicit
+    batches: two hypersimplex vertices and the four sampled points."""
+    cases = []
+    for n, seed, count in [(8, 5, 3), (9, 3, 3), (10, 3, 3), (11, 2, 3), (12, 3, 4), (13, 3, 3)]:
+        cases += [(matroid_from_spec(spec), 5, None) for spec in generate_corpus("closure", count, seed, n)]
+    rng = random.Random(16)
+    for n in (14, 15, 16):
+        item = matroid_from_spec(generate_corpus("schubert", 1, 4, n, 3)[0])
+        points = sample_points(rng, n, 3, 4, bases=item.matroid.bases)
+        cases.append((item, 0, points[:2] + points[-4:]))
+    return cases
+
+
+def test_reported_inward_sets_match_the_independent_evaluation(monkeypatch):
+    # every row inward-sets is reported with is the outward-sets call's
+    # (lhs, rhs); it must equal the inward sum evaluated on its own
+    calls = []
+
+    def recording(matroid, kind, sums):
+        lhs, rhs = polytopes.check_identity(matroid, kind, sums)
+        calls.append((kind, sums, lhs, rhs))
+        return lhs, rhs
+
+    monkeypatch.setattr(cli, "check_identity", recording)
+    cases = _identity_cases()
+    assert any(item.matroid.has_loops() for item, _, _ in cases)
+    for item, samples, explicit in cases:
+        calls.clear()
+        _, records, failures = cli._identities_one((item, samples, 0, explicit))
+        assert failures == 0 and records[0]["kind"] == "inward-sets"
+        assert IdentityKind.INWARD_SETS not in [call[0] for call in calls]
+        rows = 0
+        for kind, sums, lhs, rhs in calls:
+            if kind is IdentityKind.OUTWARD_SETS:
+                oracle_lhs, oracle_rhs = inward_sets_identity(item.matroid, sums)
+                assert lhs.tolist() == oracle_lhs.tolist(), item.matroid_id
+                assert rhs.tolist() == oracle_rhs.tolist(), item.matroid_id
+                rows += len(lhs)
+        assert rows == records[0]["points"]
+
+
+def test_a_set_kinds_mismatch_is_reported_under_both_kinds(monkeypatch):
+    def off_by_one(matroid, kind, sums):
+        lhs, rhs = polytopes.check_identity(matroid, kind, sums)
+        rhs[0] += 1
+        return lhs, rhs
+
+    monkeypatch.setattr(cli, "check_identity", off_by_one)
+    item = matroid_from_spec({"kind": "uniform", "n": 4, "r": 2, "id": "u24"})
+    lines, _, failures = cli._identities_one((item, 0, 0, [(Fraction(1, 2),) * 4]))
+    point = json.dumps([[1, 2]] * 4)
+    assert failures == 4
+    assert lines == [
+        line
+        for kind in IdentityKind
+        for line in (
+            f"MISMATCH id=u24 kind={kind.value} point={point} lhs=1 rhs=2",
+            f"u24: {kind.value}: 1 points, 1 failures",
+        )
+    ]
+
+
+def test_check_identities_kernel_calls_per_batch(monkeypatch):
+    # two alternating_chain_sum calls per batch on a loop-free matroid (the
+    # set kinds, outer-flats) and one with loops (the set kinds)
+    count = [0]
+    kernel = polytopes.alternating_chain_sum
+
+    def counting(*args):
+        count[0] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(polytopes, "alternating_chain_sum", counting)
+    items = [matroid_from_spec(spec) for spec in generate_corpus("closure", 3, 5, 8)]
+    for item, calls_per_batch in [(items[0], 2), (items[2], 1)]:
+        assert item.matroid.has_loops() == (calls_per_batch == 1)
+        count[0] = 0
+        _, records, _ = cli._identities_one((item, 300, 0, None))
+        batches = -(-records[0]["points"] // block_rows(8))
+        assert batches == 2 and count[0] == calls_per_batch * batches
 
 
 def test_random_closure_rejects_rank(tmp_path, capsys):
