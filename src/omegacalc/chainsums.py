@@ -72,8 +72,8 @@ class ChainSumRun:
 def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
     """The covaluative invariant of the matroid by the chosen route.
 
-    The one test of whether a route applies: a flats route needs a
-    loop-free matroid, and raises VariantInapplicable otherwise.
+    It decides the flats routes on a matroid with loops: a flats route
+    needs a loop-free matroid, and raises VariantInapplicable otherwise.
     """
     if variant in FLAT_VARIANTS and matroid.has_loops():
         raise VariantInapplicable(f"{variant.value} requires a loop-free matroid")
@@ -235,14 +235,19 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
     zero(t) as 0 if c(t) = 0: then t is H_0 and links from 0 alone.  Its
     sign is -1 inside, +1 into E, times parity(t) = (-1)^(components + 1)
     if c(t) = 0: U(t) = parity(t) M_t Z(t), and the covalue is parity(E)
-    times the last coordinate of A^L Z(E)."""
+    times the last coordinate of A^L Z(E).
+
+    With no path (r = 0 or r > n - r) only the chain 0 < E is counted, and
+    it is always counted.  E is a crowding record here, so c(E) = n - 2r
+    >= 0 rules out r > n - r, leaving r = 0: every element is a loop, a
+    component of crowding 1, so zero(E) = 0 and the link 0 -> E holds."""
     n, r, full = matroid.n, matroid.r, matroid.full_mask
     length = n - r - 1
     universe = crowded_flats(matroid) if flats_only else crowded_sets(matroid)
     if universe[-1] != full or not is_crowding_record(matroid, full):
         return 0, 0
-    if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts
-        return 0, int(n == 2 * r or not zero_part(matroid, full))  # c(E) = n - 2r
+    if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts, see above
+        return 0, 1
     rank = matroid.ensure_rank_table()
     inner = np.array(universe[1:-1], dtype=np.int64)  # universe[0] is the empty set
     column = np.minimum(popcounts(n)[inner] - rank[inner], length)

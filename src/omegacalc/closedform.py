@@ -3,8 +3,10 @@
 The dispatcher tries, in order: the trivial vanishing rules (too large a
 rank, loops), multiplicativity over connected components, the
 no-crowded-flats binomial, vanishing on an overcrowded set, the explicit
-rank <= 4 formulas on the simplification, and the two near-middle-size
-criteria (n = 2r and n = 2r + 1).  Returns None when nothing applies.
+rank <= 4 formulas on the simplification, and the n = 2r + 1 criterion.
+Returns None when nothing applies.  The paper's rank-1 and n = 2r results
+need no rule of their own: the binomial and the overcrowded-set rule
+decide every such input first (proof in `omega_closed_form`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,21 @@ from .matroid import Matroid
 
 
 def omega_closed_form(matroid: Matroid) -> int | None:
+    """The invariant by the first closed form that applies, else None.
+
+    The lemma: the overcrowded-set test is reached only with M connected
+    and loop-free, and there no nonempty proper T has r(T) + r(E - T) =
+    r(E), so T is overcrowded in E iff c(T) >= c(E), c = |T| - 2r(T).
+    Past that test every nonempty proper T has c(T) < c(E) = n - 2r.
+    - Rank 1: a loop-free rank-1 matroid has only the flats 0 and E, so
+      the binomial has already given C(n - 2, 0) = 1.  The rank <= 4
+      formulas therefore see ranks 2 to 4 only (r >= 1 as n >= 1).
+    - n = 2r, value 0 if a nonempty proper subset is crowded, else 1: a
+      proper crowded flat has c >= 0 = c(E), so the overcrowded-set rule
+      has given 0; without one the binomial has given C(r - 1, r - 1) =
+      1, and by the lemma no nonempty proper subset is crowded.
+    - n = 2r + 1: see `_near_middle`.
+    """
     n, r = matroid.n, matroid.r
     if n < 2 * r:
         return 0
@@ -41,12 +58,8 @@ def omega_closed_form(matroid: Matroid) -> int | None:
         return comb(n - r - 1, r - 1)
     if has_overcrowded_set(matroid):
         return 0
-    if r == 1:
-        return 1
-    if 2 <= r <= 4:
+    if r <= 4:
         return _low_rank(matroid)
-    if n == 2 * r:
-        return 0 if _has_proper_crowded_subset(matroid) else 1
     if n == 2 * r + 1:
         return _near_middle(matroid)
     return None
@@ -55,10 +68,6 @@ def omega_closed_form(matroid: Matroid) -> int | None:
 def _has_proper_crowded_flat(matroid: Matroid) -> bool:
     crowded = flat_lattice(matroid).is_flat & (crowding_array(matroid) >= 0)
     return bool(crowded[1 : matroid.full_mask].any())
-
-
-def _has_proper_crowded_subset(matroid: Matroid) -> bool:
-    return bool((crowding_array(matroid)[1 : matroid.full_mask] >= 0).any())
 
 
 def _low_rank(matroid: Matroid) -> int:
@@ -91,15 +100,16 @@ def _low_rank(matroid: Matroid) -> int:
 
 
 def _near_middle(matroid: Matroid) -> int:
-    """Connected, loop-free, n = 2r + 1, rank >= 5 here.
+    """Connected, loop-free, n = 2r + 1, rank >= 5, a proper crowded flat
+    and no overcrowded set: what the dispatcher has established here.
 
-    Vanishes if any proper subset has positive crowding.  Otherwise the
-    minimal nonempty crowded sets are either pairwise disjoint (value 0)
-    or pairwise cover the ground set (value (p - 1) / 2, p odd).
+    The criterion vanishes if a nonempty proper subset has positive
+    crowding, but none has here: by the lemma in `omega_closed_form`
+    every nonempty proper T has c(T) < c(E) = 1.  So the minimal nonempty
+    crowded sets are either pairwise disjoint (value 0) or pairwise cover
+    the ground set (value (p - 1) / 2, p odd).
     """
     full = matroid.full_mask
-    if (crowding_array(matroid)[1:full] > 0).any():
-        return 0
     minimal = minimal_crowded_sets(matroid)
     p = len(minimal)
     if p < 2:

@@ -6,12 +6,13 @@ flats sum), "all" (every applicable route), any chain-sum variant by its
 hyphenated name, and "schubert" for inputs that carry Schubert
 construction data.
 
-`_run` is the one place that decides whether a route applies: it raises
-VariantInapplicable (no closed form, no Schubert data), and "all", as
-the whole selection or as one entry of a list, runs every route and
-skips exactly that error.  Every route runs at every
-ground-set size a Matroid admits.  A flats route on a matroid with loops
-is not an error: the invariant is 0, reported with note "loops".
+`_run` decides whether the closed and Schubert methods apply: it raises
+VariantInapplicable when no closed form applies or the input carries no
+Schubert data, and "all", as the whole selection or as one entry of a
+list, runs every route and skips exactly that error.  Every route runs
+at every ground-set size a Matroid admits.  `chainsums.covalue` decides
+the flats routes on a matroid with loops, and `_run` maps that error to
+the invariant 0, reported with note "loops".
 """
 
 from __future__ import annotations

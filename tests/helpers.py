@@ -40,6 +40,23 @@ def coloops(matroid: Matroid) -> int:
     return out
 
 
+def proper_crowding(matroid: Matroid) -> list[int]:
+    """c(T) = |T| - 2r(T) of every nonempty proper T, one rank query each."""
+    return [popcount(t) - 2 * matroid.rank(t) for t in range(1, matroid.full_mask)]
+
+
+def is_connected_by_definition(matroid: Matroid) -> bool:
+    """No nonempty proper T has r(T) + r(E - T) = r(E)."""
+    full = matroid.full_mask
+    return all(matroid.rank(t) + matroid.rank(full & ~t) != matroid.r for t in range(1, full))
+
+
+def middle_omega(matroid: Matroid) -> int:
+    """The paper's criterion for a connected loop-free matroid with n = 2r:
+    0 if some nonempty proper subset is crowded, else 1."""
+    return 0 if max(proper_crowding(matroid), default=-1) >= 0 else 1
+
+
 # -- basis lists built one basis at a time, the oracles of the constructors
 # that hand Matroid a boolean array of their bases
 

@@ -5,7 +5,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from helpers import all_flats, count_paths_brute, random_derived_matroid
+from helpers import all_flats, coloops, count_paths_brute, random_derived_matroid
 
 from omegacalc import chainsums
 from omegacalc.altsum import alternating_chain_sum, block_rows, popcounts
@@ -437,6 +437,23 @@ def test_all_routes_agree_on_closure_n14_n16(corpus_args, expected):
         assert compute_omega(m, "auto").results[0].omega == report.consensus, spec["id"]
         values.append(report.consensus)
     assert values == expected
+
+
+@pytest.mark.parametrize("r, expected", [(4, 120), (5, 126)])
+def test_series_and_parallel_extension_from_n15_to_n16(r, expected):
+    # a value no route computed at n = 16: a parallel extension at a
+    # non-coloop keeps the g-polynomial and the rank, so every route gives
+    # the n = 15 value; a series extension keeps the g-polynomial but
+    # raises the rank by one, so its top coefficient, the invariant, is 0
+    loaded = matroid_from_spec(generate_corpus("schubert", 2, 15, 15, r)[0])
+    m = loaded.matroid
+    assert (m.n, m.r, schubert_omega(*loaded.schubert)) == (15, r, expected)
+    e = next(e for e in range(m.n) if not coloops(m) >> e & 1)
+    for extended, value in ((m.parallel_extend(e), expected), (m.dual().parallel_extend(e).dual(), 0)):
+        assert extended.n == 16
+        results = compute_omega(extended, "all").results
+        assert {res.method for res in results} >= {v.value for v in Variant}
+        assert all(res.omega == value for res in results), results
 
 
 def _sets_by_path(m, mode):

@@ -3,14 +3,25 @@ from math import comb
 
 import pytest
 
-from helpers import omega_of, random_simple_matroid
+from helpers import (
+    is_connected_by_definition,
+    loops_of,
+    middle_omega,
+    omega_of,
+    proper_crowding,
+    random_derived_matroid,
+    random_simple_matroid,
+)
 from omegacalc.bitops import mask_of, popcount
 from omegacalc.chainsums import Variant, omega_by_variant
 from omegacalc.closedform import omega_closed_form
-from omegacalc.corpus import random_schubert
+from omegacalc.corpus import generate_corpus, random_schubert
+from omegacalc.crowding import has_overcrowded_set
+from omegacalc.engine import compute_omega
 from omegacalc.errors import OmegacalcError
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
+from omegacalc.specfile import matroid_from_spec
 
 
 def test_uniform_values():
@@ -87,14 +98,72 @@ def test_rank_four_integrality_and_agreement():
 
 
 def test_middle_zero_one():
-    # n = 2r: value is 0 or 1
+    # n = 2r: value is 0 or 1, and on connected loop-free inputs the
+    # paper's criterion, which the dispatcher has no rule for
     rng = random.Random(4242)
+    seen = []
     for _ in range(30):
         r = rng.randint(1, 5)
         m = random_schubert(rng, 2 * r, r)
         value = omega_closed_form(m)
         assert value in (0, 1)
         assert value == omega_of(m)
+    for _ in range(60):
+        r = rng.randint(1, 5)
+        m = random_schubert(rng, 2 * r, r, loop_free=True)
+        if not loops_of(m) and is_connected_by_definition(m):
+            assert omega_closed_form(m) == middle_omega(m), m
+            seen.append(middle_omega(m))
+    assert len(seen) >= 20 and set(seen) == {0, 1}
+
+
+def test_overcrowded_rule_sees_connected_loop_free_inputs_only(monkeypatch):
+    # the lemma behind the missing rank-1 and n = 2r rules and the missing
+    # positivity check at n = 2r + 1: where the dispatcher asks for an
+    # overcrowded set, M is connected and loop-free, so no set is
+    # overcrowded iff every nonempty proper T has c(T) < c(E) = n - 2r
+    from omegacalc import closedform
+
+    calls = []
+
+    def spy(m):
+        verdict = has_overcrowded_set(m)
+        calls.append((m, verdict))
+        return verdict
+
+    monkeypatch.setattr(closedform, "has_overcrowded_set", spy)
+    rng = random.Random(31)
+    matroids = [random_derived_matroid(rng, 10) for _ in range(300)]
+    matroids += [
+        random_schubert(rng, 2 * r + k, r, loop_free=True)
+        for r in range(1, 7)
+        for k in (0, 1, 2)
+        for _ in range(10)
+    ]
+    for m in matroids:
+        omega_closed_form(m)
+    for m, verdict in calls:
+        assert not loops_of(m) and is_connected_by_definition(m), m
+        assert verdict == (max(proper_crowding(m)) >= m.n - 2 * m.r), m
+    assert len(calls) >= 50 and {verdict for _, verdict in calls} == {True, False}
+    middle = [verdict for m, verdict in calls if m.n == 2 * m.r]
+    assert len(middle) >= 10 and all(middle)  # without an overcrowded set the binomial decided
+    assert sum(not v and m.n == 2 * m.r + 1 for m, v in calls) >= 10
+
+
+def test_product_rule_with_an_unknown_component():
+    # a component without a closed form leaves the product unknown unless
+    # another component gives 0, in either order of the components
+    unknown = matroid_from_spec(generate_corpus("schubert", 5, 2, 12, 5)[1]).matroid
+    assert omega_closed_form(unknown) is None
+    assert omega_of(unknown) == 6
+    for other, closed in ((uniform(1, 2), None), (uniform(2, 3), 0)):
+        for m in (unknown.direct_sum(other), other.direct_sum(unknown)):
+            assert len(m.connected_components()) == 2
+            assert omega_closed_form(m) == closed, (other, m)
+            (result,) = compute_omega(m, "auto").results
+            expected = ("final-flats", 6) if closed is None else ("closed", 0)
+            assert (result.method, result.omega) == expected, (other, m)
 
 
 def test_middle_plus_one_cases():

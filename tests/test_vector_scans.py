@@ -4,9 +4,9 @@ replaced.
 Each reference below is the Python loop that once answered the question
 by asking the rank table one mask at a time: the closure BFS for the
 flats, the depth-first search for the bases of a minor, the definition
-scans for crowded sets, overcrowded sets, crowding records, proper
-crowded subsets and near-middle positivity, and the per-flat loops for
-crowded flats and proper crowded flats.
+scans for crowded sets, overcrowded sets and crowding records, the
+near-middle criterion with its positivity loop, and the per-flat loops
+for crowded flats and proper crowded flats.
 """
 
 import random
@@ -19,9 +19,11 @@ from helpers import (
     direct_sum_bases,
     dual_bases,
     graded_bases,
+    is_connected_by_definition,
     loops_of,
     minimal_crowded_sets_scan,
     parallel_extend_bases,
+    proper_crowding,
     random_derived_matroid,
     schubert_lower_bases,
     uniform_bases,
@@ -30,7 +32,7 @@ from helpers import (
 from omegacalc.altsum import LOW_BITS, popcounts, submask_array, subset_pass
 from omegacalc.bergman import as_weights, graded_matroid, level_chain
 from omegacalc.bitops import bits, elements_of, mask_of, popcount
-from omegacalc.closedform import _has_proper_crowded_flat, _has_proper_crowded_subset, _near_middle
+from omegacalc.closedform import _has_proper_crowded_flat, _near_middle
 from omegacalc.corpus import generate_corpus, random_schubert, random_schubert_data
 from omegacalc.crowding import (
     _subset_max_step,
@@ -148,10 +150,6 @@ def reference_is_record(m, mask):
     return not any(reference_overcrowded_in(m, s, mask) for s in submasks(mask))
 
 
-def reference_has_proper_crowded_subset(m):
-    return any(reference_crowding(m, s) >= 0 for s in range(1, m.full_mask))
-
-
 def reference_has_proper_positive_subset(m):
     """The first loop of the near-middle criterion."""
     return any(reference_crowding(m, s) > 0 for s in range(1, m.full_mask))
@@ -250,9 +248,6 @@ def test_scans_match_the_definition_loops(m):
     assert crowded_flats(m) == reference_crowded_flats(m)
     assert _has_proper_crowded_flat(m) == reference_has_proper_crowded_flat(m)
     assert has_overcrowded_set(m) == reference_has_overcrowded_set(m)
-    assert _has_proper_crowded_subset(m) == reference_has_proper_crowded_subset(m)
-    positive = bool((crowding_array(m)[1 : m.full_mask] > 0).any())
-    assert positive == reference_has_proper_positive_subset(m)
 
 
 def reference_proper_subset_max(m):
@@ -432,13 +427,43 @@ def reference_near_middle(m):
     return (p - 1) // 2
 
 
+def near_middle_reached(m):
+    """What `omega_closed_form` has established when it calls
+    `_near_middle`: connected, loop-free, n = 2r + 1, r >= 5, a proper
+    crowded flat and no overcrowded set."""
+    return (
+        m.n == 2 * m.r + 1
+        and m.r >= 5
+        and not loops_of(m)
+        and is_connected_by_definition(m)
+        and reference_has_proper_crowded_flat(m)
+        and not reference_has_overcrowded_set(m)
+    )
+
+
 def test_near_middle_matches_the_definition_loop():
+    # the lemma on every n = 2r + 1 input: on a connected loop-free M a set
+    # is overcrowded iff c(T) >= c(E) = 1, so past the overcrowded-set rule
+    # the positivity loop never fires; the criterion itself only where the
+    # dispatcher calls it
     rng = random.Random(8)
     matroids = [m for m in SMALL if m.n == 2 * m.r + 1]
     matroids += [random_schubert(rng, 2 * r + 1, r) for r in range(1, 8) for _ in range(3)]
-    assert len(matroids) > 10
-    for m in matroids:
-        assert _outcome(_near_middle, m) == _outcome(reference_near_middle, m), m
+    assert len(matroids) == 29
+    connected = [m for m in matroids if not loops_of(m) and is_connected_by_definition(m)]
+    assert len(connected) >= 5
+    for m in connected:
+        assert reference_has_overcrowded_set(m) == (max(proper_crowding(m)) >= 1), m
+    rng = random.Random(11)
+    matroids += [random_schubert(rng, 2 * r + 1, r, loop_free=True) for r in range(5, 8) for _ in range(40)]
+    disjoint_pairs = uniform(5, 6)
+    for e in range(5):
+        disjoint_pairs = disjoint_pairs.parallel_extend(e)
+    reached = [m for m in matroids + [disjoint_pairs] if near_middle_reached(m)]
+    assert len(reached) >= 10
+    outcomes = [_outcome(_near_middle, m) for m in reached]
+    assert outcomes == [_outcome(reference_near_middle, m) for m in reached]
+    assert 0 in outcomes and max(outcomes) >= 3
 
 
 def test_minimal_crowded_sets_match_the_scan():
