@@ -48,7 +48,7 @@ import numpy as np
 from .bitops import bits
 
 BATCH_SUMS = 1 << 16  # mask entries per block of rows
-BLOCK_ENTRIES = 1 << 18  # per block: walk terms, subset comparisons (Mobius too)
+BLOCK_ENTRIES = 1 << 18  # per block: walk terms, subset comparisons, Mobius join triples
 
 
 def block_rows(n: int) -> int:

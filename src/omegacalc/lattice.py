@@ -3,17 +3,20 @@
 The flats are read off the rank array in one `altsum.subset_pass`: S is
 a flat iff r(S + e) > r(S) for every e not in S (Oxley, Matroid Theory,
 section 1.4); flats_by_rank[k] lists the flats of rank k in ascending
-order.  Mobius values are computed by the direct recursion mu(F, F) = 1,
-mu(F, G) = -sum of mu(F, H) over flats F <= H < G.  For a fixed F the
-whole column mu(F, -) is filled in one ascending pass, one rank level at
-a time, and memoized.  `weighted_predecessors` hands them, one per pair
-of comparable flats, to `altsum.predecessor_walk`, which runs the
-inward-flats route and the inner-flats identity.
+order.  Mobius values come from Rota's recursion mu(F, F) = 1, mu(F, G)
+= -sum of mu(F, H) over flats F <= H < G (On the foundations of
+combinatorial theory I, 1964), on every pair F < G of the
+`altsum.subset_pairs` relation at once, one rank level of G at a time
+(`_interval_mobius`), on the first `mobius` call that needs them.
+`weighted_predecessors` reads them, one per pair of comparable flats, in
+one `mobius` call and hands them to `altsum.predecessor_walk`, which runs
+the inward-flats route and the inner-flats identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -29,61 +32,90 @@ class FlatLattice:
     flats_by_rank: tuple[tuple[int, ...], ...]
     bottom: int
     is_flat: np.ndarray = field(repr=False)  # read-only, indexed by mask
-    _mu: dict[tuple[int, int], int] = field(default_factory=dict, repr=False)
+    _table: tuple | None = field(default=None, init=False, repr=False)
     _predecessors: tuple | None = field(default=None, init=False, repr=False)
-    _level_masks: tuple[np.ndarray, ...] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._level_masks = tuple(np.array(level, dtype=np.int64) for level in self.flats_by_rank)
 
     def __len__(self) -> int:
         return sum(len(level) for level in self.flats_by_rank)
 
-    def mobius(self, lower: int, upper: int) -> int:
-        """Mobius value of the interval [lower, upper] in the lattice of flats."""
-        key = (lower, upper)
-        cached = self._mu.get(key)
-        if cached is None:  # (F, F) is never memoized
-            if lower & ~upper or not (self.is_flat[lower] and self.is_flat[upper]):
-                raise ValueError("mobius requires comparable flats")
-            if lower == upper:
-                return 1
-            self._fill_column(lower)
-            cached = self._mu[key]
-        return cached
+    def mobius(self, lower, upper):
+        """Mobius value of the interval [lower, upper] in the lattice of
+        flats: an int for two masks, an int64 array for arrays of masks,
+        read elementwise."""
+        lower, upper = np.broadcast_arrays(lower, upper)
+        if not (((lower | upper) == upper) & (0 <= upper) & (upper < len(self.is_flat))).all():
+            raise ValueError("mobius requires comparable flats")  # also masks outside [0, 2^n)
+        lower, upper = lower.astype(np.int64, copy=False), upper.astype(np.int64, copy=False)
+        if not (self.is_flat[lower] & self.is_flat[upper]).all():
+            raise ValueError("mobius requires comparable flats")
+        values = np.ones(lower.shape, dtype=np.int64)
+        strict = lower != upper
+        if strict.any():
+            order, position, _, _, keys, mu = self._mobius_table()
+            at = position[upper[strict]] * len(order) + position[lower[strict]]
+            values[strict] = mu[np.searchsorted(keys, at)]
+        return int(values) if values.ndim == 0 else values
 
     def weighted_predecessors(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """(order, (upper, below, mu)): the flats in rank order and the
         relation F < G for `altsum.predecessor_walk`, with positions as
-        int32 and mu(F, G) as the link weight, int16 (the bound is at
-        _fill_column).  Built on the first call."""
+        int32 and mu(F, G) as the link weight, int16 (|mu| < 2^14, see
+        `_interval_mobius`).  Built on the first call."""
         if self._predecessors is None:
-            order = np.concatenate(self._level_masks)
-            upper, below = (a.astype(np.int32) for a in subset_pairs(order))
-            pairs = zip(order[below].tolist(), order[upper].tolist())
-            mu = np.fromiter((self.mobius(*p) for p in pairs), dtype=np.int16, count=len(upper))
+            order, _, upper, below, _, _ = self._mobius_table()
+            mu = self.mobius(order[below], order[upper]).astype(np.int16)
             self._predecessors = (order, (upper, below, mu))
         return self._predecessors
 
-    def _fill_column(self, lower: int) -> None:
-        # the flats above `lower`, level by level; flats of one rank are
-        # incomparable, so a whole level is summed against the levels below
-        # it at once.  |mu| on an interval is at most its number of bases
-        # (< 2^14 for n <= 16), so every partial sum fits an int64.
-        levels = [
-            level[((level & lower) == lower) & (level != lower)] for level in self._level_masks
-        ]
-        above = np.concatenate(levels)
-        values = np.empty(len(above), dtype=np.int64)
-        done = 0
-        for level in levels:
-            rows = max(1, BLOCK_ENTRIES // max(done, 1))
-            for lo in range(0, len(level), rows):
-                part = level[lo : lo + rows]
-                inside = (above[None, :done] & ~part[:, None]) == 0
-                values[done + lo : done + lo + len(part)] = -1 - inside @ values[:done]
-            done += len(level)
-        self._mu.update(zip(((lower, g) for g in above.tolist()), values.tolist()))
+    def _mobius_table(self) -> tuple[np.ndarray, ...]:
+        # (order, position, upper, below, keys, mu): the L flats in rank
+        # order, each flat's position there by mask, every pair F < G by
+        # position as `subset_pairs` lists it, its key pos(G) L + pos(F),
+        # ascending, and mu(F, G)
+        if self._table is None:
+            order = np.fromiter(chain.from_iterable(self.flats_by_rank), dtype=np.int64)
+            position = np.zeros(len(self.is_flat), dtype=np.int64)
+            position[order] = np.arange(len(order))
+            upper, below = (a.astype(np.int32) for a in subset_pairs(order))
+            keys = upper.astype(np.int64) * len(order) + below
+            ends = np.cumsum([len(level) for level in self.flats_by_rank])
+            mu = _interval_mobius(upper, below, keys, ends)
+            self._table = (order, position, upper, below, keys, mu)
+        return self._table
+
+
+def _interval_mobius(upper, below, keys, ends) -> np.ndarray:
+    """mu(F, G) at every pair F < G of flats, in the order of `keys`: the
+    upper positions, ascending, and the lower, ascending for each upper;
+    `ends[k]` is the position after the last flat of rank k.  By the
+    recursion mu(F, G) = -1 - sum of mu(F, H) over F < H < G, one rank
+    level of G at a time: each link H < G of the level is joined with the
+    links F < H into H, whose values are final, since H ranks lower, and
+    each mu(F, H) is added at the pair F < G, found by `searchsorted` on
+    its key.  A join holds at most BLOCK_ENTRIES triples, or one link.
+    |mu| on an interval is at most its number of bases (< 2^14 for
+    n <= 16), so a sum of at most L such terms, L the number of flats,
+    fits an int64."""
+    starts = np.searchsorted(upper, np.arange(ends[-1] + 1))  # links into G: starts[G]:starts[G + 1]
+    degree = np.diff(starts)
+    mu = np.zeros(len(keys), dtype=np.int64)
+    for first, last in zip(ends[:-1], ends[1:]):  # the flats of one rank
+        a, b = starts[first], starts[last]  # the links into them
+        triples = degree[below[a:b]]
+        done = np.concatenate(([0], np.cumsum(triples)))  # triples before each link
+        i = 0
+        while i < b - a:
+            j = int(np.searchsorted(done, done[i] + BLOCK_ENTRIES, side="right")) - 1
+            j = max(i + 1, j)
+            g = upper[a + i : a + j]
+            skip = np.repeat(starts[below[a + i : a + j]] - done[i:j], triples[i:j])
+            source = skip + np.arange(done[i], done[j])  # the links F < H
+            at = np.repeat(g.astype(np.int64) * ends[-1], triples[i:j]) + below[source]
+            lo, hi = starts[g[0]], starts[g[-1] + 1]  # the pairs F < G of these G
+            np.add.at(mu, lo + np.searchsorted(keys[lo:hi], at), mu[source])
+            i = j
+        np.subtract(-1, mu[a:b], out=mu[a:b])
+    return mu
 
 
 def flat_lattice(matroid: Matroid) -> FlatLattice:

@@ -326,6 +326,17 @@ def test_inward_flats_on_a_large_lattice():
     assert component_sign(m) * run.covalue == schubert_omega(*loaded.schubert) == 28
     assert run.chains == 39_179_067
 
+
+def test_inward_flats_at_rank_8():
+    # Schubert n = 16, r = 8, seed 1, input 1: 22,660 flats, the largest
+    # rank the inward-flats route meets at n = 16
+    loaded = matroid_from_spec(generate_corpus("schubert", 2, 1, 16, 8)[1])
+    m = loaded.matroid
+    assert (m.r, len(flat_lattice(m))) == (8, 22_660)
+    run = covalue(m, Variant.INWARD_FLATS)
+    assert component_sign(m) * run.covalue == schubert_omega(*loaded.schubert)
+    assert run.chains == 479_979_965
+
 # (covalue, chains) of the final routes at n = 16, pinned from the
 # transfer recursion with Python-int path states that the predecessor
 # walk replaced; None where the flats route does not apply (loops)

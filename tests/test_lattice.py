@@ -109,12 +109,65 @@ def test_mobius_matches_the_recursion_in_python_ints():
 def test_mobius_rejects_a_set_that_is_not_a_flat():
     # in U(2, 4) the flats are the empty set, the four points and E
     lat = flat_lattice(uniform(2, 4))
-    for lower, upper in [(0, 0b11), (0b11, 0b1111), (0b11, 0b11), (0b1, 0b11)]:
+    outside = [(0, -1), (-1, 0b1111), (0, 1 << 4), (1 << 4, 1 << 4), (0, 1 << 70)]
+    for lower, upper in [(0, 0b11), (0b11, 0b1111), (0b11, 0b11), (0b1, 0b11)] + outside:
         with pytest.raises(ValueError, match="comparable flats"):
             lat.mobius(lower, upper)
+        with pytest.raises(ValueError, match="comparable flats"):
+            lat.mobius([0, lower], [0b1111, upper])
     assert lat.mobius(0b1, 0b1111) == -1
     with pytest.raises(ValueError, match="comparable flats"):
         lat.mobius(0b1, 0b10)  # incomparable flats, as before
+
+
+def test_mobius_on_arrays_matches_scalar_calls_and_the_recursion():
+    from omegacalc.corpus import generate_corpus
+    from omegacalc.specfile import matroid_from_spec
+
+    matroids = [matroid_from_spec(spec).matroid for spec in generate_corpus("closure", 10, 2, 9)]
+    checked = 0
+    for m in [m for m in matroids if not m.has_loops()] + [uniform(9, 9)]:
+        lat = flat_lattice(m)
+        flats = all_flats(lat)
+        lower, upper = [], []
+        for f in flats:
+            reference = _mobius_reference(lat, f)
+            lower += [f] * (len(reference) + 1)
+            upper += [f] + list(reference)
+            expected = [1] + list(reference.values())
+            assert lat.mobius(f, np.array(upper[-len(expected) :])).tolist() == expected
+        values = lat.mobius(np.array(lower), np.array(upper))
+        assert values.dtype == np.int64 and values.shape == (len(lower),)
+        scalars = [lat.mobius(f, g) for f, g in zip(lower, upper)]
+        assert all(type(v) is int for v in scalars)
+        assert values.tolist() == scalars
+        checked += len(scalars)
+    assert checked > 20_000  # U(9,9) alone: 3^9 pairs F <= G
+
+
+def test_mobius_table_does_not_depend_on_the_block_size(monkeypatch):
+    from omegacalc import lattice
+    from omegacalc.corpus import generate_corpus
+    from omegacalc.specfile import matroid_from_spec
+
+    specs = generate_corpus("closure", 4, 2, 9) + generate_corpus("schubert", 2, 5, 11)
+
+    def tables():
+        out = []
+        for m in [matroid_from_spec(spec).matroid for spec in specs] + [uniform(9, 9)]:
+            lat = flat_lattice(m)
+            order, (upper, below, weight) = lat.weighted_predecessors()
+            out.append((lat.mobius(order[below], order[upper]), order, upper, below, weight))
+        return out
+
+    default = tables()
+    monkeypatch.setattr(lattice, "BLOCK_ENTRIES", 3)
+    small = tables()
+    for expected, got in zip(default, small):
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(expected, got))
+    # in U(9,9), a link H < G whose triples F < H < G alone exceed the block
+    _, order, upper, below, _ = default[-1]
+    assert np.bincount(upper, minlength=len(order))[below].max() > 3
 
 
 def test_chain_sum_against_the_cube_kernel():
