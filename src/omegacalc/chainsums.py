@@ -9,8 +9,12 @@ the sign rule.
 
 No chain is ever enumerated.  Two kernels of `altsum` evaluate the ten
 sums on path states pulled back to column 0, with the link matrices M_t of
-one table (`_link_steps`).  In seven routes the sign of a link s -> t
-reads t alone, so the sum below t is a subset sum over the 2^n cube
+one table (`_link_steps`).  Each route passes its index poset as boolean
+marks over the 2^n masks to `_chain_sum`, which marks the members a path
+prefix can reach (the crowding records among them, in the record and
+final routes) and sets up the path state, the link and the readout once
+for every kernel.  In seven routes the sign of a link s -> t reads t
+alone, so the sum below t is a subset sum over the 2^n cube
 (`_cube_sum`).  Inward-flats, whose links carry Mobius values, and the
 final routes, whose links read s, run on `altsum.predecessor_walk`.
 """
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from math import comb
 from typing import Sequence
 
@@ -27,17 +31,11 @@ import numpy as np
 
 from .altsum import alternating_chain_sum, popcounts, predecessor_walk, subset_pairs
 from .bitops import popcount
-from .crowding import (
-    crowded_flats,
-    crowded_sets,
-    crowding_array,
-    is_crowding_record,
-    zero_part,
-)
+from .crowding import crowded_flats, crowded_sets, crowding_records, is_crowding_record, zero_part
 from .errors import VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
-from .paths import Mode, admits
+from .paths import Mode, PathConstraint, PathProblem, admits, count_paths
 
 
 class Variant(str, Enum):
@@ -60,6 +58,12 @@ FLAT_VARIANTS = {
     Variant.RECORD_FLATS,
     Variant.FINAL_FLATS,
 }
+RECORD_VARIANTS = {
+    Variant.RECORD_SETS,
+    Variant.RECORD_FLATS,
+    Variant.FINAL_SETS,
+    Variant.FINAL_FLATS,
+}
 
 
 @dataclass(frozen=True)
@@ -77,28 +81,24 @@ def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
     """
     if variant in FLAT_VARIANTS and matroid.has_loops():
         raise VariantInapplicable(f"{variant.value} requires a loop-free matroid")
-    records = variant in (Variant.RECORD_SETS, Variant.RECORD_FLATS)
-    if variant is Variant.INWARD_SETS:
-        every, sign = np.ones(1 << matroid.n, bool), -1 if matroid.n % 2 == 0 else 1
-        value, chains = _cube_sum(matroid, every, Mode.BELOW, sign)[0], None
-    elif variant is Variant.OUTWARD_SETS:
-        value, chains = _cube_sum(matroid, np.ones(1 << matroid.n, bool), Mode.ABOVE)[0], None
-    elif records or variant in (Variant.CROWDED_SETS, Variant.CROWDED_FLATS):
-        crowded = crowding_array(matroid) >= 0
-        if variant in FLAT_VARIANTS:
-            crowded &= flat_lattice(matroid).is_flat
-        value, chains = _cube_sum(matroid, crowded, Mode.ABOVE, records=records)
+    sets = variant in (Variant.INWARD_SETS, Variant.OUTWARD_SETS)
+    if sets or variant is Variant.INWARD_FLATS:  # whose walk reads the lattice itself
+        member = np.ones(1 << matroid.n, bool)
     elif variant is Variant.OUTWARD_FLATS:
-        value, chains = _cube_sum(matroid, flat_lattice(matroid).is_flat, Mode.ABOVE)
-    elif variant is Variant.INWARD_FLATS:
-        value, chains = _inward_flats_sum(matroid)
-    elif variant is Variant.FINAL_SETS:
-        value, chains = _final_sum(matroid, flats_only=False)
-    elif variant is Variant.FINAL_FLATS:
-        value, chains = _final_sum(matroid, flats_only=True)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {variant}")
-    return ChainSumRun(variant, value, chains)
+        member = flat_lattice(matroid).is_flat
+    else:
+        member = crowded_flats(matroid) if variant in FLAT_VARIANTS else crowded_sets(matroid)
+    count = 1  # the link's factor on the chain count
+    if variant is Variant.INWARD_FLATS:
+        kernel, count = _inward_flats_sum, -2
+    elif variant in (Variant.FINAL_SETS, Variant.FINAL_FLATS):
+        kernel = _final_sum
+    else:  # the link into E has sign -1 in inward-sets at even n
+        into_full = -1 if variant is Variant.INWARD_SETS and matroid.n % 2 == 0 else 1
+        kernel = partial(_cube_sum, into_full)
+    mode = Mode.BELOW if variant in (Variant.INWARD_SETS, Variant.INWARD_FLATS) else Mode.ABOVE
+    value, chains = _chain_sum(matroid, member, mode, kernel, variant in RECORD_VARIANTS, count)
+    return ChainSumRun(variant, value, None if sets else chains)
 
 
 def component_sign(matroid: Matroid) -> int:
@@ -117,8 +117,6 @@ def schubert_omega(n: int, chain: Sequence[int], profile: Sequence[int]) -> int:
     Counts paths strictly below the chain's interior constraint points;
     for Schubert matroids value and covalue coincide.
     """
-    from .paths import PathConstraint, PathProblem, count_paths
-
     r = profile[-1]
     constraints = tuple(
         PathConstraint(popcount(s) - a, a, Mode.BELOW)
@@ -127,41 +125,56 @@ def schubert_omega(n: int, chain: Sequence[int], profile: Sequence[int]) -> int:
     return count_paths(PathProblem(n, r, constraints))
 
 
-# -- the graded cube kernel ---------------------------------------------------
+# -- the path plumbing and the three kernels --------------------------------
 
 
-def _cube_sum(
-    matroid: Matroid, member: np.ndarray, mode: Mode, into_full: int = 1, records: bool = False
+def _chain_sum(
+    matroid: Matroid, member: np.ndarray, mode: Mode, kernel, records: bool, count: int
 ) -> tuple[int, int]:
     """(covalue, chains) over the chains 0 < t_1 < ... < t_k < E of masks
-    marked in `member` (of its crowding records only, if asked), with sign
-    -1 on each interior link and `into_full` on the link into E: the altsum
-    kernel from U(0) = (e_0, 1), U(t) = M_t Z(t) with M_t of `_link_steps`."""
+    marked in `member` (of its crowding records only, if asked) whose
+    paths of L = n - r - 1 columns are bounded by `mode`.  The members
+    are marked over the whole cube, E's membership first: `good` marks
+    those a path prefix can reach.  kernel(matroid, good, start, transfer)
+    runs from U(0) = start = (e_0, 1), with U(t) = transfer(t, Z(t)) =
+    M_t Z(t) at a mask t, M_t of `_link_steps` at t's clamped column and
+    rank with `count` on the chain count, and returns (sign, Z(E)): the
+    covalue is sign times the last coordinate of A^L Z(E), the chains
+    Z(E)[r]."""
     n, r, full = matroid.n, matroid.r, matroid.full_mask
-    length = n - r - 1
     if not member[full] or (records and not is_crowding_record(matroid, full)):
         return 0, 0
+    length = n - r - 1
     if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts
         return 0, 1
     rank = matroid.ensure_rank_table()
     column = np.minimum(popcounts(n) - rank, length)
     good = member & admits(column, rank, mode, r)
-    if records:  # record status is asked only at members a chain can reach
-        for t in (np.flatnonzero(good[1:full]) + 1).tolist():
-            good[t] = is_crowding_record(matroid, t)
-    key, steps = column.astype(np.int16) * (r + 1) + rank, _link_steps(r, length, mode)
-    total = alternating_chain_sum(
-        n, good, [1] + [0] * (r - 1) + [1], lambda t, z: np.matmul(z[:, None], steps[key[t]])[:, 0]
+    if records:
+        good = crowding_records(matroid, good)
+    key, steps = column.astype(np.int16) * (r + 1) + rank, _link_steps(r, length, mode, count)
+    start = [1] + [0] * (r - 1) + [1]
+    sign, total = kernel(
+        matroid, good, start, lambda t, z: np.matmul(z[:, None], steps[key[t]])[:, 0]
     )
-    return into_full * _paths_at_end(total, length), int(total[r])
+    return sign * _paths_at_end(total, length), int(total[r])
+
+
+def _cube_sum(into_full: int, matroid: Matroid, good, start, transfer) -> tuple[int, np.ndarray]:
+    """Seven routes link s -> t with a sign that reads t alone: -1 on each
+    interior link, in M_t, and `into_full` on the link into E.  Their sum
+    below t is a subset sum over the 2^n cube, the altsum kernel over the
+    marks `good`."""
+    return into_full, alternating_chain_sum(matroid.n, good, start, transfer)
 
 
 @cache
-def _link_steps(r: int, length: int, mode: Mode) -> np.ndarray:
+def _link_steps(r: int, length: int, mode: Mode, count: int = 1) -> np.ndarray:
     """M_t transposed, at x (r + 1) + y for t at clamped column x, rank y:
-    -(A^x)^T R_y (A^{-x})^T on the path state and 1 on the chain count, with
-    R_y the diagonal mask of a constraint of height y and (A^k)[d, j] =
-    C(k, d - j) the advance by k columns for any integer k (`paths.advance`)."""
+    -(A^x)^T R_y (A^{-x})^T on the path state and `count` on the chain
+    count, with R_y the diagonal mask of a constraint of height y and
+    (A^k)[d, j] = C(k, d - j) the advance by k columns for any integer k
+    (`paths.advance`)."""
     k = np.arange(-length, length + 1)
     binomials = np.ones((len(k), r), dtype=np.int64)  # C(k, i) = C(k, i - 1) (k - i + 1) / i
     for i in range(1, r):
@@ -172,10 +185,10 @@ def _link_steps(r: int, length: int, mode: Mode) -> np.ndarray:
     heights = np.arange(r + 1)[:, None]
     keep = (diagonal >= heights if mode is Mode.ABOVE else diagonal < heights).astype(np.int64)
     steps = np.zeros((length + 1, r + 1, r + 1, r + 1), dtype=np.int64)
-    steps[..., r, r] = 1
+    steps[..., r, r] = count
     steps[..., :r, :r] = -np.einsum("xdj,yd,xed->xyje", power[length:], keep, power[length::-1])
     steps = steps.reshape(-1, r + 1, r + 1)
-    steps.flags.writeable = False  # one array per (r, L, mode), shared by every call
+    steps.flags.writeable = False  # one array per (r, L, mode, count), shared by every call
     return steps
 
 
@@ -188,29 +201,19 @@ def _paths_at_end(total: np.ndarray, length: int) -> int:
 # -- the predecessor walks ----------------------------------------------------
 
 
-def _inward_flats_sum(matroid: Matroid) -> tuple[int, int]:
+def _inward_flats_sum(matroid: Matroid, good, start, transfer) -> tuple[int, np.ndarray]:
     """All chains of flats, with strictly-below path counts and sign
     (-1)^length times the product of interval Mobius values along the
     chain: the walk over the flats with the M_t of `_cube_sum` (every flat
-    above 0 has rank >= 1 and admits a path prefix) and S(t) = -2 Z(t) in
-    the count column.  S = 2C, C(t) the sum of C below t, is the sum of C
-    over F <= t, so Mobius inversion gives Z(t) = C(t) - S(t) = -C(t)."""
-    n, r = matroid.n, matroid.r
-    length = n - r - 1
-    if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts
-        return 0, 1
-    rank = matroid.ensure_rank_table()
-    key = np.minimum(popcounts(n) - rank, length).astype(np.int16) * (r + 1) + rank
-    steps = _link_steps(r, length, Mode.BELOW) * np.array([1] * r + [-2])
-    total = predecessor_walk(
-        *flat_lattice(matroid).weighted_predecessors(),
-        [1] + [0] * (r - 1) + [1],
-        lambda t, z: np.matmul(z[:, None], steps[key[t]])[:, 0],
-    )
-    return -_paths_at_end(total, length), -int(total[r])
+    above 0 has rank >= 1 and admits a path prefix; `good` is not read,
+    and the lattice is built only where a path exists) and S(t) = -2 Z(t)
+    in the count column (`count` -2).  S = 2C, C(t) the sum of C below t,
+    is the sum of C over F <= t, so Mobius inversion gives Z(t) = C(t) -
+    S(t) = -C(t), and both the covalue and the chains are read off -Z(E)."""
+    return 1, -predecessor_walk(*flat_lattice(matroid).weighted_predecessors(), start, transfer)
 
 
-def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
+def _final_sum(matroid: Matroid, good, start, transfer) -> tuple[int, np.ndarray]:
     """Chains H_0 < H_1 < ... < H_m = E of crowding records with strictly
     increasing crowding starting at 0, nested zero parts, and sign
     (-1)^(c(H_0) + m - 1); paths are bounded weakly above at every chain
@@ -229,32 +232,23 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
     the same crowding |C| - 2 r(C).  So every crowding-0 component of M|t
     inside s is one of M|s, and zero(t) <= s gives zero(t) <= zero(s).
 
-    The walk runs over 0, the records that admit a path prefix (popcount
-    order) and E, read at these members alone.  Link s -> t has weight 1
-    when s < t, c(s) < c(t) and zero(t) <= s, reading c(0) as -1 and
-    zero(t) as 0 if c(t) = 0: then t is H_0 and links from 0 alone.  Its
-    sign is -1 inside, +1 into E, times parity(t) = (-1)^(components + 1)
-    if c(t) = 0: U(t) = parity(t) M_t Z(t), and the covalue is parity(E)
-    times the last coordinate of A^L Z(E).
+    The walk runs over 0, the records marked in `good` (popcount order)
+    and E, read at these members alone.  Link s -> t has weight 1 when s <
+    t, c(s) < c(t) and zero(t) <= s, reading c(0) as -1 and zero(t) as 0
+    if c(t) = 0: then t is H_0 and links from 0 alone.  Its sign is -1
+    inside, +1 into E, times parity(t) = (-1)^(components + 1) if c(t) =
+    0: U(t) = parity(t) M_t Z(t), and the covalue is parity(E) times the
+    last coordinate of A^L Z(E).
 
-    With no path (r = 0 or r > n - r) only the chain 0 < E is counted, and
-    it is always counted.  E is a crowding record here, so c(E) = n - 2r
-    >= 0 rules out r > n - r, leaving r = 0: every element is a loop, a
-    component of crowding 1, so zero(E) = 0 and the link 0 -> E holds."""
+    With no path (r = 0 or r > n - r) `_chain_sum` counts only the chain
+    0 < E, and it is always counted.  E is a crowding record here, so c(E)
+    = n - 2r >= 0 rules out r > n - r, leaving r = 0: every element is a
+    loop, a component of crowding 1, so zero(E) = 0 and the link 0 -> E
+    holds."""
     n, r, full = matroid.n, matroid.r, matroid.full_mask
-    length = n - r - 1
-    universe = crowded_flats(matroid) if flats_only else crowded_sets(matroid)
-    if universe[-1] != full or not is_crowding_record(matroid, full):
-        return 0, 0
-    if not 1 <= r <= length + 1:  # no path: only the chain 0 < E counts, see above
-        return 0, 1
-    rank = matroid.ensure_rank_table()
-    inner = np.array(universe[1:-1], dtype=np.int64)  # universe[0] is the empty set
-    column = np.minimum(popcounts(n)[inner] - rank[inner], length)
-    inner = inner[admits(column, rank[inner], Mode.ABOVE, r)].tolist()
-    members = np.array([0, *(t for t in inner if is_crowding_record(matroid, t)), full])
-    ranks = rank[members].astype(np.int64)
-    level = popcounts(n)[members] - 2 * ranks
+    inner = np.flatnonzero(good[1:full]) + 1
+    members = np.concatenate(([0], inner[np.argsort(popcounts(n)[inner], kind="stable")], [full]))
+    level = popcounts(n)[members] - 2 * matroid.ensure_rank_table()[members].astype(np.int64)
     labelled = list(zip(members.tolist(), level.tolist()))
     zero = np.array([zero_part(matroid, t) if c else 0 for t, c in labelled])
     even = [c == 0 and t > 0 and matroid.component_count(t) % 2 == 0 for t, c in labelled]
@@ -263,13 +257,12 @@ def _final_sum(matroid: Matroid, flats_only: bool) -> tuple[int, int]:
     upper, below = subset_pairs(members)
     linked = (level[below] < level[upper]) & (zero[upper] & ~members[below] == 0)
     kept = linked | (below == 0)  # every member keeps its link from 0, of weight 0 or 1
-    column = np.minimum(popcounts(n)[members] - ranks, length)
-    steps = _link_steps(r, length, Mode.ABOVE)[column * (r + 1) + ranks]
-    steps[:, :, :r] *= parity[:, None, None]
+    scale = np.ones((len(members), r + 1), dtype=np.int64)  # parity(t) on the path state
+    scale[:, :r] = parity[:, None]
     total = predecessor_walk(
         np.arange(len(members)),
         (upper[kept], below[kept], linked[kept].astype(np.int64)),
-        [1] + [0] * (r - 1) + [1],
-        lambda at, z: np.matmul(z[:, None], steps[at])[:, 0],
+        start,
+        lambda at, z: transfer(members[at], z) * scale[at],
     )
-    return int(parity[-1]) * _paths_at_end(total, length), int(total[r])
+    return int(parity[-1]), total

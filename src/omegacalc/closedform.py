@@ -13,8 +13,10 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
+
 from .bitops import popcount
-from .crowding import crowding_array, has_overcrowded_set, minimal_crowded_sets
+from .crowding import crowded_flats, has_overcrowded_set, minimal_crowded_sets
 from .errors import NonIntegralRank4, OmegacalcError
 from .lattice import flat_lattice
 from .matroid import Matroid
@@ -66,8 +68,7 @@ def omega_closed_form(matroid: Matroid) -> int | None:
 
 
 def _has_proper_crowded_flat(matroid: Matroid) -> bool:
-    crowded = flat_lattice(matroid).is_flat & (crowding_array(matroid) >= 0)
-    return bool(crowded[1 : matroid.full_mask].any())
+    return bool(crowded_flats(matroid)[1 : matroid.full_mask].any())
 
 
 def _low_rank(matroid: Matroid) -> int:
@@ -81,11 +82,10 @@ def _low_rank(matroid: Matroid) -> int:
     r = simple.r
     if r == 2:
         return n - 3
-    lattice = flat_lattice(simple)
-    line_masks = lattice.flats_by_rank[2]
+    is_flat, rank = flat_lattice(simple).is_flat, simple.ensure_rank_table()
+    line_masks, plane_masks = (np.flatnonzero(is_flat & (rank == k)).tolist() for k in (2, 3))
     if r == 3:
         return comb(n - 4, 2) - sum(comb(popcount(lm) - 2, 2) for lm in line_masks)
-    plane_masks = lattice.flats_by_rank[3]
     # three times the formula, whose coefficients are thirds
     total = 3 * (comb(n - 5, 3) - sum(comb(popcount(p) - 3, 3) for p in plane_masks))
     for lm in line_masks:

@@ -12,7 +12,10 @@ ground set is index full - m, so the array read backwards pairs each T
 with E - T.  The record test reads two cached arrays per matroid, the
 crowding c and best, the largest c over the nonempty proper subsets
 (`record_arrays`, one subset-max `altsum.subset_pass`), and looks at the
-components of a candidate only when best and c tie.
+components of a candidate only when best and c tie.  Sets of masks pass
+as boolean marks over the 2^n masks: `crowded_sets`, `crowded_flats`
+and `crowding_records`, which decides the records among any marks at
+once.
 """
 
 from __future__ import annotations
@@ -92,22 +95,32 @@ def is_crowding_record(matroid: Matroid, mask: int) -> bool:
     return all(best.item(part) < c.item(part) for part in matroid.restriction_components(mask))
 
 
+def crowding_records(matroid: Matroid, marks: np.ndarray) -> np.ndarray:
+    """Marks of the crowding records among the masks marked in `marks`:
+    the verdict of `is_crowding_record` at every mask at once, from
+    `record_arrays`; it is asked only where best(t) = c(t) >= 0, where the
+    verdict needs the components of M|t."""
+    c, best = record_arrays(matroid)
+    records = marks & (c >= 0) & (best <= c)
+    for t in np.flatnonzero(records & (best == c)).tolist():
+        records[t] = is_crowding_record(matroid, t)
+    return records
+
+
 def zero_part(matroid: Matroid, mask: int) -> int:
     """The union (the sum: they are disjoint) of the components of the
     restriction to mask whose crowding is exactly zero."""
     return sum(c for c in matroid.restriction_components(mask) if crowding(matroid, c) == 0)
 
 
-def crowded_sets(matroid: Matroid) -> list[int]:
-    """All crowded subsets, ascending by cardinality then value."""
-    masks = np.flatnonzero(crowding_array(matroid) >= 0)
-    return masks[np.argsort(popcounts(matroid.n)[masks], kind="stable")].tolist()
+def crowded_sets(matroid: Matroid) -> np.ndarray:
+    """Marks of the crowded subsets, indexed by mask."""
+    return crowding_array(matroid) >= 0
 
 
-def crowded_flats(matroid: Matroid) -> list[int]:
-    """All crowded flats, ascending by cardinality then value."""
-    flats = np.flatnonzero(flat_lattice(matroid).is_flat & (crowding_array(matroid) >= 0))
-    return flats[np.argsort(popcounts(matroid.n)[flats], kind="stable")].tolist()
+def crowded_flats(matroid: Matroid) -> np.ndarray:
+    """Marks of the crowded flats, indexed by mask."""
+    return flat_lattice(matroid).is_flat & crowded_sets(matroid)
 
 
 def minimal_crowded_sets(matroid: Matroid) -> list[int]:

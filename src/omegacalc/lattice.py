@@ -2,10 +2,10 @@
 
 The flats are read off the rank array in one `altsum.subset_pass`: S is
 a flat iff r(S + e) > r(S) for every e not in S (Oxley, Matroid Theory,
-section 1.4); flats_by_rank[k] lists the flats of rank k in ascending
-order.  Mobius values come from Rota's recursion mu(F, F) = 1, mu(F, G)
-= -sum of mu(F, H) over flats F <= H < G (On the foundations of
-combinatorial theory I, 1964), on every pair F < G of the
+section 1.4), and `is_flat` marks them by mask; the flats of rank k are
+the marked masks of rank k.  Mobius values come from Rota's recursion
+mu(F, F) = 1, mu(F, G) = -sum of mu(F, H) over flats F <= H < G (On the
+foundations of combinatorial theory I, 1964), on every pair F < G of the
 `altsum.subset_pairs` relation at once, one rank level of G at a time
 (`_interval_mobius`), on the first `mobius` call that needs them.
 `weighted_predecessors` reads them, one per pair of comparable flats, in
@@ -16,7 +16,6 @@ the inward-flats route and the inner-flats identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -26,17 +25,16 @@ from .matroid import Matroid
 
 @dataclass
 class FlatLattice:
-    """All flats of a matroid, graded by rank."""
+    """All flats of a matroid, marked by mask."""
 
     matroid: Matroid
-    flats_by_rank: tuple[tuple[int, ...], ...]
     bottom: int
     is_flat: np.ndarray = field(repr=False)  # read-only, indexed by mask
     _table: tuple | None = field(default=None, init=False, repr=False)
     _predecessors: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
-        return sum(len(level) for level in self.flats_by_rank)
+        return int(np.count_nonzero(self.is_flat))
 
     def mobius(self, lower, upper):
         """Mobius value of the interval [lower, upper] in the lattice of
@@ -73,12 +71,14 @@ class FlatLattice:
         # position as `subset_pairs` lists it, its key pos(G) L + pos(F),
         # ascending, and mu(F, G)
         if self._table is None:
-            order = np.fromiter(chain.from_iterable(self.flats_by_rank), dtype=np.int64)
+            flats = np.flatnonzero(self.is_flat)
+            ranks = self.matroid.ensure_rank_table()[flats]
+            order = flats[np.argsort(ranks, kind="stable")]
             position = np.zeros(len(self.is_flat), dtype=np.int64)
             position[order] = np.arange(len(order))
             upper, below = (a.astype(np.int32) for a in subset_pairs(order))
             keys = upper.astype(np.int64) * len(order) + below
-            ends = np.cumsum([len(level) for level in self.flats_by_rank])
+            ends = np.cumsum(np.bincount(ranks, minlength=self.matroid.r + 1))
             mu = _interval_mobius(upper, below, keys, ends)
             self._table = (order, position, upper, below, keys, mu)
         return self._table
@@ -119,22 +119,13 @@ def _interval_mobius(upper, below, keys, ends) -> np.ndarray:
 
 
 def flat_lattice(matroid: Matroid) -> FlatLattice:
-    """Compute all flats, graded by rank, plus the Mobius machinery."""
+    """Mark all flats, plus the Mobius machinery."""
     if matroid._flat_lattice is not None:
         return matroid._flat_lattice
     rank = matroid.ensure_rank_table()
     _, is_flat = subset_pass((rank, np.ones(len(rank), dtype=np.bool_)), _rank_rises)
     is_flat.flags.writeable = False
-    flats = np.flatnonzero(is_flat)
-    flat_ranks = rank[flats]
-    lattice = FlatLattice(
-        matroid=matroid,
-        flats_by_rank=tuple(
-            tuple(flats[flat_ranks == k].tolist()) for k in range(matroid.r + 1)
-        ),
-        bottom=matroid.closure(0),
-        is_flat=is_flat,
-    )
+    lattice = FlatLattice(matroid=matroid, bottom=matroid.closure(0), is_flat=is_flat)
     matroid._flat_lattice = lattice
     return lattice
 

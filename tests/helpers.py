@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 
-from omegacalc.altsum import alternating_chain_sum
+from omegacalc.altsum import alternating_chain_sum, popcounts
 from omegacalc.bitops import bits, mask_of, popcount
 from omegacalc.corpus import random_schubert
 from omegacalc.crowding import crowded_sets
@@ -22,9 +22,24 @@ def omega_of(matroid: Matroid, method: str = "final-flats") -> int:
     return compute_omega(matroid, [method]).results[0].omega
 
 
+def marked(marks: np.ndarray) -> list[int]:
+    """The masks marked in a boolean array over the 2^n masks, ascending
+    by cardinality, then by value."""
+    masks = np.flatnonzero(marks)
+    n = len(marks).bit_length() - 1
+    return masks[np.argsort(popcounts(n)[masks], kind="stable")].tolist()
+
+
+def flats_by_rank(lattice) -> tuple[tuple[int, ...], ...]:
+    """The flats of a FlatLattice of each rank 0, ..., r, ascending by mask."""
+    rank = lattice.matroid.ensure_rank_table()
+    flats = np.flatnonzero(lattice.is_flat)
+    return tuple(tuple(flats[rank[flats] == k].tolist()) for k in range(lattice.matroid.r + 1))
+
+
 def all_flats(lattice) -> list[int]:
     """Every flat of a FlatLattice, rank by rank."""
-    return [f for level in lattice.flats_by_rank for f in level]
+    return [f for level in flats_by_rank(lattice) for f in level]
 
 
 def as_point(coords) -> RationalPoint:
@@ -109,7 +124,7 @@ def minimal_crowded_sets_scan(matroid: Matroid) -> list[int]:
     """Oracle for `crowding.minimal_crowded_sets`: the crowded sets by
     cardinality, each kept unless a kept one lies inside it."""
     found: list[int] = []
-    for mask in crowded_sets(matroid):
+    for mask in marked(crowded_sets(matroid)):
         if mask and not any((t & ~mask) == 0 for t in found):
             found.append(mask)
     return found

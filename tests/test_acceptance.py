@@ -12,6 +12,7 @@ from math import comb
 
 from helpers import (
     coloops,
+    flats_by_rank,
     count_paths_brute,
     omega_of,
     random_derived_matroid,
@@ -229,7 +230,7 @@ def test_criterion_6_structural_invariants():
             iso_u35 = simple.n == 5 and len(simple.bases) == comb(5, 3)
             big_line = any(
                 popcount(f) >= simple.n - 2
-                for f in flat_lattice(simple).flats_by_rank[2]
+                for f in flats_by_rank(flat_lattice(simple))[2]
             )
             assert iso_u35 or big_line, m
     # force at least one member of the zero family through the characterization

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from helpers import (
+    flats_by_rank,
     is_connected_by_definition,
     loops_of,
     middle_omega,
@@ -12,8 +15,10 @@ from helpers import (
     random_derived_matroid,
     random_simple_matroid,
 )
+from omegacalc import closedform
 from omegacalc.bitops import mask_of, popcount
 from omegacalc.chainsums import Variant, omega_by_variant
+from omegacalc.cli import main
 from omegacalc.closedform import omega_closed_form
 from omegacalc.corpus import generate_corpus, random_schubert
 from omegacalc.crowding import has_overcrowded_set
@@ -78,7 +83,7 @@ def test_rank_three_nonnegative_with_characterization():
             iso_u35 = simple.n == 5 and len(simple.bases) == comb(5, 3)
             lat = flat_lattice(simple)
             big_line = any(
-                popcount(f) >= simple.n - 2 for f in lat.flats_by_rank[2]
+                popcount(f) >= simple.n - 2 for f in flats_by_rank(lat)[2]
             )
             assert iso_u35 or big_line, m
 
@@ -95,6 +100,27 @@ def test_rank_four_integrality_and_agreement():
         value = omega_closed_form(m)
         assert value is not None
         assert value == omega_of(m), m
+
+
+def test_low_rank_formulas_match_the_recorded_bytes(tmp_path, monkeypatch):
+    # low_rank_corpus.jsonl: generate_corpus("schubert", 40, 7, 16, 4),
+    # ("schubert", 40, 8, 16, 3) and ("closure", 50, 1, 12); `auto` reaches
+    # the rank 4 formula 9 times, rank 3 11 times and rank 2 twice, and its
+    # JSON output must stay byte-identical
+    reached = Counter()
+    low_rank = closedform._low_rank
+
+    def counted(matroid):
+        reached[matroid.simplify().r] += 1
+        return low_rank(matroid)
+
+    monkeypatch.setattr(closedform, "_low_rank", counted)
+    data = Path(__file__).resolve().parent / "data"
+    out = tmp_path / "auto.jsonl"
+    argv = ["compute", "-i", str(data / "low_rank_corpus.jsonl"), "--method", "auto"]
+    assert main(argv + ["--format", "json", "--jobs", "1", "--out", str(out)]) == 0
+    assert out.read_bytes() == (data / "low_rank_auto.jsonl").read_bytes()
+    assert reached == {2: 2, 3: 11, 4: 9}
 
 
 def test_middle_zero_one():

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from helpers import all_flats
+from helpers import all_flats, flats_by_rank
 
 from omegacalc.altsum import alternating_chain_sum, predecessor_walk
 from omegacalc.bitops import mask_of
@@ -20,7 +20,7 @@ def test_u23_lattice():
     lat = flat_lattice(uniform(2, 3))
     assert len(lat) == 5  # bottom, three points, top
     assert lat.mobius(0, 0b111) == 2
-    assert [len(level) for level in lat.flats_by_rank] == [1, 3, 1]
+    assert [len(level) for level in flats_by_rank(lat)] == [1, 3, 1]
 
 
 def _k4_graphic_matroid():
@@ -50,7 +50,7 @@ def _k4_graphic_matroid():
 
 def test_k4_rank_two_flats():
     lat = flat_lattice(_k4_graphic_matroid())
-    level2 = lat.flats_by_rank[2]
+    level2 = flats_by_rank(lat)[2]
     assert len(level2) == 7
     sizes = sorted(bin(f).count("1") for f in level2)
     assert sizes == [2, 2, 2, 3, 3, 3, 3]

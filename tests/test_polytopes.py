@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import as_point, identity_at
+from helpers import all_flats, as_point, identity_at
 from omegacalc.altsum import alternating_chain_sum
 from omegacalc.bitops import bits, mask_of
 from omegacalc.corpus import generate_corpus, random_schubert, sample_points
@@ -174,7 +174,7 @@ def _fraction_flats_sum(matroid, kind, sums):
             return sums[flat] > rank(flat)
         return sums[flat] <= rank(flat)
 
-    order = [f for level in lattice.flats_by_rank for f in level]
+    order = all_flats(lattice)
     t = {0: 1}
     for g in order:
         if g == 0:

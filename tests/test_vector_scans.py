@@ -18,9 +18,11 @@ from helpers import (
     all_flats,
     direct_sum_bases,
     dual_bases,
+    flats_by_rank,
     graded_bases,
     is_connected_by_definition,
     loops_of,
+    marked,
     minimal_crowded_sets_scan,
     parallel_extend_bases,
     proper_crowding,
@@ -39,6 +41,7 @@ from omegacalc.crowding import (
     crowded_flats,
     crowded_sets,
     crowding_array,
+    crowding_records,
     has_overcrowded_set,
     is_crowding_record,
     minimal_crowded_sets,
@@ -238,14 +241,14 @@ def test_crowding_array_matches_the_definition():
 @pytest.mark.parametrize("m", SMALL + LARGE, ids=repr)
 def test_flats_match_the_closure_bfs(m):
     lattice = flat_lattice(m)
-    assert lattice.flats_by_rank == reference_flats_by_rank(m)
+    assert flats_by_rank(lattice) == reference_flats_by_rank(m)
     assert lattice.bottom == m.closure(0)
 
 
 @pytest.mark.parametrize("m", SMALL + LARGE, ids=repr)
 def test_scans_match_the_definition_loops(m):
-    assert crowded_sets(m) == reference_crowded_sets(m)
-    assert crowded_flats(m) == reference_crowded_flats(m)
+    assert marked(crowded_sets(m)) == reference_crowded_sets(m)
+    assert marked(crowded_flats(m)) == reference_crowded_flats(m)
     assert _has_proper_crowded_flat(m) == reference_has_proper_crowded_flat(m)
     assert has_overcrowded_set(m) == reference_has_overcrowded_set(m)
 
@@ -358,6 +361,27 @@ def test_records_match_the_definition_scan():
             assert is_crowding_record(m, mask) == reference_is_record(m, mask), (m, mask)
             assert mask in m._restriction_components
     assert tied_large >= 12
+
+
+def test_crowding_records_match_the_verdict_at_every_mask(monkeypatch):
+    # one array verdict for the record routes: it equals the per-mask test
+    # among the marks and asks it only at the marked ties best(t) = c(t)
+    asked = []
+
+    def spy(matroid, mask):
+        asked.append(mask)
+        return is_crowding_record(matroid, mask)
+
+    monkeypatch.setattr("omegacalc.crowding.is_crowding_record", spy)
+    for m in SMALL + LARGE + ROUTES9:
+        stress, best = record_arrays(m)
+        for marks in (np.ones(1 << m.n, dtype=bool), crowded_flats(m)):
+            asked.clear()
+            records = crowding_records(m, marks)
+            assert records.dtype == np.bool_ and records.shape == marks.shape
+            want = [bool(marks[t]) and is_crowding_record(m, t) for t in range(1 << m.n)]
+            assert records.tolist() == want, m
+            assert asked == np.flatnonzero(marks & (stress >= 0) & (stress == best)).tolist(), m
 
 
 def test_record_edge_cases():
