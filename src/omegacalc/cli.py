@@ -23,6 +23,7 @@ import os
 import random
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 from .altsum import block_rows
@@ -38,7 +39,7 @@ from .engine import (
 )
 from .errors import Infeasible, OmegacalcError, SpecFileError
 from .matroid import GROUND_SET_CAP
-from .polytopes import IdentityKind, check_identity, subset_sums
+from .polytopes import IdentityKind, check_identity, scaled_point, subset_sums
 from .specfile import (
     LoadedMatroid,
     load_matroid_file,
@@ -164,9 +165,10 @@ def _identities_one(payload) -> tuple[list[str], list[dict], int]:
         # flats identities assume a loop-free matroid; set sums hold always
         kinds = set_kinds
         lines.append(f"{item.matroid_id}: loops present, checking set identities only")
-    points = explicit
-    if points is None:
+    if explicit is None:
         points = sample_points(random.Random(seed), m.n, m.r, samples, bases=m.bases)
+    else:
+        points = [scaled_point(z) for z in explicit]
     # one subset-sum transform per batch serves every kind; inward-sets is
     # reported from the outward-sets call, equal at every point by
     # complement duality (polytopes docstring)
@@ -180,11 +182,13 @@ def _identities_one(payload) -> tuple[list[str], list[dict], int]:
             lhs, rhs = check_identity(m, kind, sums)
             reported = set_kinds if kind is IdentityKind.OUTWARD_SETS else [kind]
             for i in (lhs != rhs).nonzero()[0].tolist():
-                coords = json.dumps([[c.numerator, c.denominator] for c in batch[i]])
+                scale, coords = batch[i]
+                point = [Fraction(w, scale) for w in coords]
+                shown_point = json.dumps([[c.numerator, c.denominator] for c in point])
                 for shown in reported:
                     mismatches[shown].append(
                         f"MISMATCH id={item.matroid_id} kind={shown.value} "
-                        f"point={coords} lhs={int(lhs[i])} rhs={int(rhs[i])}"
+                        f"point={shown_point} lhs={int(lhs[i])} rhs={int(rhs[i])}"
                     )
     records = [
         {"id": item.matroid_id, "kind": kind.value, "points": len(points), "failures": len(bad)}

@@ -10,9 +10,9 @@ random.Random so a seed pins the corpus byte for byte.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 from .bitops import elements_of, mask_of, popcount
@@ -135,8 +135,10 @@ def sample_points(
     r: int,
     count: int,
     bases: Sequence[int] = (),
-) -> list[tuple[Fraction, ...]]:
-    """Exact rational test points on the rank hyperplane.
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Exact rational test points on the rank hyperplane, each an integer
+    row (D, W) for the point x_e = W_e / D in lowest terms: D >= 1 and
+    gcd(D, W_0, ..., W_{n-1}) = 1 (polytopes.subset_sums reads these rows).
 
     Includes every 0/1 vertex of the hypersimplex, then midpoints of
     vertex pairs, vertices nudged by tiny rational offsets (both
@@ -147,41 +149,43 @@ def sample_points(
     nudge needs two coordinates, so at n = 1 its draws become random
     rationals instead.
 
-    Every point is built from integers: vertices and midpoints take the
-    shared constants 0, 1/2 and 1, a nudged coordinate is one
-    Fraction(numerator, d), and a random point w is scaled by the LCM L of
-    its draws' denominators, so that its coordinate w_e * r / sum(w) is
-    Fraction(W_e * r, sum(W)) with W = L * w in integers.
+    Every row is built from integers.  A vertex has D = 1.  A midpoint has
+    D = 2 when some coordinate is 1/2, and D = 1 otherwise.  A nudge by
+    1/d, d one of 31, 61, 97 and 64, has D = d: its two moved coordinates
+    are (d * b + 1) / d and (d * b - 1) / d for vertex bits b, both in
+    lowest terms.  A random point w is scaled by the LCM L of
+    its draws' denominators to integers W = L * w, so its coordinate
+    w_e * r / sum(w) is W_e * r / T with T = sum(W); with g = gcd(T,
+    W_0 * r, ..., W_{n-1} * r) its row is (T / g, W_e * r / g).
 
-    subset_sums runs a batch in int64 when its LCM scales D and scaled
-    coordinates stay below 2^63 / (n + 1).  Vertices, midpoints and nudges
-    have D <= 64.  A random point's D divides sum(W) <= 64 * n * L, and L
-    grows with n: in closure corpora sampled with 500 points, every batch
-    up to n = 13 stayed in int64, and 9 of about 26,000 batches at
-    n = 14-16 (D just below 2^62) took the `object` fallback.
+    subset_sums runs a batch in int64 when its scales D and |W_e| stay
+    below 2^63 / (n + 1).  Vertices, midpoints and nudges have D <= 97.  A
+    random point's D divides T <= 64 * n * L, and L grows with n: in
+    closure corpora sampled with 500 points, every batch up to n = 13
+    stayed in int64, and 9 of about 26,000 batches at n = 14-16 (D just
+    below 2^62) took the `object` fallback.
     """
     vertex_bits = [
         tuple(1 if e in c else 0 for e in range(n)) for c in combinations(range(n), r)
     ]
-    vertices = [tuple(_UNIT[x] for x in v) for v in vertex_bits]
     basis_bits = [tuple(b >> e & 1 for e in range(n)) for b in bases]
-    points = list(vertices)
-    while len(points) < len(vertices) + count:
+    points = [(1, v) for v in vertex_bits]
+    while len(points) < len(vertex_bits) + count:
         style = rng.random()
         if style < 0.3:
-            a, b = rng.randrange(len(vertices)), rng.randrange(len(vertices))
+            a, b = rng.randrange(len(vertex_bits)), rng.randrange(len(vertex_bits))
             points.append(_midpoint(vertex_bits[a], vertex_bits[b]))
         elif style < 0.45 and len(basis_bits) >= 2:
             a, b = rng.randrange(len(basis_bits)), rng.randrange(len(basis_bits))
             points.append(_midpoint(basis_bits[a], basis_bits[b]))
         elif style < 0.65 and n >= 2:
-            base = rng.randrange(len(vertices))
+            base = rng.randrange(len(vertex_bits))
             i, j = rng.sample(range(n), 2)
             d = rng.choice([31, 61, 97, MAX_DENOMINATOR])
-            point = list(vertices[base])
-            point[i] = Fraction(vertex_bits[base][i] * d + 1, d)
-            point[j] = Fraction(vertex_bits[base][j] * d - 1, d)
-            points.append(tuple(point))
+            point = [x * d for x in vertex_bits[base]]
+            point[i] += 1
+            point[j] -= 1
+            points.append((d, tuple(point)))
         else:
             draws = [
                 (rng.randint(1, MAX_DENOMINATOR), rng.randint(1, MAX_DENOMINATOR))
@@ -190,14 +194,13 @@ def sample_points(
             scale = lcm(*(d for _, d in draws))
             weights = [a * (scale // d) for a, d in draws]
             total = sum(weights)
-            points.append(tuple(Fraction(w * r, total) for w in weights))
+            g = gcd(total, *(w * r for w in weights))
+            points.append((total // g, tuple(w * r // g for w in weights)))
     return points
 
 
-# 0 and 1 by vertex bit, and the midpoint coordinates by the sum of two bits
-_UNIT = (Fraction(0), Fraction(1))
-_HALVES = (Fraction(0), Fraction(1, 2), Fraction(1))
-
-
-def _midpoint(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[Fraction, ...]:
-    return tuple(_HALVES[a + b] for a, b in zip(x, y))
+def _midpoint(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    doubled = tuple(map(add, x, y))
+    if 1 in doubled:
+        return 2, doubled
+    return 1, tuple(c >> 1 for c in doubled)

@@ -1,19 +1,22 @@
 """The base-polytope decomposition identities, checked exactly on point batches.
 
-Points are tuples of Fraction coordinates; no floating point.  The four
-identity kinds express the indicator of a matroid base polytope as a
-signed sum of indicators of Schubert-type polytopes over chains of
+A point is an integer row (D, W) meaning x_e = W_e / D, with D >= 1 the
+lowest common denominator of its coordinates (gcd(D, W_0, ..., W_{n-1})
+= 1); no floating point.  corpus.sample_points builds rows directly, and
+scaled_point turns an explicit tuple of Fraction coordinates into one.
+The four identity kinds express the indicator of a matroid base polytope
+as a signed sum of indicators of Schubert-type polytopes over chains of
 subsets or flats; check_identity evaluates both sides at every point of
 a batch.
 
-Every rank inequality is decided in exact integers: subset_sums scales
-each point by the LCM D of its denominators, builds all 2^n scaled subset
-sums S of every point in one subset transform, one row per point, and
-compares ceil(S/D) with the rank table as an array.  The transform runs in
-int64 when the batch's largest |scaled coordinate| and largest D, times
-n + 1, stay below 2^63 (the proof is in the subset_sums docstring), and
-in Python ints in `object` arrays otherwise, so a point with any
-numerator or denominator is exact; explicit points with huge
+Every rank inequality is decided in exact integers: subset_sums builds
+all 2^n subset sums S of the W of every point in one subset transform,
+one row per point, and the sum over a subset is at most its rank r
+exactly when S <= D * r, compared with the rank table as an array.  The
+transform runs in int64 when the batch's largest |W_e| and largest D,
+times n + 1, stay below 2^63 (the proof is in the subset_sums
+docstring), and in Python ints in `object` arrays otherwise, so a point
+with any numerator or denominator is exact; explicit points with huge
 denominators fall back, sampled ones rarely do (see
 corpus.sample_points).  One SubsetSums serves every identity kind at its
 batch.
@@ -50,6 +53,8 @@ from .lattice import flat_lattice
 from .matroid import Matroid
 
 RationalPoint = tuple[Fraction, ...]
+# (D, W): the point x_e = W_e / D, with D >= 1 and gcd(D, W_0, ...) = 1
+ScaledPoint = tuple[int, tuple[int, ...]]
 
 
 class IdentityKind(str, Enum):
@@ -63,45 +68,57 @@ class SubsetSums(NamedTuple):
     """The coordinate sums of a batch of points over every subset mask, scaled.
 
     Row i is point i: `scaled[i, S]` is `scale[i]` times its sum over S, an
-    exact integer, and `ceiling[i, S]` is ceil(scaled[i, S] / scale[i])
-    clipped to [-1, n + 1].  Every rank lies in [0, n], so the sum over S is
-    at most r(S) exactly when `ceiling[i, S] <= r(S)`.  `in_box[i]` says
-    every coordinate of point i is in [0, 1].  `scale` and `scaled` are
-    int64 when the batch fits the bound in subset_sums, and Python ints in
-    `object` arrays otherwise.
+    exact integer, so the sum over S is at most r(S) exactly when
+    `scaled[i, S] <= scale[i] * r(S)`.  `in_box[i]` says every coordinate
+    of point i is in [0, 1].  `scale` and `scaled` are int64 when the batch
+    fits the bound in subset_sums, and Python ints in `object` arrays
+    otherwise.
     """
 
     scale: np.ndarray
     scaled: np.ndarray
-    ceiling: np.ndarray
     in_box: np.ndarray
 
 
-def subset_sums(points: Sequence[RationalPoint]) -> SubsetSums:
-    """Scale each point by the LCM D of its denominators, then one subset
-    transform over the whole nonempty batch of points of one dimension n.
+def scaled_point(point: RationalPoint) -> ScaledPoint:
+    """The row (D, W) of a point of Fraction coordinates: D the LCM of
+    their denominators, W_e = x_e * D.  A Fraction is in lowest terms, so
+    the row is too."""
+    scale = lcm(*(c.denominator for c in point))
+    return scale, tuple(c.numerator * (scale // c.denominator) for c in point)
 
-    The transform, the ceiling (S + D - 1) // D and the plane test
-    S == D * r run in int64 when B * (n + 1) < 2^63, where B is the larger
-    of the batch's largest |scaled coordinate| and its largest D, and in
+
+def subset_sums(points: Sequence[ScaledPoint]) -> SubsetSums:
+    """One subset transform of the W of a nonempty batch of rows (D, W) of
+    one dimension n >= 1.
+
+    The transform and the tests S <= D * r(S) and S == D * r that
+    check_identity makes on it run in int64 when B * (n + 1) < 2^63, where
+    B is the larger of the batch's largest |W_e| and its largest D, and in
     Python ints in `object` arrays otherwise; the dtype is the only
-    difference.  Proof that int64 is exact under the bound: a subset sum
-    S adds at most n scaled coordinates, so |S| <= n * B; S + D - 1 lies
-    in [-n * B, (n + 1) * B); and D * r <= n * B since r <= n.  Every
-    intermediate value is below (n + 1) * B < 2^63 in absolute value.
+    difference.  Proof that int64 is exact under the bound: a subset sum S
+    adds at most n coordinates W_e, so |S| <= n * B, and D * r <= n * B
+    since 0 <= r <= n.  Every value is below (n + 1) * B < 2^63 in absolute
+    value.  sample_points and scaled_point give rows in lowest terms, so
+    B, and with it the dtype, depends on the points and not on how they
+    were written.
     """
-    n = len(points[0])
-    scale = [lcm(*(c.denominator for c in z)) for z in points]
-    coords = [[c.numerator * (d // c.denominator) for c in z] for z, d in zip(points, scale)]
-    bound = max(max(scale), max((abs(c) for row in coords for c in row), default=0))
-    dtype = np.int64 if bound * (n + 1) < 1 << 63 else object
-    scale_array = np.array(scale, dtype=dtype)[:, None]
-    coords = np.array(coords, dtype=dtype)
-    scaled = subset_totals(coords)
-    ceiling = (scaled + (scale_array - 1)) // scale_array
-    ceiling = np.clip(ceiling, -1, n + 1).astype(np.int64)
-    in_box = ((coords >= 0) & (coords <= scale_array)).all(axis=1)
-    return SubsetSums(scale_array[:, 0], scaled, ceiling, in_box)
+    n = len(points[0][1])
+    scale = [d for d, _ in points]
+    coords = [w for _, w in points]
+    try:
+        coords_array = np.array(coords, dtype=np.int64)
+    except OverflowError:  # some W_e outside int64
+        bound = 1 << 63
+    else:
+        bound = max(max(scale), int(coords_array.max()), -int(coords_array.min()))
+    if bound * (n + 1) < 1 << 63:
+        scale_array = np.array(scale, dtype=np.int64)
+    else:
+        scale_array = np.array(scale, dtype=object)
+        coords_array = np.array(coords, dtype=object)
+    in_box = ((coords_array >= 0) & (coords_array <= scale_array[:, None])).all(axis=1)
+    return SubsetSums(scale_array, subset_totals(coords_array), in_box)
 
 
 def check_identity(
@@ -117,11 +134,11 @@ def check_identity(
     call, the outward count (complement duality, module docstring).
     """
     n = matroid.n
-    if sums.ceiling.shape[1] != 1 << n:
+    if sums.scaled.shape[1] != 1 << n:
         raise ValueError("point dimension mismatch")
     if kind in (IdentityKind.INNER_FLATS, IdentityKind.OUTER_FLATS) and matroid.has_loops():
         raise VariantInapplicable("flats identities require a loop-free matroid")
-    within = sums.ceiling <= matroid.ensure_rank_table()
+    within = sums.scaled <= sums.scale[:, None] * matroid.ensure_rank_table()
     on_plane = sums.scaled[:, -1] == sums.scale * matroid.r
     lhs = (on_plane & within.all(axis=1)).astype(np.int64)
     live = on_plane & sums.in_box

@@ -14,7 +14,14 @@ from omegacalc.engine import compute_omega
 from omegacalc.errors import ConstraintOutOfRange
 from omegacalc.matroid import Matroid
 from omegacalc.paths import Mode, PathProblem
-from omegacalc.polytopes import RationalPoint, SubsetSums, check_identity, subset_sums
+from omegacalc.polytopes import (
+    RationalPoint,
+    ScaledPoint,
+    SubsetSums,
+    check_identity,
+    scaled_point,
+    subset_sums,
+)
 
 
 def omega_of(matroid: Matroid, method: str = "final-flats") -> int:
@@ -45,6 +52,12 @@ def all_flats(lattice) -> list[int]:
 def as_point(coords) -> RationalPoint:
     """An exact rational point from integer, Fraction or string coordinates."""
     return tuple(Fraction(c) for c in coords)
+
+
+def as_fractions(row: ScaledPoint) -> RationalPoint:
+    """The Fraction coordinates W_e / D of an integer row (D, W)."""
+    scale, coords = row
+    return tuple(Fraction(w, scale) for w in coords)
 
 
 def coloops(matroid: Matroid) -> int:
@@ -163,8 +176,9 @@ def count_paths_brute(problem: PathProblem) -> int:
 
 
 def identity_at(matroid: Matroid, kind, point) -> tuple[int, int]:
-    """(lhs, rhs) of check_identity at one point, as a batch of one row."""
-    lhs, rhs = check_identity(matroid, kind, subset_sums([point]))
+    """(lhs, rhs) of check_identity at one Fraction point, as a batch of one
+    row."""
+    lhs, rhs = check_identity(matroid, kind, subset_sums([scaled_point(point)]))
     return int(lhs[0]), int(rhs[0])
 
 
@@ -174,7 +188,7 @@ def inward_sets_identity(matroid: Matroid, sums: SubsetSums) -> tuple[np.ndarray
     inward sum evaluated on its own, (-1)^(n+1) times the signed chain count
     through the subsets whose inequality the point satisfies."""
     n = matroid.n
-    within = sums.ceiling <= matroid.ensure_rank_table()
+    within = sums.scaled <= sums.scale[:, None] * matroid.ensure_rank_table()
     on_plane = sums.scaled[:, -1] == sums.scale * matroid.r
     lhs = (on_plane & within.all(axis=1)).astype(np.int64)
     live = on_plane & sums.in_box

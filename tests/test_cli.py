@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import BAD_FIELD_SPECS, inward_sets_identity
+from helpers import BAD_FIELD_SPECS, as_fractions, inward_sets_identity
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,7 @@ from omegacalc.cli import LIST_CAP, main, worker_count
 from omegacalc.corpus import generate_corpus, sample_points
 from omegacalc.engine import ALL_METHOD_NAMES, compute_omega
 from omegacalc.polytopes import IdentityKind
-from omegacalc.specfile import load_matroid_file, matroid_from_spec
+from omegacalc.specfile import load_matroid_file, load_points_file, matroid_from_spec
 
 EXAMPLE_SPEC = {
     "kind": "schubert_lower",
@@ -540,7 +540,8 @@ def _identity_cases():
     rng = random.Random(16)
     for n in (14, 15, 16):
         item = matroid_from_spec(generate_corpus("schubert", 1, 4, n, 3)[0])
-        points = sample_points(rng, n, 3, 4, bases=item.matroid.bases)
+        rows = sample_points(rng, n, 3, 4, bases=item.matroid.bases)
+        points = [as_fractions(row) for row in rows]
         cases.append((item, 0, points[:2] + points[-4:]))
     return cases
 
@@ -592,6 +593,38 @@ def test_a_set_kinds_mismatch_is_reported_under_both_kinds(monkeypatch):
             f"u24: {kind.value}: 1 points, 1 failures",
         )
     ]
+
+
+def test_mismatch_lines_print_points_in_lowest_terms(monkeypatch, tmp_path):
+    # every row mismatches here, and each coordinate of a MISMATCH line
+    # prints as its Fraction in lowest terms: an explicit point written in
+    # other terms, and sampled rows whose D is not every coordinate's
+    # denominator
+    def all_wrong(matroid, kind, sums):
+        lhs, rhs = polytopes.check_identity(matroid, kind, sums)
+        return lhs, rhs + 1
+
+    monkeypatch.setattr(cli, "check_identity", all_wrong)
+    item = matroid_from_spec({"kind": "uniform", "n": 4, "r": 2, "id": "u24"})
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([[[2, 4], [3, 6], [0, 5], [-4, -4]]]))
+    lines, _, _ = cli._identities_one((item, 0, 0, load_points_file(path)))
+    point = json.dumps([[1, 2], [1, 2], [0, 1], [1, 1]])
+    assert lines[0] == f"MISMATCH id=u24 kind=inward-sets point={point} lhs=1 rhs=2"
+
+    lines, _, failures = cli._identities_one((item, 40, 3, None))
+    rows = sample_points(random.Random(3), 4, 2, 40, bases=item.matroid.bases)
+    assert failures == 4 * len(rows)
+    shown = [
+        json.loads(line.split(" point=")[1].split(" lhs=")[0])
+        for line in lines
+        if line.startswith("MISMATCH id=u24 kind=outer-flats ")
+    ]
+    assert shown == [[[c.numerator, c.denominator] for c in as_fractions(row)] for row in rows]
+    # vertices (D = 1), midpoints (D = 2) and rows with a larger D, some of
+    # which print a coordinate with a denominator below D
+    assert {d for d, _ in rows} > {1, 2}
+    assert any(pair[1] < d for (d, _), coords in zip(rows, shown) for pair in coords)
 
 
 def test_check_identities_kernel_calls_per_batch(monkeypatch):

@@ -6,14 +6,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import all_flats, as_point, identity_at
+from helpers import all_flats, as_fractions, as_point, identity_at
 from omegacalc.altsum import alternating_chain_sum
 from omegacalc.bitops import bits, mask_of
 from omegacalc.corpus import generate_corpus, random_schubert, sample_points
 from omegacalc.errors import VariantInapplicable
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
-from omegacalc.polytopes import IdentityKind, check_identity, subset_sums
+from omegacalc.polytopes import IdentityKind, check_identity, scaled_point, subset_sums
 from omegacalc.specfile import matroid_from_spec
 
 HALF = Fraction(1, 2)
@@ -111,7 +111,7 @@ def test_identity_exhaustive_tiny_denominators():
 
 def test_sampler_includes_all_vertices():
     rng = random.Random(1)
-    pts = sample_points(rng, 5, 2, 10)
+    pts = [as_fractions(row) for row in sample_points(rng, 5, 2, 10)]
     vertices = {
         tuple(Fraction(1 if e in c else 0) for e in range(5))
         for c in combinations(range(5), 2)
@@ -206,7 +206,7 @@ def _probe_points(rng, m, samples):
     and without negative coordinates) and with denominators whose LCM
     exceeds 2^64."""
     n, r = m.n, m.r
-    points = sample_points(rng, n, r, samples, bases=m.bases)
+    points = [as_fractions(row) for row in sample_points(rng, n, r, samples, bases=m.bases)]
     vertex = _vertex(m, m.bases[0])
     primes = [(1 << 61) - 1, (1 << 31) - 1, 2**127 - 1]
     for _ in range(4):
@@ -246,7 +246,7 @@ def test_integer_identities_match_fraction_evaluation():
         kinds = list(IdentityKind)[:2] if m.has_loops() else list(IdentityKind)
         # the whole probe list is one batch, live and dead rows mixed
         points = _probe_points(rng, m, 15)
-        sums = subset_sums(points)
+        sums = subset_sums([scaled_point(z) for z in points])
         batch = {kind: check_identity(m, kind, sums) for kind in kinds}
         for i, z in enumerate(points):
             big_lcm += sums.scale[i] > 1 << 64
@@ -266,7 +266,8 @@ def test_integer_identities_match_fraction_evaluation_n12_to_n16():
     cases = []
     for spec in generate_corpus("closure", 2, 4, 12):
         m = matroid_from_spec(spec).matroid
-        points = sample_points(rng, m.n, m.r, 2, bases=m.bases)[-2:]
+        rows = sample_points(rng, m.n, m.r, 2, bases=m.bases)[-2:]
+        points = [as_fractions(row) for row in rows]
         points += _probe_points(rng, m, 0)[-3:]
         cases.append((m, points))
     # low-rank Schubert matroids above the command-line identity cap, loop-free
@@ -291,12 +292,16 @@ def test_integer_identities_match_fraction_evaluation_n12_to_n16():
 
 def _assert_matches_fractions(points, sums):
     n = len(points[0])
-    for i, z in enumerate(points):
-        reference = _fraction_subset_sums(z)
+    references = [_fraction_subset_sums(z) for z in points]
+    for r in range(n + 1):
+        # the array comparison check_identity makes, against an int8 rank table
+        within = sums.scaled <= sums.scale[:, None] * np.full(1 << n, r, dtype=np.int8)
+        assert within.dtype == bool
+        for i, reference in enumerate(references):
+            assert within[i].tolist() == [x <= r for x in reference], (i, r)
+    for i, (z, reference) in enumerate(zip(points, references)):
         for mask in range(1 << n):
             assert Fraction(int(sums.scaled[i, mask]), int(sums.scale[i])) == reference[mask]
-            ceiling = -(-reference[mask].numerator // reference[mask].denominator)
-            assert sums.ceiling[i, mask] == min(max(ceiling, -1), n + 1), (i, mask)
         for r in range(n + 1):
             assert (sums.scaled[i, -1] == sums.scale[i] * r) == (reference[-1] == r), (i, r)
         assert sums.in_box[i] == all(0 <= c <= 1 for c in z)
@@ -308,7 +313,7 @@ def test_subset_sums_scaled_exactly():
     point = tuple(Fraction(rng.randint(-big, big), rng.choice([big, 3, 1 << 70])) for _ in range(6))
     # one batch, one row per point, each row with its own scale
     points = [point, as_point([HALF, 0, 1, 2, -1, Fraction(1, 3)]), as_point([1] * 6)]
-    sums = subset_sums(points)
+    sums = subset_sums([scaled_point(z) for z in points])
     assert sums.scale[0] > 1 << 64 and sums.scale.tolist()[1:] == [6, 1]
     _assert_matches_fractions(points, sums)
 
@@ -333,8 +338,7 @@ def test_subset_sums_int64_boundary():
     mixed = fits[:2] + [as_point([top + 1, 0, 0, 0, 0, 1])]
     batches = [fits, at_2_63, at_2_63[:1], at_2_63[1:], mixed]
     for points, dtype in zip(batches, [np.int64, object, object, object, object]):
-        sums = subset_sums(points)
+        sums = subset_sums([scaled_point(z) for z in points])
         assert sums.scaled.dtype == dtype and sums.scale.dtype == dtype
-        assert sums.ceiling.dtype == np.int64
         _assert_matches_fractions(points, sums)
-    assert subset_sums(fits[3:4]).scale.tolist() == [top]
+    assert subset_sums([scaled_point(fits[3])]).scale.tolist() == [top]

@@ -3,10 +3,11 @@
 `tests/data/sample_points.json` holds one SHA-256 digest per case of
 `sample_points(random.Random(seed), n, r, 60, bases)` for n = 1..12, every
 r in 0..n, seeds 0..2, without bases and with every other r-subset of
-`combinations(range(n), r)` as basis masks.  The digest covers every
-coordinate's numerator and denominator in order, so a changed value, a
-reordered point or a non-canonical fraction changes it; the type of each
-coordinate is checked here directly.  Regenerate the file only for a
+`combinations(range(n), r)` as basis masks.  Each point is an integer
+row (D, W); the digest covers the numerator and denominator of every
+coordinate Fraction(W_e, D) in order, so a changed value or a reordered
+point changes it.  The types and that each row is in lowest terms are
+checked here directly.  Regenerate the file only for a
 deliberate change of the sampled points:
 
     PYTHONPATH=src python tests/test_sample_points.py > tests/data/sample_points.json
@@ -17,7 +18,8 @@ import json
 import random
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -47,7 +49,10 @@ def _sample(n, r, seed, with_bases):
 
 
 def _digest(points) -> str:
-    text = "\n".join(",".join(f"{c.numerator}/{c.denominator}" for c in z) for z in points)
+    text = "\n".join(
+        ",".join(f"{c.numerator}/{c.denominator}" for c in map(Fraction, w, repeat(d)))
+        for d, w in points
+    )
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -63,8 +68,11 @@ def test_sample_points_match_the_recorded_digests(n, recorded):
             continue
         points = _sample(*case)
         assert len(points) == recorded[_key(*case)]["points"], case
-        assert all(type(c) is Fraction for z in points for c in z), case
-        assert all(len(z) == n for z in points), case
+        assert all(type(d) is int and all(type(c) is int for c in w) for d, w in points), case
+        # lowest terms, which keeps subset_sums' int64/object choice that of
+        # the LCM of the coordinates' denominators
+        assert all(d >= 1 and gcd(d, *w) == 1 for d, w in points), case
+        assert all(len(w) == n for _, w in points), case
         assert _digest(points) == recorded[_key(*case)]["sha256"], case
 
 
