@@ -6,6 +6,10 @@ flags true, no identity failures); 1 disagreement or identity failure;
 errors and `main` alone maps them to codes: Infeasible to 3, any other
 OmegacalcError to 2, each with one "error: ..." line on stderr.  Which
 methods apply to an input is the engine's decision (`compute_omega`).
+Which identity kinds apply, how the points are batched and which kind is
+reported from another's kernel call are decided in
+`polytopes.check_identities`; `check-identities` only samples the points
+(or reads them, as integer rows, from `--points`) and prints the result.
 
 JSON output is one record per line with sorted keys and, by default, no
 timing fields, so identical seeds and configs produce byte-identical
@@ -26,7 +30,6 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .altsum import block_rows
 from .corpus import generate_corpus, sample_points
 from .engine import (
     ALL_METHOD_NAMES,
@@ -39,7 +42,7 @@ from .engine import (
 )
 from .errors import Infeasible, OmegacalcError, SpecFileError
 from .matroid import GROUND_SET_CAP
-from .polytopes import IdentityKind, check_identity, scaled_point, subset_sums
+from .polytopes import check_identities
 from .specfile import (
     LoadedMatroid,
     load_matroid_file,
@@ -156,48 +159,29 @@ def cmd_compute(args) -> int:
 
 
 def _identities_one(payload) -> tuple[list[str], list[dict], int]:
-    item, samples, seed, explicit = payload
+    """The lines, JSON records and failure count of one matroid."""
+    item, samples, seed, points = payload
     m = item.matroid
     lines: list[str] = []
-    set_kinds = [IdentityKind.INWARD_SETS, IdentityKind.OUTWARD_SETS]
-    kinds = list(IdentityKind)
     if m.has_loops():
-        # flats identities assume a loop-free matroid; set sums hold always
-        kinds = set_kinds
         lines.append(f"{item.matroid_id}: loops present, checking set identities only")
-    if explicit is None:
+    if points is None:
         points = sample_points(random.Random(seed), m.n, m.r, samples, bases=m.bases)
-    else:
-        points = [scaled_point(z) for z in explicit]
-    # one subset-sum transform per batch serves every kind; inward-sets is
-    # reported from the outward-sets call, equal at every point by
-    # complement duality (polytopes docstring)
-    mismatches: dict[IdentityKind, list[str]] = {kind: [] for kind in kinds}
-    computed = [kind for kind in kinds if kind is not IdentityKind.INWARD_SETS]
-    rows = block_rows(m.n)
-    for start in range(0, len(points), rows):
-        batch = points[start : start + rows]
-        sums = subset_sums(batch)
-        for kind in computed:
-            lhs, rhs = check_identity(m, kind, sums)
-            reported = set_kinds if kind is IdentityKind.OUTWARD_SETS else [kind]
-            for i in (lhs != rhs).nonzero()[0].tolist():
-                scale, coords = batch[i]
-                point = [Fraction(w, scale) for w in coords]
-                shown_point = json.dumps([[c.numerator, c.denominator] for c in point])
-                for shown in reported:
-                    mismatches[shown].append(
-                        f"MISMATCH id={item.matroid_id} kind={shown.value} "
-                        f"point={shown_point} lhs={int(lhs[i])} rhs={int(rhs[i])}"
-                    )
-    records = [
-        {"id": item.matroid_id, "kind": kind.value, "points": len(points), "failures": len(bad)}
-        for kind, bad in mismatches.items()
-    ]
-    for kind, bad in mismatches.items():
-        lines.extend(bad)
+    failures = check_identities(m, points)
+    records = []
+    for kind, bad in failures.items():
+        for (scale, coords), lhs, rhs in bad:
+            point = [Fraction(w, scale) for w in coords]
+            shown_point = json.dumps([[c.numerator, c.denominator] for c in point])
+            lines.append(
+                f"MISMATCH id={item.matroid_id} kind={kind.value} "
+                f"point={shown_point} lhs={lhs} rhs={rhs}"
+            )
         lines.append(f"{item.matroid_id}: {kind.value}: {len(points)} points, {len(bad)} failures")
-    return lines, records, sum(map(len, mismatches.values()))
+        records.append(
+            {"id": item.matroid_id, "kind": kind.value, "points": len(points), "failures": len(bad)}
+        )
+    return lines, records, sum(map(len, failures.values()))
 
 
 def cmd_check_identities(args) -> int:
@@ -205,7 +189,7 @@ def cmd_check_identities(args) -> int:
     explicit = load_points_file(args.points) if args.points else None
     if explicit is not None:
         for item in loaded:
-            wrong = next((z for z in explicit if len(z) != item.matroid.n), None)
+            wrong = next((w for _, w in explicit if len(w) != item.matroid.n), None)
             if wrong is not None:
                 raise SpecFileError(
                     f"a point of dimension {len(wrong)} does not fit "

@@ -34,7 +34,6 @@ def random_schubert_data(
     if r is None:
         r = rng.randint(1, max(1, n - 1))
     k = rng.randint(1, max(1, min(r, n - r) + 1))
-    k = max(1, min(k, n))
     sizes = sorted(rng.sample(range(1, n), k - 1)) + [n]
     perm = list(range(n))
     rng.shuffle(perm)
@@ -93,7 +92,7 @@ def closure_spec(rng: Rng, n: int, ident: str = "") -> dict:
             return schubert_spec(rng, n, ident=ident)
         spec = {
             "kind": "direct_sum",
-            "parts": [schubert_spec(rng, n1), schubert_spec(rng, max(1, n2))],
+            "parts": [schubert_spec(rng, n1), schubert_spec(rng, n2)],
         }
     else:
         if n == 1:

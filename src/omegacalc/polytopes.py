@@ -3,11 +3,15 @@
 A point is an integer row (D, W) meaning x_e = W_e / D, with D >= 1 the
 lowest common denominator of its coordinates (gcd(D, W_0, ..., W_{n-1})
 = 1); no floating point.  corpus.sample_points builds rows directly, and
-scaled_point turns an explicit tuple of Fraction coordinates into one.
-The four identity kinds express the indicator of a matroid base polytope
-as a signed sum of indicators of Schubert-type polytopes over chains of
+scaled_point turns a tuple of Fraction coordinates into one, as
+specfile.load_points_file does for an explicit `--points` file.  The
+four identity kinds express the indicator of a matroid base polytope as
+a signed sum of indicators of Schubert-type polytopes over chains of
 subsets or flats; check_identity evaluates both sides at every point of
-a batch.
+a batch.  check_identities is what `check-identities` runs on one
+matroid: it decides which kinds apply (the flats kinds need a loop-free
+matroid), cuts the points into batches of `altsum.block_rows(n)` rows,
+one SubsetSums each, and returns the failing rows of every kind.
 
 Every rank inequality is decided in exact integers: subset_sums builds
 all 2^n subset sums S of the W of every point in one subset transform,
@@ -34,8 +38,9 @@ subsets that satisfy their inequality, equals the outward-sets sum at
 every point by complement duality on the Boolean lattice (Rota 1964:
 mu(S, T) = (-1)^|T - S|), which
 `test_alternating_chain_sum_complement_duality` checks at every density
-for n = 1-12, 14 and 16.  So both set kinds are one kernel call, and the
-inward evaluation is a test oracle (`tests/helpers.py`).
+for n = 1-12, 14 and 16.  So both set kinds are one kernel call:
+check_identities reports the outward-sets failures under inward-sets
+too, and the inward evaluation is a test oracle (`tests/helpers.py`).
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .altsum import alternating_chain_sum, predecessor_walk, subset_totals
+from .altsum import alternating_chain_sum, block_rows, predecessor_walk, subset_totals
 from .errors import VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
@@ -151,6 +156,28 @@ def check_identity(
     rhs = np.zeros(len(live), dtype=values.dtype)
     rhs[live] = values
     return lhs, rhs
+
+
+def check_identities(matroid: Matroid, points: Sequence[ScaledPoint]) -> dict[IdentityKind, list]:
+    """The failing (row, lhs, rhs) of every identity kind that applies, in
+    IdentityKind order: all four on a loop-free matroid, the two set kinds
+    on one with loops.  lhs and rhs are Python ints.
+
+    The rows go in batches of block_rows(n), one subset_sums each, and
+    every computed kind takes one check_identity call per batch.
+    Inward-sets is not computed: it reports the outward-sets failures
+    (complement duality, module docstring).
+    """
+    flats = [] if matroid.has_loops() else [IdentityKind.INNER_FLATS, IdentityKind.OUTER_FLATS]
+    failures: dict[IdentityKind, list] = {kind: [] for kind in [IdentityKind.OUTWARD_SETS, *flats]}
+    rows = block_rows(matroid.n)
+    for start in range(0, len(points), rows):
+        batch = points[start : start + rows]
+        sums = subset_sums(batch)
+        for kind, found in failures.items():
+            lhs, rhs = check_identity(matroid, kind, sums)
+            found.extend((batch[i], int(lhs[i]), int(rhs[i])) for i in np.flatnonzero(lhs != rhs))
+    return {IdentityKind.INWARD_SETS: list(failures[IdentityKind.OUTWARD_SETS]), **failures}
 
 
 def _flats_identity_sum(matroid: Matroid, within: np.ndarray) -> np.ndarray:

@@ -20,7 +20,9 @@ arbitrarily through "of"/"parts".  An optional "id" names the matroid.
 
 A corpus file is JSON lines: one spec object per line.  A point batch
 file is a JSON list of coordinate arrays, each coordinate a
-[numerator, denominator] pair.
+[numerator, denominator] pair; load_points_file returns each point as
+the integer row (D, W) of `polytopes.scaled_point`, the form in which
+sampled points reach the identity checker too.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .matroid import (
     uniform,
     upper_as_lower,
 )
+from .polytopes import ScaledPoint, scaled_point
 
 SchubertData = tuple[int, tuple[int, ...], tuple[int, ...]]
 
@@ -195,7 +198,7 @@ def load_matroid_file(path: str | Path) -> list[LoadedMatroid]:
     return out
 
 
-def load_points_file(path: str | Path) -> list[tuple[Fraction, ...]]:
+def load_points_file(path: str | Path) -> list[ScaledPoint]:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
@@ -217,5 +220,5 @@ def load_points_file(path: str | Path) -> list[tuple[Fraction, ...]]:
             ):
                 raise SpecFileError("each coordinate must be [numerator, denominator]")
             coords.append(Fraction(pair[0], pair[1]))
-        points.append(tuple(coords))
+        points.append(scaled_point(tuple(coords)))
     return points

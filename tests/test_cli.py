@@ -5,7 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +54,21 @@ def test_compute_all_json_matches_the_recorded_bytes(tmp_path):
     argv = ["compute", "-i", corpus, "--method", "all", "--format", "json", "--jobs", "1"]
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / "chains_all.jsonl").read_bytes()
+
+
+def test_compute_all_json_at_n16_matches_the_recorded_bytes(tmp_path):
+    # all_n16.jsonl: every route on the three inputs of Schubert n = 16,
+    # r = 5, seed 94 (the auto-n16 corpus) and on closure n = 16, seed 2,
+    # input 2 (60,614 crowded sets), about 0.2 s per input.  The Schubert
+    # r = 8 inputs, whose inward-flats route takes seconds on its Mobius
+    # table, are left out until that route runs on the cube kernel
+    specs = generate_corpus("schubert", 3, 94, 16, 5) + generate_corpus("closure", 3, 2, 16)[2:]
+    corpus = tmp_path / "n16.jsonl"
+    corpus.write_text("".join(json.dumps(spec) + "\n" for spec in specs))
+    out = tmp_path / "all.jsonl"
+    argv = ["compute", "-i", str(corpus), "--method", "all", "--format", "json", "--jobs", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "all_n16.jsonl").read_bytes()
 
 
 def test_no_route_or_check_imports_numpy_ma(tmp_path):
@@ -531,7 +545,7 @@ def test_check_identities_output_matches_the_recorded_bytes(tmp_path):
 
 
 def _identity_cases():
-    """(item, samples, explicit points): closure inputs at n = 8-13, loops
+    """(item, samples, explicit rows): closure inputs at n = 8-13, loops
     among them, and low-rank Schubert inputs at n = 14-16 with explicit
     batches: two hypersimplex vertices and the four sampled points."""
     cases = []
@@ -541,8 +555,7 @@ def _identity_cases():
     for n in (14, 15, 16):
         item = matroid_from_spec(generate_corpus("schubert", 1, 4, n, 3)[0])
         rows = sample_points(rng, n, 3, 4, bases=item.matroid.bases)
-        points = [as_fractions(row) for row in rows]
-        cases.append((item, 0, points[:2] + points[-4:]))
+        cases.append((item, 0, rows[:2] + rows[-4:]))
     return cases
 
 
@@ -550,13 +563,14 @@ def test_reported_inward_sets_match_the_independent_evaluation(monkeypatch):
     # every row inward-sets is reported with is the outward-sets call's
     # (lhs, rhs); it must equal the inward sum evaluated on its own
     calls = []
+    check_identity = polytopes.check_identity
 
     def recording(matroid, kind, sums):
-        lhs, rhs = polytopes.check_identity(matroid, kind, sums)
+        lhs, rhs = check_identity(matroid, kind, sums)
         calls.append((kind, sums, lhs, rhs))
         return lhs, rhs
 
-    monkeypatch.setattr(cli, "check_identity", recording)
+    monkeypatch.setattr(polytopes, "check_identity", recording)
     cases = _identity_cases()
     assert any(item.matroid.has_loops() for item, _, _ in cases)
     for item, samples, explicit in cases:
@@ -575,14 +589,17 @@ def test_reported_inward_sets_match_the_independent_evaluation(monkeypatch):
 
 
 def test_a_set_kinds_mismatch_is_reported_under_both_kinds(monkeypatch):
+    check_identity = polytopes.check_identity
+
     def off_by_one(matroid, kind, sums):
-        lhs, rhs = polytopes.check_identity(matroid, kind, sums)
+        lhs, rhs = check_identity(matroid, kind, sums)
         rhs[0] += 1
         return lhs, rhs
 
-    monkeypatch.setattr(cli, "check_identity", off_by_one)
+    monkeypatch.setattr(polytopes, "check_identity", off_by_one)
     item = matroid_from_spec({"kind": "uniform", "n": 4, "r": 2, "id": "u24"})
-    lines, _, failures = cli._identities_one((item, 0, 0, [(Fraction(1, 2),) * 4]))
+    # the point (1/2, 1/2, 1/2, 1/2) as its row (D, W)
+    lines, _, failures = cli._identities_one((item, 0, 0, [(2, (1, 1, 1, 1))]))
     point = json.dumps([[1, 2]] * 4)
     assert failures == 4
     assert lines == [
@@ -600,11 +617,13 @@ def test_mismatch_lines_print_points_in_lowest_terms(monkeypatch, tmp_path):
     # prints as its Fraction in lowest terms: an explicit point written in
     # other terms, and sampled rows whose D is not every coordinate's
     # denominator
+    check_identity = polytopes.check_identity
+
     def all_wrong(matroid, kind, sums):
-        lhs, rhs = polytopes.check_identity(matroid, kind, sums)
+        lhs, rhs = check_identity(matroid, kind, sums)
         return lhs, rhs + 1
 
-    monkeypatch.setattr(cli, "check_identity", all_wrong)
+    monkeypatch.setattr(polytopes, "check_identity", all_wrong)
     item = matroid_from_spec({"kind": "uniform", "n": 4, "r": 2, "id": "u24"})
     path = tmp_path / "points.json"
     path.write_text(json.dumps([[[2, 4], [3, 6], [0, 5], [-4, -4]]]))
@@ -625,6 +644,85 @@ def test_mismatch_lines_print_points_in_lowest_terms(monkeypatch, tmp_path):
     # which print a coordinate with a denominator below D
     assert {d for d, _ in rows} > {1, 2}
     assert any(pair[1] < d for (d, _), coords in zip(rows, shown) for pair in coords)
+
+
+def test_mismatch_lines_print_the_point_of_their_batch(monkeypatch):
+    # 300 samples at n = 8 fill two batches of block_rows(8) = 256 rows; row
+    # 1 of each batch disagrees, so the second batch's line must print the
+    # point at global index 257, not 1
+    check_identity = polytopes.check_identity
+
+    def one_wrong_per_batch(matroid, kind, sums):
+        lhs, rhs = check_identity(matroid, kind, sums)
+        rhs[1] += 1
+        return lhs, rhs
+
+    monkeypatch.setattr(polytopes, "check_identity", one_wrong_per_batch)
+    item = matroid_from_spec({"kind": "uniform", "n": 8, "r": 4, "id": "u48"})
+    rows = sample_points(random.Random(0), 8, 4, 300, bases=item.matroid.bases)
+    assert block_rows(8) == 256 and 256 < len(rows) <= 512
+    lines, _, failures = cli._identities_one((item, 300, 0, None))
+    assert failures == 2 * 4
+    expected = [[[c.numerator, c.denominator] for c in as_fractions(rows[i])] for i in (1, 257)]
+    assert expected[0] != expected[1]
+    for kind in IdentityKind:
+        shown = [
+            json.loads(line.split(" point=")[1].split(" lhs=")[0])
+            for line in lines
+            if line.startswith(f"MISMATCH id=u48 kind={kind.value} ")
+        ]
+        assert shown == expected, kind
+
+
+# one loop-free and one loopy matroid on six elements, and explicit points
+# written in other than lowest terms, with negative denominators, off the
+# rank hyperplane, outside the box and with a 2^70 denominator (the last
+# takes subset_sums' `object` fallback)
+_POINTS6_SPECS = [
+    {"kind": "uniform", "n": 6, "r": 3, "id": "u36"},
+    {"kind": "schubert_lower", "n": 6, "chain": [[0], [0, 1, 2, 3, 4, 5]], "profile": [0, 0, 3],
+     "id": "loop6"},
+]
+_POINTS6 = [
+    [[1, 2]] * 6,
+    [[2, 4], [3, 6], [4, 8], [5, 10], [6, 12], [7, 14]],
+    [[-1, -2], [1, 2], [-3, -6], [1, 2], [1, 2], [1, 2]],
+    [[1, -2], [3, 2], [1, 2], [1, 2], [1, 2], [1, 2]],
+    [[1, 1], [1, 1], [1, 1], [0, 1], [0, 1], [0, 1]],
+    [[0, 1], [1, 1], [1, 1], [1, 1], [0, 1], [0, 1]],
+    [[0, 3], [2, 2], [-5, -5], [0, -7], [1, 1], [0, 1]],
+    [[2**69 + 1, 2**70], [2**69 - 1, 2**70], [1, 2], [1, 2], [1, 2], [1, 2]],
+    [[1, 3], [2, 3], [1, 1], [1, 1], [0, 1], [0, 1]],
+    [[1, 4], [1, 4], [1, 2], [1, 2], [1, 2], [1, 1]],
+    [[2, 1], [1, 1], [0, 1], [0, 1], [0, 1], [0, 1]],
+    [[1, 1], [1, 1], [0, 1], [0, 1], [0, 1], [0, 1]],
+]
+
+
+def test_check_identities_points_file_matches_the_recorded_bytes(monkeypatch, tmp_path):
+    corpus = tmp_path / "six.jsonl"
+    corpus.write_text("".join(json.dumps(spec) + "\n" for spec in _POINTS6_SPECS))
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps(_POINTS6))
+    argv = ["check-identities", "-i", str(corpus), "--points", str(points)]
+
+    def output(fmt, recorded):
+        out = tmp_path / recorded
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == (1 if "mismatch" in recorded else 0)
+        assert out.read_bytes() == (DATA / recorded).read_bytes()
+
+    output("table", "identities_points6.txt")
+    output("json", "identities_points6.jsonl")
+    # with every row disagreeing, each MISMATCH line prints its point in
+    # lowest terms
+    check_identity = polytopes.check_identity
+
+    def all_wrong(matroid, kind, sums):
+        lhs, rhs = check_identity(matroid, kind, sums)
+        return lhs, rhs + 1
+
+    monkeypatch.setattr(polytopes, "check_identity", all_wrong)
+    output("table", "identities_points6_mismatch.txt")
 
 
 def test_check_identities_kernel_calls_per_batch(monkeypatch):

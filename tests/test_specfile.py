@@ -124,8 +124,8 @@ def test_malformed_file(tmp_path):
 def test_points_file(tmp_path):
     path = tmp_path / "pts.json"
     path.write_text(json.dumps([[[1, 2], [1, 2]], [[1, 1], [0, 1]]]))
-    pts = load_points_file(path)
-    assert len(pts) == 2 and pts[0][0] == pts[0][1]
+    # each point as its row (D, W): x_e = W_e / D
+    assert load_points_file(path) == [(2, (1, 1)), (1, (1, 0))]
     bad = tmp_path / "badpts.json"
     bad.write_text(json.dumps([[[1, 0]]]))
     with pytest.raises(SpecFileError):
