@@ -7,11 +7,14 @@ meets Mobius, STOC 2007).  From a start vector U(0) it takes one popcount
 level at a time and sets U(t) = transfer(t, Z(t)) at the level's marked
 masks t, where Z(t) is the sum of U over the proper subsets of t, and
 returns the sum of U.  Z comes from one subset-sum (zeta) pass over a
-scratch copy of U per level that has a marked mask: O(n^2 2^n) array work
-per predicate row, in blocks of `block_rows(n)` rows.  A block of k rows
-of width w is stored mask-major, mask t of row i at entry t k + i, so the
-zeta step on every element, the lowest included, adds contiguous runs of
-at least k w entries: the k rows of a stack share each step's array add.
+scratch copy of U per level that has a marked mask, except the lowest
+such level of a block: below it only U(0) is nonzero, so Z = start at
+every marked mask there, with no copy and no pass.  That is O(n^2 2^n)
+array work per predicate row, in blocks of `block_rows(n)` rows.  A
+block of k rows of width w is stored mask-major, mask t of row i at
+entry t k + i, so the zeta step on every element, the lowest included,
+adds contiguous runs of at least k w entries: the k rows of a stack
+share each step's array add.
 
 With start (1,) and transfer -Z, U(t) = v(t) for the recursion
 v(T) = -1 - sum of v over the marked proper subsets S of T, and the
@@ -148,14 +151,15 @@ def _zeta_sums(n: int, good: np.ndarray, start: np.ndarray, transfer) -> np.ndar
     u = np.zeros((rows << n, width), dtype=np.int64)
     u[:rows] = start
     zeta = np.empty_like(u)
-    for level in range(1, n):
-        if not counts[level]:
-            continue
+    for i, level in enumerate(np.flatnonzero(counts[1:n]) + 1):
         marked = np.flatnonzero(levels == level)
-        np.copyto(zeta, u)
-        for e in range(n):
-            z = zeta.reshape(-1, 2, (rows * width) << e)
-            z[:, 1] += z[:, 0]
+        if i == 0:  # below the lowest marked level only U(0) = start is nonzero
+            zeta[marked] = start
+        else:
+            np.copyto(zeta, u)
+            for e in range(n):
+                z = zeta.reshape(-1, 2, (rows * width) << e)
+                z[:, 1] += z[:, 0]
         for lo in range(0, marked.size, chunk):
             at = marked[lo : lo + chunk]  # one row's entries are its masks
             u[at] = transfer(at // rows if rows > 1 else at, zeta[at])

@@ -155,7 +155,11 @@ def sample_points(
     lowest terms.  A random point w is scaled by the LCM L of
     its draws' denominators to integers W = L * w, so its coordinate
     w_e * r / sum(w) is W_e * r / T with T = sum(W); with g = gcd(T,
-    W_0 * r, ..., W_{n-1} * r) its row is (T / g, W_e * r / g).
+    W_0 * r, ..., W_{n-1} * r) its row is (T / g, W_e * r / g).  Its 2n
+    draws are rng.randint(1, 64) values taken from the stream as
+    CPython's randrange takes them, getrandbits(7) redrawn while at least
+    64, plus 1, without randrange's call overhead: the same points from
+    the same seed.
 
     subset_sums runs a batch in int64 when its scales D and |W_e| stay
     below 2^63 / (n + 1).  Vertices, midpoints and nudges have D <= 97.  A
@@ -169,6 +173,7 @@ def sample_points(
     ]
     basis_bits = [tuple(b >> e & 1 for e in range(n)) for b in bases]
     points = [(1, v) for v in vertex_bits]
+    getrandbits, bits = rng.getrandbits, MAX_DENOMINATOR.bit_length()
     while len(points) < len(vertex_bits) + count:
         style = rng.random()
         if style < 0.3:
@@ -186,12 +191,16 @@ def sample_points(
             point[j] -= 1
             points.append((d, tuple(point)))
         else:
-            draws = [
-                (rng.randint(1, MAX_DENOMINATOR), rng.randint(1, MAX_DENOMINATOR))
-                for _ in range(n)
-            ]
-            scale = lcm(*(d for _, d in draws))
-            weights = [a * (scale // d) for a, d in draws]
+            # 2n values of rng.randint(1, MAX_DENOMINATOR), drawn as its
+            # randrange draws them (docstring)
+            draws = []
+            while len(draws) < 2 * n:
+                draw = getrandbits(bits)
+                if draw < MAX_DENOMINATOR:
+                    draws.append(1 + draw)
+            numerators, denominators = draws[::2], draws[1::2]
+            scale = lcm(*denominators)
+            weights = [a * (scale // d) for a, d in zip(numerators, denominators)]
             total = sum(weights)
             g = gcd(total, *(w * r for w in weights))
             points.append((total // g, tuple(w * r // g for w in weights)))

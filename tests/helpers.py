@@ -18,6 +18,7 @@ from omegacalc.polytopes import (
     RationalPoint,
     ScaledPoint,
     SubsetSums,
+    batch_marks,
     check_identity,
     scaled_point,
     subset_sums,
@@ -178,7 +179,8 @@ def count_paths_brute(problem: PathProblem) -> int:
 def identity_at(matroid: Matroid, kind, point) -> tuple[int, int]:
     """(lhs, rhs) of check_identity at one Fraction point, as a batch of one
     row."""
-    lhs, rhs = check_identity(matroid, kind, subset_sums([scaled_point(point)]))
+    marks = batch_marks(matroid, subset_sums([scaled_point(point)]))
+    lhs, rhs = check_identity(matroid, kind, marks)
     return int(lhs[0]), int(rhs[0])
 
 

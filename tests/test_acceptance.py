@@ -28,7 +28,7 @@ from omegacalc.engine import compute_omega
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
 from omegacalc.paths import Mode, PathConstraint, PathProblem, count_paths
-from omegacalc.polytopes import IdentityKind, check_identity, subset_sums
+from omegacalc.polytopes import IdentityKind, batch_marks, check_identity, subset_sums
 
 EXAMPLE_CHAIN = (mask_of(range(2)), mask_of(range(7)), mask_of(range(10)))
 EXAMPLE_PROFILE = (0, 1, 3, 4)
@@ -256,9 +256,9 @@ def test_criterion_7_identity_checker():
     for m in matroids:
         points = sample_points(rng, m.n, m.r, 500)
         total_points += len(points)
-        sums = subset_sums(points)
+        marks = batch_marks(m, subset_sums(points))
         for kind in IdentityKind:
-            lhs, rhs = check_identity(m, kind, sums)
+            lhs, rhs = check_identity(m, kind, marks)
             for i in range(len(points)):
                 assert lhs[i] == rhs[i], (m, kind, points[i])
     elapsed = time.time() - start

@@ -174,6 +174,31 @@ def test_alternating_chain_sum_across_blocks():
         assert alternating_chain_sum(n, stack).tolist() == expected, n
 
 
+def test_stacked_rows_whose_lowest_marked_levels_differ():
+    # the kernel skips the zeta pass at a block's lowest marked level only,
+    # where Z = start; a row whose own lowest marked level is higher still
+    # needs every pass above it.  Each row of the stack, scalar and vector,
+    # equals its one-row call; the last row marks nothing
+    rng = np.random.default_rng(9)
+    n = 9
+    levels = popcounts(n)
+    stack = rng.random((6, 1 << n)) < 0.4
+    for row, lowest in zip(stack, [5, 1, 8, 3, 2, n]):
+        row &= levels >= lowest
+        row[(1 << lowest) - 1] = lowest < n
+    assert [int(levels[row].min(initial=n)) for row in stack] == [5, 1, 8, 3, 2, n]
+    expected = [int(alternating_chain_sum(n, row)) for row in stack]
+    assert expected[-1] == 1 and len(set(expected)) > 2
+    assert alternating_chain_sum(n, stack).tolist() == expected
+
+    def weighted(masks, z):
+        return z * (masks % 3 + 1)[:, None]
+
+    for start, transfer in [((1,), lambda m, z: -z), ((2, -1, 5), weighted)]:
+        expected = [alternating_chain_sum(n, row, start, transfer).tolist() for row in stack]
+        assert alternating_chain_sum(n, stack, start, transfer).tolist() == expected, start
+
+
 def test_alternating_chain_sum_scratch_bound():
     # the kernel keeps U and one scratch copy of it for the zeta pass, so a
     # call peaks near twice the bytes of U; the rest is one level's masks

@@ -561,15 +561,21 @@ def _identity_cases():
 
 def test_reported_inward_sets_match_the_independent_evaluation(monkeypatch):
     # every row inward-sets is reported with is the outward-sets call's
-    # (lhs, rhs); it must equal the inward sum evaluated on its own
-    calls = []
-    check_identity = polytopes.check_identity
+    # (lhs, rhs); it must equal the inward sum evaluated on its own, from
+    # the subset sums of the call's batch
+    calls, batch = [], []
+    check_identity, batch_marks = polytopes.check_identity, polytopes.batch_marks
 
-    def recording(matroid, kind, sums):
-        lhs, rhs = check_identity(matroid, kind, sums)
-        calls.append((kind, sums, lhs, rhs))
+    def recording_sums(matroid, sums):
+        batch[:] = [sums]
+        return batch_marks(matroid, sums)
+
+    def recording(matroid, kind, marks):
+        lhs, rhs = check_identity(matroid, kind, marks)
+        calls.append((kind, batch[0], lhs, rhs))
         return lhs, rhs
 
+    monkeypatch.setattr(polytopes, "batch_marks", recording_sums)
     monkeypatch.setattr(polytopes, "check_identity", recording)
     cases = _identity_cases()
     assert any(item.matroid.has_loops() for item, _, _ in cases)
@@ -591,8 +597,8 @@ def test_reported_inward_sets_match_the_independent_evaluation(monkeypatch):
 def test_a_set_kinds_mismatch_is_reported_under_both_kinds(monkeypatch):
     check_identity = polytopes.check_identity
 
-    def off_by_one(matroid, kind, sums):
-        lhs, rhs = check_identity(matroid, kind, sums)
+    def off_by_one(matroid, kind, marks):
+        lhs, rhs = check_identity(matroid, kind, marks)
         rhs[0] += 1
         return lhs, rhs
 
@@ -619,8 +625,8 @@ def test_mismatch_lines_print_points_in_lowest_terms(monkeypatch, tmp_path):
     # denominator
     check_identity = polytopes.check_identity
 
-    def all_wrong(matroid, kind, sums):
-        lhs, rhs = check_identity(matroid, kind, sums)
+    def all_wrong(matroid, kind, marks):
+        lhs, rhs = check_identity(matroid, kind, marks)
         return lhs, rhs + 1
 
     monkeypatch.setattr(polytopes, "check_identity", all_wrong)
@@ -652,8 +658,8 @@ def test_mismatch_lines_print_the_point_of_their_batch(monkeypatch):
     # point at global index 257, not 1
     check_identity = polytopes.check_identity
 
-    def one_wrong_per_batch(matroid, kind, sums):
-        lhs, rhs = check_identity(matroid, kind, sums)
+    def one_wrong_per_batch(matroid, kind, marks):
+        lhs, rhs = check_identity(matroid, kind, marks)
         rhs[1] += 1
         return lhs, rhs
 
@@ -717,8 +723,8 @@ def test_check_identities_points_file_matches_the_recorded_bytes(monkeypatch, tm
     # lowest terms
     check_identity = polytopes.check_identity
 
-    def all_wrong(matroid, kind, sums):
-        lhs, rhs = check_identity(matroid, kind, sums)
+    def all_wrong(matroid, kind, marks):
+        lhs, rhs = check_identity(matroid, kind, marks)
         return lhs, rhs + 1
 
     monkeypatch.setattr(polytopes, "check_identity", all_wrong)
@@ -727,22 +733,30 @@ def test_check_identities_points_file_matches_the_recorded_bytes(monkeypatch, tm
 
 def test_check_identities_kernel_calls_per_batch(monkeypatch):
     # two alternating_chain_sum calls per batch on a loop-free matroid (the
-    # set kinds, outer-flats) and one with loops (the set kinds)
+    # set kinds, outer-flats) and one with loops (the set kinds), after one
+    # rank test per batch that every kind shares
     count = [0]
-    kernel = polytopes.alternating_chain_sum
+    tests = [0]
+    kernel, batch_marks = polytopes.alternating_chain_sum, polytopes.batch_marks
 
     def counting(*args):
         count[0] += 1
         return kernel(*args)
 
+    def counting_tests(*args):
+        tests[0] += 1
+        return batch_marks(*args)
+
     monkeypatch.setattr(polytopes, "alternating_chain_sum", counting)
+    monkeypatch.setattr(polytopes, "batch_marks", counting_tests)
     items = [matroid_from_spec(spec) for spec in generate_corpus("closure", 3, 5, 8)]
     for item, calls_per_batch in [(items[0], 2), (items[2], 1)]:
         assert item.matroid.has_loops() == (calls_per_batch == 1)
-        count[0] = 0
+        count[0] = tests[0] = 0
         _, records, _ = cli._identities_one((item, 300, 0, None))
         batches = -(-records[0]["points"] // block_rows(8))
         assert batches == 2 and count[0] == calls_per_batch * batches
+        assert tests[0] == batches
 
 
 def test_random_closure_rejects_rank(tmp_path, capsys):

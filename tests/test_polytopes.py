@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from helpers import all_flats, as_fractions, as_point, identity_at
+from omegacalc import polytopes
 from omegacalc.altsum import alternating_chain_sum
 from omegacalc.bitops import bits, mask_of
 from omegacalc.corpus import generate_corpus, random_schubert, sample_points
 from omegacalc.errors import VariantInapplicable
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
-from omegacalc.polytopes import IdentityKind, check_identity, scaled_point, subset_sums
+from omegacalc.polytopes import IdentityKind, batch_marks, check_identity, scaled_point, subset_sums
 from omegacalc.specfile import matroid_from_spec
 
 HALF = Fraction(1, 2)
@@ -90,11 +91,57 @@ def test_identities_on_sampled_points():
     matroids.append(uniform(1, 2).direct_sum(uniform(2, 3)))
     for m in matroids:
         points = sample_points(rng, m.n, m.r, 60)
-        sums = subset_sums(points)
+        marks = batch_marks(m, subset_sums(points))
         for kind in IdentityKind:
-            lhs, rhs = check_identity(m, kind, sums)
+            lhs, rhs = check_identity(m, kind, marks)
             for i in range(len(points)):
                 assert lhs[i] == rhs[i], (m, kind, points[i])
+
+
+def test_distinct_rows_give_every_point_its_own_rhs(monkeypatch):
+    # one batch mixing duplicate rows, rows that fail nothing (the base
+    # polytope's points), distinct sampled rows and dead rows (off the
+    # hyperplane): every kind's (lhs, rhs) at a row equals its value in a
+    # batch of that row alone, and each kind's one kernel call gets the
+    # kind's distinct rows, counted here from the bytes of the rank test
+    rows_seen = []
+    kernel, walk = polytopes.alternating_chain_sum, polytopes.predecessor_walk
+
+    def counting_kernel(n, good):
+        rows_seen.append(len(good))
+        return kernel(n, good)
+
+    def counting_walk(members, relation, start, transfer):
+        rows_seen.append(len(start))
+        return walk(members, relation, start, transfer)
+
+    monkeypatch.setattr(polytopes, "alternating_chain_sum", counting_kernel)
+    monkeypatch.setattr(polytopes, "predecessor_walk", counting_walk)
+    rng = random.Random(41)
+    specs = generate_corpus("closure", 6, 5, 8)
+    for m in [matroid_from_spec(spec).matroid for spec in specs] + [uniform(2, 5)]:
+        # the sampler's first rows are the hypersimplex vertices, bases among them
+        sampled = sample_points(rng, m.n, m.r, 40, bases=m.bases)
+        batch = sampled + sampled[::3] + [(1, (1,) * m.n)] * 2
+        sums = subset_sums(batch)
+        marks = batch_marks(m, sums)
+        failing = ~(sums.scaled <= sums.scale[:, None] * m.ensure_rank_table())[marks.live]
+        families = {"sets": failing}
+        if not m.has_loops():
+            families["flats"] = failing & flat_lattice(m).is_flat
+        for name, rows in families.items():
+            distinct = {row.tobytes() for row in rows}
+            assert len(distinct) < len(rows) and np.zeros_like(rows[0]).tobytes() in distinct
+            assert len(getattr(marks, name).rows) == len(distinct), (m, name)
+        kinds = list(IdentityKind)[:2] if m.has_loops() else list(IdentityKind)
+        for kind in kinds:
+            rows_seen.clear()
+            lhs, rhs = check_identity(m, kind, marks)
+            family = "sets" if kind in (IdentityKind.INWARD_SETS, IdentityKind.OUTWARD_SETS) else "flats"
+            assert rows_seen == [len(getattr(marks, family).rows)], (m, kind)
+            for i, row in enumerate(batch):
+                one = check_identity(m, kind, batch_marks(m, subset_sums([row])))
+                assert (lhs[i], rhs[i]) == (one[0][0], one[1][0]), (m, kind, row)
 
 
 def test_identity_exhaustive_tiny_denominators():
@@ -247,7 +294,8 @@ def test_integer_identities_match_fraction_evaluation():
         # the whole probe list is one batch, live and dead rows mixed
         points = _probe_points(rng, m, 15)
         sums = subset_sums([scaled_point(z) for z in points])
-        batch = {kind: check_identity(m, kind, sums) for kind in kinds}
+        marks = batch_marks(m, sums)
+        batch = {kind: check_identity(m, kind, marks) for kind in kinds}
         for i, z in enumerate(points):
             big_lcm += sums.scale[i] > 1 << 64
             expected = {kind: _fraction_identity(m, kind, z) for kind in kinds}
