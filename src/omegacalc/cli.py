@@ -63,7 +63,10 @@ LIST_CAP = 100_000  # the largest --count and --samples: lists built in memory
 def _write_lines(lines: list[str], out: str | None) -> None:
     text = "\n".join(lines) + ("\n" if lines else "")
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SpecFileError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

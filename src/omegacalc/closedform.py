@@ -4,9 +4,12 @@ The dispatcher tries, in order: the trivial vanishing rules (too large a
 rank, loops), multiplicativity over connected components, the
 no-crowded-flats binomial, vanishing on an overcrowded set, the explicit
 rank <= 4 formulas on the simplification, and the n = 2r + 1 criterion.
-Returns None when nothing applies.  The paper's rank-1 and n = 2r results
-need no rule of their own: the binomial and the overcrowded-set rule
-decide every such input first (proof in `omega_closed_form`).
+Returns None when nothing applies.  The paper's rank-1 and n = 2r
+results need no rule of their own: the binomial and the overcrowded-set
+rule decide every such input first (proof in `omega_closed_form`).  The
+binomial's test reads the rank table (`_has_proper_crowded_flat`); the
+lattice of flats is built only for the lines and planes of the rank-3
+and rank-4 formulas.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .bitops import popcount
-from .crowding import crowded_flats, has_overcrowded_set, minimal_crowded_sets
+from .crowding import crowding_array, has_overcrowded_set, minimal_crowded_sets
 from .errors import NonIntegralRank4, OmegacalcError
 from .lattice import flat_lattice
 from .matroid import Matroid
@@ -68,7 +71,15 @@ def omega_closed_form(matroid: Matroid) -> int | None:
 
 
 def _has_proper_crowded_flat(matroid: Matroid) -> bool:
-    return bool(crowded_flats(matroid)[1 : matroid.full_mask].any())
+    """Whether a flat other than 0 and E has crowding c >= 0, read off the
+    rank table without the lattice of flats: the same as whether a nonempty
+    S with r(S) < r(E) has c(S) >= 0, c(X) = |X| - 2 r(X), in any matroid.
+    Proof: cl(S) contains S and has the same rank, so c(cl S) >= c(S), and
+    cl(S) is nonempty and differs from E exactly when r(S) < r(E).
+    Conversely, a flat F other than 0 and E is nonempty with r(F) < r(E),
+    so it is such an S itself."""
+    rank = matroid.ensure_rank_table()
+    return bool(((crowding_array(matroid) >= 0) & (rank < matroid.r))[1:].any())
 
 
 def _low_rank(matroid: Matroid) -> int:

@@ -202,6 +202,28 @@ def test_random_empty_corpus(tmp_path):
     assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--method", "auto"],
+        ["check-identities", "--samples", "2"],
+        ["random", "--family", "closure", "--n", "5", "--count", "2", "--seed", "1"],
+        ["bench", "--methods", "auto"],
+    ],
+    ids=["compute", "check-identities", "random", "bench"],
+)
+def test_unwritable_out_exits_2(argv, target, example_file, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out.txt" if target == "missing-dir" else tmp_path
+    if argv[0] != "random":
+        argv = [*argv, "-i", example_file]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+
+
 def _exit_code(argv):
     """main's return value, or the code argparse exits with."""
     try:

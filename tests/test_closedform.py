@@ -21,7 +21,7 @@ from omegacalc.chainsums import Variant, omega_by_variant
 from omegacalc.cli import main
 from omegacalc.closedform import omega_closed_form
 from omegacalc.corpus import generate_corpus, random_schubert
-from omegacalc.crowding import has_overcrowded_set
+from omegacalc.crowding import crowded_flats, has_overcrowded_set
 from omegacalc.engine import compute_omega
 from omegacalc.errors import OmegacalcError
 from omegacalc.lattice import flat_lattice
@@ -255,3 +255,35 @@ def test_near_middle_dichotomy_errors(monkeypatch, minimal, message):
     monkeypatch.setattr(closedform, "minimal_crowded_sets", lambda m: minimal)
     with pytest.raises(OmegacalcError, match=message):
         closedform._near_middle(uniform(5, 11))
+
+
+_LOOP = from_bases(1, [0])
+# n = 13 to 16: closure n = 16 seed 2, Schubert n = 16 at r = 8 seed 1 and
+# r = 5 seed 94, closure n = 13 seed 3
+_LEMMA_CORPORA = {
+    "closure-16-s2": ("closure", 3, 2, 16),
+    "schubert-16-r8-s1": ("schubert", 1, 1, 16, 8),
+    "schubert-16-r5-s94": ("schubert", 3, 94, 16, 5),
+    "closure-13-s3": ("closure", 6, 3, 13),
+}
+
+
+@pytest.mark.parametrize("corpus_args", _LEMMA_CORPORA.values(), ids=_LEMMA_CORPORA.keys())
+def test_proper_crowded_flat_test_reads_the_rank_table(corpus_args):
+    # the lemma of `_has_proper_crowded_flat`: some flat other than 0 and E
+    # is crowded iff some nonempty S with r(S) < r is; it needs no
+    # loop-freeness, so each input is also taken with its last element
+    # swapped for a loop, and with its dual and the restrictions to the
+    # components of each
+    seen = Counter()
+    for spec in generate_corpus(*corpus_args):
+        m = matroid_from_spec(spec).matroid
+        looped = m.delete(1 << (m.n - 1)).direct_sum(_LOOP)
+        for whole in (m, m.dual(), looped, looped.dual()):
+            parts = [whole.restrict(comp) for comp in whole.connected_components()]
+            for part in [whole, *parts]:
+                expected = bool(crowded_flats(part)[1 : part.full_mask].any())
+                assert closedform._has_proper_crowded_flat(part) == expected, (spec["id"], part)
+                seen[expected, part.has_loops()] += 1
+    # both answers, and a crowded proper flat made of loops
+    assert seen[True, False] and seen[False, False] and seen[True, True]
