@@ -27,7 +27,7 @@ import os
 import random
 import sys
 from dataclasses import replace
-from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from .corpus import generate_corpus, sample_points
@@ -174,8 +174,8 @@ def _identities_one(payload) -> tuple[list[str], list[dict], int]:
     records = []
     for kind, bad in failures.items():
         for (scale, coords), lhs, rhs in bad:
-            point = [Fraction(w, scale) for w in coords]
-            shown_point = json.dumps([[c.numerator, c.denominator] for c in point])
+            # each coordinate W_e / D in lowest terms, as [numerator, denominator]
+            shown_point = json.dumps([[w // g, scale // g] for w in coords for g in [gcd(w, scale)]])
             lines.append(
                 f"MISMATCH id={item.matroid_id} kind={kind.value} "
                 f"point={shown_point} lhs={lhs} rhs={rhs}"
@@ -266,11 +266,12 @@ def cmd_bench(args) -> int:
         loaded = _load_inputs(args.input)
     else:
         loaded = [matroid_from_spec(spec) for spec in _BENCH_SPECS]
-    methods = args.methods.split(",") if args.methods else METHOD_ALL
+    # an empty --methods is the unknown method ''
+    methods = METHOD_ALL if args.methods is None else args.methods.split(",")
     reports = [
         compute_omega(item.matroid, methods, item.matroid_id, item.schubert) for item in loaded
     ]
-    if not args.methods:
+    if args.methods is None:
         # closed and schubert count towards agreement but have no chains to compare
         hidden = (METHOD_CLOSED, METHOD_SCHUBERT)
         reports = [
@@ -359,6 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            # before any input is read; a write that fails later exits 2 too
+            raise SpecFileError(f"cannot write {args.out}: not a file in an existing directory")
         return args.func(args)
     except OmegacalcError as exc:
         print(f"error: {exc}", file=sys.stderr)

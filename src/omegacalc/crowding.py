@@ -140,8 +140,11 @@ def has_overcrowded_set(matroid: Matroid) -> bool:
     record test at E, which builds them first (0.04 against 0.15-0.16 ms
     on closure n = 12, 0.09-0.16 against 0.36-0.56 ms on the n = 16
     closure and Schubert corpora), a few tenths of a millisecond per
-    closed-form call.  It stays only because `COVERAGE` in perfbench/run.py
-    requires its span, crowding.overcrowded.s, on auto-mixed12."""
+    closed-form call; with the rank table built, 0.014-0.024 against
+    0.090-0.143 ms on the 29 connected, loop-free closure n = 12 seed 1
+    inputs (2-vCPU x86 host), about 0.1 ms more per call that reaches the
+    rule, against auto-mixed12's 0.25 ms `input_p90_s`.  It stays for that
+    speed, and `COVERAGE` in perfbench/run.py requires its span."""
     full = matroid.full_mask
     stress = crowding_array(matroid)
     rank = matroid.ensure_rank_table()

@@ -31,6 +31,7 @@ METHOD_ALL = "all"
 METHOD_SCHUBERT = "schubert"
 
 ALL_METHOD_NAMES = [METHOD_CLOSED, METHOD_SCHUBERT] + [v.value for v in Variant]
+KNOWN_METHODS = frozenset([METHOD_AUTO, METHOD_ALL, *ALL_METHOD_NAMES])
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,7 @@ def _run(
             raise VariantInapplicable("schubert method needs chain/profile input data")
         value = schubert_omega(*schubert_data)
         return MethodResult(METHOD_SCHUBERT, value, seconds=time.perf_counter() - start)
-    try:
-        variant = Variant(name)
-    except ValueError as exc:
-        raise OmegacalcError(f"unknown method {name!r}") from exc
+    variant = Variant(name)
     try:
         run = covalue(matroid, variant)
         value, chains, note = component_sign(matroid) * run.covalue, run.chains, ""
@@ -107,10 +105,14 @@ def compute_omega(
     was built from a chain and profile, enables the direct path-count
     formula as an extra method.  "all", alone or as a list entry, runs
     every method that applies, in `ALL_METHOD_NAMES` order; any other
-    method must apply.
+    method must apply.  An unknown name raises before any method runs.
     """
+    names = [methods] if isinstance(methods, str) else list(methods)
+    for name in names:
+        if name not in KNOWN_METHODS:
+            raise OmegacalcError(f"unknown method {name!r}")
     report = OmegaReport(matroid_id, matroid.n, matroid.r)
-    for name in [methods] if isinstance(methods, str) else methods:
+    for name in names:
         if name != METHOD_ALL:
             report.results.append(_run(matroid, name, schubert_data))
             continue

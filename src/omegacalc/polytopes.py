@@ -2,8 +2,7 @@
 
 A point is an integer row (D, W) meaning x_e = W_e / D, with D >= 1 the
 lowest common denominator of its coordinates (gcd(D, W_0, ..., W_{n-1})
-= 1); no floating point.  corpus.sample_points builds rows directly, and
-scaled_point turns a tuple of Fraction coordinates into one, as
+= 1); no floating point.  corpus.sample_points builds rows directly, as
 specfile.load_points_file does for an explicit `--points` file.  The
 four identity kinds express the indicator of a matroid base polytope as
 a signed sum of indicators of Schubert-type polytopes over chains of
@@ -54,8 +53,6 @@ too, and the inward evaluation is a test oracle (`tests/helpers.py`).
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,7 +62,6 @@ from .errors import VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
 
-RationalPoint = tuple[Fraction, ...]
 # (D, W): the point x_e = W_e / D, with D >= 1 and gcd(D, W_0, ...) = 1
 ScaledPoint = tuple[int, tuple[int, ...]]
 
@@ -93,14 +89,6 @@ class SubsetSums(NamedTuple):
     in_box: np.ndarray
 
 
-def scaled_point(point: RationalPoint) -> ScaledPoint:
-    """The row (D, W) of a point of Fraction coordinates: D the LCM of
-    their denominators, W_e = x_e * D.  A Fraction is in lowest terms, so
-    the row is too."""
-    scale = lcm(*(c.denominator for c in point))
-    return scale, tuple(c.numerator * (scale // c.denominator) for c in point)
-
-
 def subset_sums(points: Sequence[ScaledPoint]) -> SubsetSums:
     """One subset transform of the W of a nonempty batch of rows (D, W) of
     one dimension n >= 1.
@@ -112,7 +100,7 @@ def subset_sums(points: Sequence[ScaledPoint]) -> SubsetSums:
     difference.  Proof that int64 is exact under the bound: a subset sum S
     adds at most n coordinates W_e, so |S| <= n * B, and D * r <= n * B
     since 0 <= r <= n.  Every value is below (n + 1) * B < 2^63 in absolute
-    value.  sample_points and scaled_point give rows in lowest terms, so
+    value.  sample_points and load_points_file give rows in lowest terms, so
     B, and with it the dtype, depends on the points and not on how they
     were written.
     """

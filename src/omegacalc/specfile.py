@@ -18,18 +18,18 @@ The chain lists the nonempty members ending with the full ground set; the
 profile starts at 0 and has one more entry than the chain.  Kinds nest
 arbitrarily through "of"/"parts".  An optional "id" names the matroid.
 
-A corpus file is JSON lines: one spec object per line.  A point batch
-file is a JSON list of coordinate arrays, each coordinate a
-[numerator, denominator] pair; load_points_file returns each point as
-the integer row (D, W) of `polytopes.scaled_point`, the form in which
-sampled points reach the identity checker too.
+A corpus file is JSON lines, one spec object per line, or one JSON list
+of specs.  A point batch file is a JSON list of coordinate arrays, each
+coordinate a [numerator, denominator] pair; load_points_file returns
+each point as the integer row (D, W) over its lowest common denominator,
+the form in which sampled points reach the identity checker too.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 from .bitops import mask_of
@@ -45,7 +45,7 @@ from .matroid import (
     uniform,
     upper_as_lower,
 )
-from .polytopes import ScaledPoint, scaled_point
+from .polytopes import ScaledPoint
 
 SchubertData = tuple[int, tuple[int, ...], tuple[int, ...]]
 
@@ -210,7 +210,6 @@ def load_points_file(path: str | Path) -> list[ScaledPoint]:
     for row in data:
         if not isinstance(row, list):
             raise SpecFileError("each point must be a list of [num, den] pairs")
-        coords = []
         for pair in row:
             if (
                 not isinstance(pair, list)
@@ -219,6 +218,7 @@ def load_points_file(path: str | Path) -> list[ScaledPoint]:
                 or pair[1] == 0
             ):
                 raise SpecFileError("each coordinate must be [numerator, denominator]")
-            coords.append(Fraction(pair[0], pair[1]))
-        points.append(scaled_point(tuple(coords)))
+        # D is the LCM of the reduced denominators, so den divides num * D
+        scale = lcm(*(abs(den) // gcd(num, den) for num, den in row))
+        points.append((scale, tuple(num * scale // den for num, den in row)))
     return points

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 
@@ -14,15 +15,10 @@ from omegacalc.engine import compute_omega
 from omegacalc.errors import ConstraintOutOfRange
 from omegacalc.matroid import Matroid
 from omegacalc.paths import Mode, PathProblem
-from omegacalc.polytopes import (
-    RationalPoint,
-    ScaledPoint,
-    SubsetSums,
-    batch_marks,
-    check_identity,
-    scaled_point,
-    subset_sums,
-)
+from omegacalc.polytopes import ScaledPoint, SubsetSums, batch_marks, check_identity, subset_sums
+
+# a point by its exact coordinates, the reference form of a row (D, W)
+RationalPoint = tuple[Fraction, ...]
 
 
 def omega_of(matroid: Matroid, method: str = "final-flats") -> int:
@@ -53,6 +49,15 @@ def all_flats(lattice) -> list[int]:
 def as_point(coords) -> RationalPoint:
     """An exact rational point from integer, Fraction or string coordinates."""
     return tuple(Fraction(c) for c in coords)
+
+
+def scaled_point(point: RationalPoint) -> ScaledPoint:
+    """Reference for the rows that specfile.load_points_file builds: the row
+    (D, W) of a point of Fraction coordinates, D the LCM of their
+    denominators and W_e = x_e * D.  A Fraction is in lowest terms, so the
+    row is too."""
+    scale = lcm(*(c.denominator for c in point))
+    return scale, tuple(c.numerator * (scale // c.denominator) for c in point)
 
 
 def as_fractions(row: ScaledPoint) -> RationalPoint:

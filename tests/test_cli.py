@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import omegacalc
-from omegacalc import cli, polytopes
+from omegacalc import cli, engine, polytopes
 from omegacalc.altsum import block_rows
 from omegacalc.cli import LIST_CAP, main, worker_count
 from omegacalc.corpus import generate_corpus, sample_points
@@ -213,11 +213,40 @@ def test_random_empty_corpus(tmp_path):
     ],
     ids=["compute", "check-identities", "random", "bench"],
 )
-def test_unwritable_out_exits_2(argv, target, example_file, tmp_path, capsys):
+def test_unwritable_out_exits_2(argv, target, example_file, tmp_path, capsys, monkeypatch):
+    # rejected before any input is read or any work starts, and nothing is
+    # created or truncated
+    for work in ("load_matroid_file", "compute_omega", "check_identities", "generate_corpus"):
+        monkeypatch.setattr(cli, work, _never)
     out = tmp_path / "no-such-dir" / "out.txt" if target == "missing-dir" else tmp_path
     if argv[0] != "random":
         argv = [*argv, "-i", example_file]
+    before = sorted(tmp_path.rglob("*"))
     assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+def test_out_that_fails_after_the_work_still_exits_2(target, example_file, tmp_path, capsys, monkeypatch):
+    # the early check passes (the target is free when main starts), and the
+    # write itself fails: the late OSError handler still maps it to exit 2
+    out = tmp_path / "late" / "out.txt"
+    out.parent.mkdir()
+    compute_omega = cli.compute_omega
+
+    def then_break_the_target(*args, **kwargs):
+        if target == "missing-dir":
+            out.parent.rmdir()
+        else:
+            out.mkdir(exist_ok=True)
+        return compute_omega(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_omega", then_break_the_target)
+    assert main(["compute", "-i", example_file, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out}: ")
@@ -501,10 +530,28 @@ def test_bench_named_set_route_at_n13_exits_0(schubert13_file, capsys):
     assert captured.err == ""
 
 
-def test_bench_unknown_method_exits_2(schubert13_file, capsys):
+def _no_route(monkeypatch):
+    """Every route of the engine fails the test if it starts."""
+    for route in ("_run", "omega_closed_form", "covalue", "schubert_omega"):
+        monkeypatch.setattr(engine, route, _never)
+
+
+def test_bench_unknown_method_exits_2(schubert13_file, capsys, monkeypatch):
+    # the whole list is checked before the first route runs
+    _no_route(monkeypatch)
     assert main(["bench", "-i", schubert13_file, "--methods", "final-flats,bogus"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: unknown method 'bogus'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("methods", ["", "auto,", "all,inward-flats,,auto"])
+def test_bench_empty_method_name_exits_2_before_any_route(methods, schubert13_file, capsys, monkeypatch):
+    # an empty --methods is the unknown method '', not the default selection
+    _no_route(monkeypatch)
+    assert main(["bench", "-i", schubert13_file, "--methods", methods]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown method ''\n"
     assert captured.out == ""
 
 

@@ -5,8 +5,8 @@ reported from another's kernel call are `polytopes.check_identities`'
 decisions, as which methods apply is `engine.compute_omega`'s.  This
 test parses `cli` with `ast` and fails if it imports anything from
 `altsum` (the batch size, the kernels) or any of the per-batch
-primitives `check_identity`, `batch_marks`, `subset_sums` and
-`scaled_point`, or reads one of them as an attribute.
+primitives `check_identity`, `batch_marks` and `subset_sums`, or reads
+one of them as an attribute.
 """
 
 import ast
@@ -16,7 +16,7 @@ import omegacalc
 
 CLI = Path(omegacalc.__file__).parent / "cli.py"
 
-PRIMITIVES = {"check_identity", "batch_marks", "subset_sums", "scaled_point"}
+PRIMITIVES = {"check_identity", "batch_marks", "subset_sums"}
 
 
 def _module_of(node: ast.ImportFrom) -> str:

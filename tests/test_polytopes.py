@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from helpers import all_flats, as_fractions, as_point, identity_at
+from helpers import all_flats, as_fractions, as_point, identity_at, scaled_point
 from omegacalc import polytopes
 from omegacalc.altsum import alternating_chain_sum
 from omegacalc.bitops import bits, mask_of
@@ -14,7 +14,7 @@ from omegacalc.corpus import generate_corpus, random_schubert, sample_points
 from omegacalc.errors import VariantInapplicable
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, schubert_lower, uniform
-from omegacalc.polytopes import IdentityKind, batch_marks, check_identity, scaled_point, subset_sums
+from omegacalc.polytopes import IdentityKind, batch_marks, check_identity, subset_sums
 from omegacalc.specfile import matroid_from_spec
 
 HALF = Fraction(1, 2)
@@ -282,6 +282,31 @@ def _identity_matroids():
     matroids.append(uniform(2, 4).direct_sum(from_bases(1, [0])))  # a loop
     matroids.append(uniform(2, 5).direct_sum(uniform(1, 3)))
     return matroids
+
+
+def test_inner_flats_sum_is_the_outer_flats_sum_on_any_flat_marks():
+    # the inner-flats sum, Mobius-weighted over the flats that satisfy
+    # their inequality, equals the outer-flats sum, the signed chain count
+    # through the flats that fail it, on any marks over the flats: random
+    # rows at three densities, the bottom flat and E marked or not
+    rng = np.random.default_rng(8)
+    corpora = [("closure", 6, 1, 8), ("closure", 6, 2, 10), ("closure", 6, 1, 12),
+               ("schubert", 4, 3, 11, 4), ("schubert", 4, 5, 9, 4)]
+    matroids = [matroid_from_spec(spec).matroid for args in corpora for spec in generate_corpus(*args)]
+    matroids = [m for m in matroids if not m.has_loops()]
+    matroids.append(matroid_from_spec(generate_corpus("closure", 3, 2, 16)[2]).matroid)
+    assert len(matroids) >= 20 and {m.n for m in matroids} == {8, 9, 10, 11, 12, 16}
+    rows_checked, values = 0, set()
+    for m in matroids:
+        is_flat = flat_lattice(m).is_flat
+        for density in (0.1, 0.5, 0.9):
+            rows = (rng.random((2 if m.n == 16 else 8, 1 << m.n)) < density) & is_flat
+            rows[0, [0, -1]] = False
+            expected = alternating_chain_sum(m.n, rows)
+            assert polytopes._flats_identity_sum(m, ~rows).tolist() == expected.tolist(), m
+            rows_checked += len(rows)
+            values.update(expected.tolist())
+    assert rows_checked >= 500 and len(values) >= 10, sorted(values)
 
 
 def test_integer_identities_match_fraction_evaluation():

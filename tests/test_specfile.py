@@ -1,10 +1,11 @@
 import json
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from helpers import BAD_FIELD_SPECS
+from helpers import BAD_FIELD_SPECS, scaled_point
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -130,6 +131,28 @@ def test_points_file(tmp_path):
     bad.write_text(json.dumps([[[1, 0]]]))
     with pytest.raises(SpecFileError):
         load_points_file(bad)
+
+
+def test_points_file_rows_are_the_fraction_rows(tmp_path):
+    # the loader builds each row from the integer pairs; the reference
+    # reduces every pair to a Fraction first.  Pairs in other than lowest
+    # terms, with negative denominators, zeros and 2^80-sized entries
+    rng = random.Random(5)
+
+    def entry():
+        size = rng.choice([4, 12, 80])
+        value = rng.randint(-(1 << size), 1 << size) * rng.choice([1, 1, 6, -4])
+        return value or rng.choice([1, -1])
+
+    rows = [
+        [[rng.choice([0, entry()]), entry()] for _ in range(rng.randint(1, 6))]
+        for _ in range(3000)
+    ]
+    assert sum(map(len, rows)) >= 10_000
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps(rows))
+    expected = [scaled_point(tuple(Fraction(num, den) for num, den in row)) for row in rows]
+    assert load_points_file(path) == expected
 
 
 def test_points_file_rejects_bools(tmp_path):
