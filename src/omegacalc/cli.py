@@ -41,7 +41,7 @@ from .engine import (
     compute_omega,
 )
 from .errors import Infeasible, OmegacalcError, SpecFileError
-from .matroid import GROUND_SET_CAP
+from .matroid import check_ground_size
 from .polytopes import check_identities
 from .specfile import (
     LoadedMatroid,
@@ -218,8 +218,7 @@ def cmd_check_identities(args) -> int:
 
 
 def cmd_random(args) -> int:
-    if not 1 <= args.n <= GROUND_SET_CAP:
-        raise SpecFileError(f"--n must lie in [1, {GROUND_SET_CAP}], got {args.n}")
+    check_ground_size(args.n)
     if args.r is not None and args.family != "schubert":
         raise SpecFileError("--r applies only to --family schubert")
     if args.r is not None and not 0 <= args.r <= args.n:
@@ -304,56 +303,53 @@ def build_parser() -> argparse.ArgumentParser:
         prog="omega", description="Exact computation of the omega invariant of matroids"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    compute = sub.add_parser("compute", help="compute the invariant for matroid spec files")
+    identities = sub.add_parser("check-identities", help="verify decomposition identities pointwise")
+    random_ = sub.add_parser("random", help="generate a reproducible corpus of matroid specs")
+    bench = sub.add_parser("bench", help="compare chain counts and timing across methods")
+    # the options that several subcommands share, each declared once
+    for p in (compute, identities):
+        p.add_argument(
+            "-i", "--input", action="append", required=True, help="matroid spec or corpus file"
+        )
+        p.add_argument(
+            "--jobs", type=_int_between(1), default=1, help="process-level parallelism over inputs"
+        )
+    for p in (compute, identities, bench):
+        p.add_argument("--format", choices=["table", "json"], default="table", help="output format")
+    for p in (compute, identities, random_, bench):
+        p.add_argument("--out", default=None, help="write output to a file")
 
-    p = sub.add_parser("compute", help="compute the invariant for matroid spec files")
-    p.add_argument("-i", "--input", action="append", required=True, help="matroid spec or corpus file")
-    p.add_argument(
+    compute.add_argument(
         "--method",
         default=METHOD_AUTO,
         help=f"one of: {METHOD_AUTO}, {METHOD_ALL}, {', '.join(ALL_METHOD_NAMES)}",
     )
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.add_argument("--out", default=None, help="write output to a file")
-    p.add_argument(
-        "--jobs", type=_int_between(1), default=1, help="process-level parallelism over inputs"
-    )
-    p.add_argument("--timings", action="store_true", help="include seconds in JSON records")
-    p.set_defaults(func=cmd_compute)
+    compute.add_argument("--timings", action="store_true", help="include seconds in JSON records")
+    compute.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("check-identities", help="verify decomposition identities pointwise")
-    p.add_argument("-i", "--input", action="append", required=True)
-    p.add_argument(
+    identities.add_argument(
         "--samples",
         type=_int_between(0, LIST_CAP),
         default=500,
         help=f"sampled points per matroid, at most {LIST_CAP}",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", default=None, help="explicit point batch file (JSON)")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.add_argument("--out", default=None)
-    p.add_argument(
-        "--jobs", type=_int_between(1), default=1, help="process-level parallelism over inputs"
-    )
-    p.set_defaults(func=cmd_check_identities)
+    identities.add_argument("--seed", type=int, default=0)
+    identities.add_argument("--points", default=None, help="explicit point batch file (JSON)")
+    identities.set_defaults(func=cmd_check_identities)
 
-    p = sub.add_parser("random", help="generate a reproducible corpus of matroid specs")
-    p.add_argument("--family", choices=["schubert", "closure"], required=True)
-    p.add_argument(
+    random_.add_argument("--family", choices=["schubert", "closure"], required=True)
+    random_.add_argument(
         "--count", type=_int_between(0, LIST_CAP), required=True, help=f"at most {LIST_CAP}"
     )
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_random)
+    random_.add_argument("--seed", type=int, required=True)
+    random_.add_argument("--n", type=int, default=8)
+    random_.add_argument("--r", type=int, default=None)
+    random_.set_defaults(func=cmd_random)
 
-    p = sub.add_parser("bench", help="compare chain counts and timing across methods")
-    p.add_argument("-i", "--input", action="append", default=None)
-    p.add_argument("--methods", default=None, help="comma-separated method list")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
+    bench.add_argument("-i", "--input", action="append", help="default: the standard corpus")
+    bench.add_argument("--methods", default=None, help="comma-separated method list")
+    bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -146,6 +146,7 @@ class Matroid:
 
     def _minor(self, keep: int, contracted: int) -> "Matroid":
         """N above, relabelled in order, with the rank table read off this one."""
+        check_ground_size(popcount(keep))
         _, ranks, bases = self._minor_bases(keep, contracted)
         ranks.flags.writeable = False
         return Matroid(popcount(keep), bases, ranks)
@@ -156,17 +157,11 @@ class Matroid:
 
     def delete(self, mask: int) -> "Matroid":
         """Delete the elements of mask, relabelling the rest in order."""
-        keep = self.full_mask & ~mask
-        if keep == 0:
-            raise EmptyGroundSet("deleting every element")
-        return self._minor(keep, 0)
+        return self._minor(self.full_mask & ~mask, 0)
 
     def contract(self, mask: int) -> "Matroid":
         """Contract the elements of mask, relabelling the rest in order."""
-        keep = self.full_mask & ~mask
-        if keep == 0:
-            raise EmptyGroundSet("contracting every element")
-        return self._minor(keep, mask)
+        return self._minor(self.full_mask & ~mask, mask)
 
     def restrict(self, mask: int) -> "Matroid":
         """Restriction to mask = deletion of the complement."""
@@ -174,8 +169,7 @@ class Matroid:
 
     def direct_sum(self, other: "Matroid") -> "Matroid":
         n = self.n + other.n
-        if n > GROUND_SET_CAP:
-            raise OmegacalcError("direct sum exceeds the ground-set cap")
+        check_ground_size(n)
         # mask b1 | (b2 << self.n) is entry (b2, b1) of the outer product
         high, low = basis_marks(other.n, other.bases), basis_marks(self.n, self.bases)
         return Matroid(n, np.logical_and.outer(high, low).ravel())
@@ -185,8 +179,7 @@ class Matroid:
         bit = 1 << element
         if not self.rank(bit):
             raise OmegacalcError("cannot add a parallel copy of a loop")
-        if self.n + 1 > GROUND_SET_CAP:
-            raise OmegacalcError("parallel extension exceeds the ground-set cap")
+        check_ground_size(self.n + 1)
         new_bit = 1 << self.n
         bases = list(self.bases)
         bases.extend((b ^ bit) | new_bit for b in self.bases if b & bit)
@@ -306,7 +299,10 @@ def _components(rank, ground: int) -> tuple[int, ...]:
 
 
 def check_ground_size(n: int) -> None:
-    """Reject a ground-set size before anything is enumerated over it."""
+    """Reject a ground-set size outside 1..GROUND_SET_CAP before anything is
+    enumerated over it.  The one statement of that rule: the checked
+    constructors, minors, direct sums, parallel extensions, a spec's "n"
+    and `random --n` all call it."""
     if n < 1:
         raise EmptyGroundSet("ground set must be nonempty")
     if n > GROUND_SET_CAP:

@@ -19,6 +19,7 @@ from omegacalc.chainsums import (
     schubert_omega,
 )
 from omegacalc.corpus import generate_corpus, random_schubert
+from omegacalc.closedform import omega_closed_form
 from omegacalc.crowding import (
     crowded_flats,
     crowded_sets,
@@ -444,7 +445,6 @@ def test_cross_route_agreement_n13_to_n16(corpus_args, top):
     # two set routes and the three crowded-set routes against the Schubert
     # path count, above n = 12
     from omegacalc.chainsums import FLAT_VARIANTS
-    from omegacalc.closedform import omega_closed_form
 
     values = []
     for spec in generate_corpus(*corpus_args):
@@ -497,6 +497,54 @@ def test_series_and_parallel_extension_from_n15_to_n16(r, expected):
         results = compute_omega(extended, "all").results
         assert {res.method for res in results} >= {v.value for v in Variant}
         assert all(res.omega == value for res in results), results
+
+
+def _relabelled(m, seed):
+    """m with its elements renamed by a seeded permutation, through from_bases."""
+    perm = random.Random(seed).sample(range(m.n), m.n)
+    return from_bases(m.n, [sum(1 << perm[e] for e in range(m.n) if b >> e & 1) for b in m.bases])
+
+
+def _uniform_with_copies(r, n0, copies, seed):
+    """U(r, n0) with one parallel copy of each element below `copies`,
+    relabelled, and its invariant C(n0 - r - 1, r - 1) by the Schubert path
+    count, which no chain route computes: parallel copies and relabelling
+    keep the invariant."""
+    m = uniform(r, n0)
+    for e in range(copies):
+        m = m.parallel_extend(e)
+    return _relabelled(m, seed), schubert_omega(n0, ((1 << n0) - 1,), (0, r))
+
+
+# (r, n0, copies, invariant): connected inputs of rank 5-7 with parallel
+# elements, which no closed form decides, so `auto` falls back to final-flats
+KNOWN_FALLBACK = [
+    (5, 11, 5, 5), (6, 13, 3, 6), (7, 15, 1, 7), (5, 13, 3, 35),
+    (5, 11, 1, 5), (5, 11, 2, 5), (5, 11, 3, 5), (5, 11, 4, 5),
+]
+
+
+@pytest.mark.parametrize("r, n0, copies, expected", KNOWN_FALLBACK)
+def test_known_answers_through_the_auto_fallback_n12_to_n16(r, n0, copies, expected):
+    m, value = _uniform_with_copies(r, n0, copies, seed=n0 + copies)
+    assert (m.n, m.r, value, comb(n0 - r - 1, r - 1)) == (n0 + copies, r, expected, expected)
+    assert m.component_count() == 1
+    assert omega_closed_form(m) is None
+    auto = compute_omega(m, "auto").results
+    assert [(res.method, res.omega) for res in auto] == [(Variant.FINAL_FLATS.value, expected)]
+    report = compute_omega(m, "all")
+    assert len(report.results) == len(Variant)
+    assert report.agree and report.consensus == expected, report.results
+
+
+def test_known_answer_of_a_direct_sum_at_n16():
+    # the invariant multiplies over a direct sum: 2 * 5 for U(2, 5) + U(5, 11)
+    m = _relabelled(uniform(2, 5).direct_sum(uniform(5, 11)), seed=16)
+    expected = schubert_omega(5, (0b11111,), (0, 2)) * schubert_omega(11, ((1 << 11) - 1,), (0, 5))
+    assert (m.n, m.r, expected, m.component_count()) == (16, 7, 10, 2)
+    assert omega_closed_form(m) == expected
+    report = compute_omega(m, "all")
+    assert report.agree and report.consensus == expected, report.results
 
 
 def _sets_by_path(m, mode):

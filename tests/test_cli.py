@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -272,6 +274,7 @@ def _never(*args, **kwargs):
         ["--family", "schubert", "--n", "17", "--count", "2"],
         ["--family", "schubert", "--n", "0", "--count", "2"],
         ["--family", "schubert", "--n", "8", "--r", "20", "--count", "2"],
+        ["--family", "schubert", "--n", "8", "--r", "-1", "--count", "2"],
         ["--family", "closure", "--n", "0", "--count", "2"],
         ["--family", "closure", "--n", "17", "--count", "2"],
         ["--family", "closure", "--n", "6", "--count", "-1"],
@@ -279,8 +282,8 @@ def _never(*args, **kwargs):
         ["--family", "schubert", "--n", "6", "--count", str(10**30)],
     ],
     ids=[
-        "schubert-n17", "schubert-n0", "schubert-r20", "closure-n0", "closure-n17", "count-neg",
-        "count-cap+1", "count-1e30",
+        "schubert-n17", "schubert-n0", "schubert-r20", "schubert-r-neg", "closure-n0", "closure-n17",
+        "count-neg", "count-cap+1", "count-1e30",
     ],
 )
 def test_random_bad_arguments_exit_2(flags, tmp_path, monkeypatch, capsys):
@@ -291,6 +294,67 @@ def test_random_bad_arguments_exit_2(flags, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1, err
     assert not out.exists()
+
+
+def test_random_reports_the_ground_set_messages_of_a_spec_file(tmp_path, capsys):
+    # `random --n` and a spec's "n" are checked by the same rule, in the same words
+    spec = tmp_path / "spec.json"
+    for n in (0, 17):
+        spec.write_text(json.dumps({"kind": "uniform", "n": n, "r": 0}))
+        assert main(["compute", "-i", str(spec)]) == 2
+        from_spec = capsys.readouterr().err
+        assert main(["random", "--family", "closure", "--n", str(n), "--count", "1", "--seed", "1"]) == 2
+        from_random = capsys.readouterr().err
+        assert from_spec == f"error: invalid matroid spec (uniform): {from_random[len('error: '):]}"
+
+
+# the option strings in each subcommand's --help, and the value of each
+# option when only the required ones are given
+SUBCOMMAND_OPTIONS = {
+    "compute": (
+        ["-h", "--help", "-i", "--input", "--method", "--format", "--out", "--jobs", "--timings"],
+        ["-i", "a.json"],
+        {"input": ["a.json"], "method": "auto", "format": "table", "out": None, "jobs": 1, "timings": False},
+    ),
+    "check-identities": (
+        ["-h", "--help", "-i", "--input", "--samples", "--seed", "--points", "--format", "--out", "--jobs"],
+        ["-i", "a.json"],
+        {"input": ["a.json"], "samples": 500, "seed": 0, "points": None, "format": "table", "out": None, "jobs": 1},
+    ),
+    "random": (
+        ["-h", "--help", "--family", "--count", "--seed", "--n", "--r", "--out"],
+        ["--family", "closure", "--count", "3", "--seed", "4"],
+        {"family": "closure", "count": 3, "seed": 4, "n": 8, "r": None, "out": None},
+    ),
+    "bench": (
+        ["-h", "--help", "-i", "--input", "--methods", "--format", "--out"],
+        [],
+        {"input": None, "methods": None, "format": "table", "out": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_OPTIONS))
+def test_subcommand_options_and_defaults(command, capsys):
+    options, required, values = SUBCOMMAND_OPTIONS[command]
+    assert _exit_code([command, "--help"]) == 0
+    shown = re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out)
+    assert sorted(set(shown)) == sorted(options)
+    args = vars(cli.build_parser().parse_args([command, *required]))
+    assert args.pop("command") == command and args.pop("func")
+    assert args == values
+
+
+def test_shared_options_have_one_help_text():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    helps: dict[str, set] = {}
+    for command, sub in commands.items():
+        for action in sub._actions:
+            if (command, action.dest) != ("bench", "input"):  # optional there, with its default named
+                helps.setdefault(action.dest, set()).add(action.help)
+    for dest in ("input", "format", "out", "jobs"):
+        assert len(helps[dest]) == 1 and None not in helps[dest], (dest, helps[dest])
 
 
 @pytest.mark.parametrize(
@@ -495,6 +559,23 @@ def test_compute_jobs_matches_serial(tmp_path):
     assert main(base + ["--out", str(serial)]) in (0, 1)
     assert main(base + ["--jobs", "3", "--out", str(parallel)]) in (0, 1)
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_check_identities_jobs_matches_serial(tmp_path):
+    corpus = tmp_path / "closure8.jsonl"
+    corpus.write_text("".join(json.dumps(spec) + "\n" for spec in generate_corpus("closure", 6, 1, 8)))
+    rng = random.Random(7)
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps([[[rng.randint(0, 3), rng.randint(1, 4)] for _ in range(8)] for _ in range(20)]))
+    for batch in (["--samples", "100"], ["--points", str(points)]):
+        for fmt in ("table", "json"):
+            outputs = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"jobs{jobs}.{fmt}"
+                argv = ["check-identities", "-i", str(corpus), *batch, "--format", fmt]
+                assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] and outputs[0] == outputs[1], (batch, fmt)
 
 
 SCHUBERT_13 = {

@@ -423,10 +423,14 @@ def test_dual_involution():
 
 
 def test_contract_everything_errors():
-    with pytest.raises(EmptyGroundSet):
-        uniform(1, 2).contract(0b11)
-    with pytest.raises(EmptyGroundSet):
-        uniform(1, 2).delete(0b11)
+    for m in (uniform(1, 2), uniform(0, 3), uniform(3, 16)):
+        with pytest.raises(EmptyGroundSet):
+            m.contract(m.full_mask)
+        with pytest.raises(EmptyGroundSet):
+            m.delete(m.full_mask)
+        with pytest.raises(EmptyGroundSet):
+            m.restrict(0)
+        assert m.delete(m.full_mask >> 1).n == 1 and m.contract(m.full_mask >> 1).n == 1
 
 
 def test_loops_coloops():
@@ -529,10 +533,17 @@ def test_delete_nothing_is_identity():
 
 
 def test_ground_set_cap():
-    import omegacalc.errors as errors
-
-    with pytest.raises(errors.OmegacalcError):
+    with pytest.raises(OmegacalcError):
         uniform(2, 17)
+    with pytest.raises(OmegacalcError):
+        uniform(2, 8).direct_sum(uniform(3, 9))
+    with pytest.raises(OmegacalcError):
+        uniform(2, 16).parallel_extend(0)
+    # a loop is rejected before the size
+    with pytest.raises(OmegacalcError, match="loop"):
+        uniform(0, 16).parallel_extend(0)
+    assert uniform(2, 8).direct_sum(uniform(3, 8)).n == 16
+    assert uniform(2, 15).parallel_extend(0).n == 16
 
 
 def test_rank_table_at_n15_n16():
