@@ -46,6 +46,8 @@ most a(16) each (for the walk's Mobius rows, see its docstring).
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .bitops import bits
@@ -70,15 +72,12 @@ def subset_totals(weights: np.ndarray) -> np.ndarray:
     return out
 
 
-_POPCOUNT_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def popcounts(n: int) -> np.ndarray:
-    """Popcount of every mask below 2^n, int8, cached per n."""
-    cached = _POPCOUNT_CACHE.get(n)
-    if cached is None:
-        cached = _POPCOUNT_CACHE[n] = subset_totals(np.ones(n, dtype=np.int8))
-    return cached
+    """Popcount of every mask below 2^n, int8, read-only, cached per n."""
+    counts = subset_totals(np.ones(n, dtype=np.int8))
+    counts.flags.writeable = False
+    return counts
 
 
 def submask_array(mask: int) -> np.ndarray:

@@ -58,10 +58,12 @@ class FlatLattice:
         """(order, (upper, below, mu)): the flats in rank order and the
         relation F < G for `altsum.predecessor_walk`, with positions as
         int32 and mu(F, G) as the link weight, int16 (|mu| < 2^14, see
-        `_interval_mobius`).  Built on the first call."""
+        `_interval_mobius`).  Built on the first call; read-only."""
         if self._predecessors is None:
             order, _, upper, below, _, _ = self._mobius_table()
             mu = self.mobius(order[below], order[upper]).astype(np.int16)
+            for array in (order, upper, below, mu):
+                array.flags.writeable = False
             self._predecessors = (order, (upper, below, mu))
         return self._predecessors
 

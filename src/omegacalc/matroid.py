@@ -124,11 +124,32 @@ class Matroid:
         return len(self.restriction_components(self.full_mask if mask is None else mask))
 
     def restriction_components(self, mask: int) -> tuple[int, ...]:
-        """Connected components of the restriction to mask, in original labels."""
+        """Connected components of the restriction to mask, in original
+        labels, ascending by mask, cached per mask.
+
+        They are the components of the fundamental graph of the greedy basis
+        B of the restriction: the star of e in B is e with every f in mask -
+        B for which B - e + f is again a basis, and each star is merged into
+        the parts it meets.  Loops lie in no star and coloops have no f, so
+        both stay single.
+        """
         cached = self._restriction_components.get(mask)
         if cached is None:
-            cached = _components(self.rank, mask)
-            self._restriction_components[mask] = cached
+            basis = size = 0
+            for e in bits(mask):
+                if self.rank(basis | (1 << e)) > size:
+                    basis |= 1 << e
+                    size += 1
+            outside = mask & ~basis
+            parts = [1 << f for f in bits(outside)]
+            for e in bits(basis):
+                removed, star = basis ^ (1 << e), 1 << e
+                for f in bits(outside):
+                    if self.rank(removed | (1 << f)) == size:
+                        star |= 1 << f
+                star |= sum(p for p in parts if p & star)  # the parts are disjoint
+                parts = [p for p in parts if not p & star] + [star]
+            cached = self._restriction_components[mask] = tuple(sorted(parts))
         return cached
 
     # -- minors, dual, sums ---------------------------------------------------
@@ -255,44 +276,6 @@ def _submodular_step(rank: np.ndarray, f: int, r: np.ndarray, d: np.ndarray) -> 
             "bases are not those of a matroid: "
             f"r(S+e) + r(S+f) < r(S+e+f) + r(S) at S={elements_of(int(s))}, e={e}, f={f}"
         )
-
-
-def _components(rank, ground: int) -> tuple[int, ...]:
-    """Connected components of the restriction to ground.
-
-    They are the components of the fundamental graph of any one basis B of
-    the restriction: e in B and f in ground - B are joined whenever
-    B - e + f is again a basis.  Loops and coloops end up as singletons.
-    """
-    basis = size = 0
-    for e in bits(ground):
-        if rank(basis | (1 << e)) > size:
-            basis |= 1 << e
-            size += 1
-    parent = list(range(ground.bit_length()))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    outside = ground & ~basis
-    for e in bits(basis):
-        removed = basis ^ (1 << e)
-        for f in bits(outside):
-            if rank(removed | (1 << f)) == size:
-                union(e, f)
-    comps: dict[int, int] = {}
-    for e in bits(ground):
-        root = find(e)
-        comps[root] = comps.get(root, 0) | (1 << e)
-    return tuple(sorted(comps.values()))
 
 
 # -- constructors ------------------------------------------------------------

@@ -2,18 +2,19 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
+from itertools import combinations, permutations
 from math import lcm
 
 import numpy as np
 
-from omegacalc.altsum import alternating_chain_sum, popcounts
+from omegacalc.altsum import alternating_chain_sum, popcounts, submask_array
 from omegacalc.bitops import bits, mask_of, popcount
 from omegacalc.corpus import random_schubert
 from omegacalc.crowding import crowded_sets
 from omegacalc.engine import compute_omega
-from omegacalc.errors import ConstraintOutOfRange
-from omegacalc.matroid import Matroid
+from omegacalc.errors import ConstraintOutOfRange, NotAMatroid
+from omegacalc.matroid import Matroid, from_bases
 from omegacalc.paths import Mode, PathProblem
 from omegacalc.polytopes import ScaledPoint, SubsetSums, batch_marks, check_identity, subset_sums
 
@@ -83,6 +84,46 @@ def is_connected_by_definition(matroid: Matroid) -> bool:
     """No nonempty proper T has r(T) + r(E - T) = r(E)."""
     full = matroid.full_mask
     return all(matroid.rank(t) + matroid.rank(full & ~t) != matroid.r for t in range(1, full))
+
+
+def components_by_definition(matroid: Matroid, mask: int) -> tuple[int, ...]:
+    """Oracle for `Matroid.restriction_components`: the minimal nonempty
+    separators X of the restriction to mask, r(X) + r(mask - X) = r(mask),
+    ascending by mask.  The separators are taken by cardinality, each kept
+    unless a kept one lies inside it."""
+    rank = matroid.ensure_rank_table()
+    subs = submask_array(mask)[1:]
+    subs = subs[rank[subs] + rank[mask & ~subs] == rank[mask]]
+    subs = subs[np.argsort(popcounts(matroid.n)[subs], kind="stable")]
+    found = []
+    while subs.size:
+        found.append(int(subs[0]))
+        subs = subs[subs & subs[0] != subs[0]]
+    return tuple(sorted(found))
+
+
+@cache
+def matroids_on(n: int) -> tuple[Matroid, ...]:
+    """One matroid per isomorphism class on n elements: every nonempty
+    family of r-subsets goes through `from_bases`, and the basis families
+    are kept one per class, keyed by their least relabelled basis list."""
+    perms = list(permutations(range(n)))
+    found: dict[tuple[int, ...], Matroid] = {}
+    for r in range(n + 1):
+        subsets = [mask_of(c) for c in combinations(range(n), r)]
+        for pick in range(1, 1 << len(subsets)):
+            bases = [s for i, s in enumerate(subsets) if pick >> i & 1]
+            try:
+                matroid = from_bases(n, bases)
+            except NotAMatroid:
+                continue
+            key = min(tuple(sorted(_relabel(b, p) for b in bases)) for p in perms)
+            found.setdefault(key, matroid)
+    return tuple(found.values())
+
+
+def _relabel(mask: int, perm: tuple[int, ...]) -> int:
+    return sum(1 << image for e, image in enumerate(perm) if mask >> e & 1)
 
 
 def middle_omega(matroid: Matroid) -> int:

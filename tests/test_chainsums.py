@@ -1,7 +1,7 @@
 import random
 import time
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -537,13 +537,28 @@ def test_known_answers_through_the_auto_fallback_n12_to_n16(r, n0, copies, expec
     assert report.agree and report.consensus == expected, report.results
 
 
-def test_known_answer_of_a_direct_sum_at_n16():
-    # the invariant multiplies over a direct sum: 2 * 5 for U(2, 5) + U(5, 11)
-    m = _relabelled(uniform(2, 5).direct_sum(uniform(5, 11)), seed=16)
-    expected = schubert_omega(5, (0b11111,), (0, 2)) * schubert_omega(11, ((1 << 11) - 1,), (0, 5))
-    assert (m.n, m.r, expected, m.component_count()) == (16, 7, 10, 2)
-    assert omega_closed_form(m) == expected
-    report = compute_omega(m, "all")
+@pytest.mark.parametrize(
+    "parts, expected",
+    [
+        (((2, 5), (5, 11)), 10),
+        (((2, 5), (2, 5), (2, 6)), 12),
+        (((1, 3), (2, 5), (2, 4), (1, 4)), 2),
+    ],
+)
+def test_known_answers_of_direct_sums_at_n16(parts, expected):
+    # the invariant multiplies over a direct sum of U(r, n0), C(n0 - r - 1,
+    # r - 1) each; relabelled, so the components interleave, and two, three
+    # and four components take both signs of (-1)^(components - 1)
+    m = uniform(*parts[0])
+    for part in parts[1:]:
+        m = m.direct_sum(uniform(*part))
+    m = _relabelled(m, seed=16)
+    value = prod(schubert_omega(n0, ((1 << n0) - 1,), (0, r)) for r, n0 in parts)
+    assert (m.n, value, m.component_count()) == (16, expected, len(parts))
+    for method in ("closed", "auto"):
+        assert [res.omega for res in compute_omega(m, method).results] == [expected]
+    report = compute_omega(m, [v.value for v in Variant])
+    assert len(report.results) == len(Variant)
     assert report.agree and report.consensus == expected, report.results
 
 

@@ -5,12 +5,20 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from helpers import all_flats, coloops, schubert_lower_bases, uniform_bases
+from helpers import (
+    all_flats,
+    coloops,
+    components_by_definition,
+    matroids_on,
+    schubert_lower_bases,
+    uniform_bases,
+)
 
 import omegacalc
-from omegacalc.altsum import LOW_BITS, submask_array
+from omegacalc.altsum import LOW_BITS, popcounts, submask_array
 from omegacalc.bitops import bits, mask_of, popcount
-from omegacalc.corpus import random_schubert_data
+from omegacalc.corpus import generate_corpus, random_schubert_data
+from omegacalc.crowding import record_arrays
 from omegacalc.errors import (
     EmptyGroundSet,
     InvalidProfile,
@@ -19,6 +27,7 @@ from omegacalc.errors import (
     NotAMatroid,
     OmegacalcError,
 )
+from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import (
     Matroid,
     from_bases,
@@ -27,6 +36,7 @@ from omegacalc.matroid import (
     schubert_upper,
     uniform,
 )
+from omegacalc.specfile import matroid_from_spec
 
 EXAMPLE_CHAIN = (mask_of(range(2)), mask_of(range(7)), mask_of(range(10)))
 EXAMPLE_PROFILE = (0, 1, 3, 4)
@@ -489,6 +499,34 @@ def test_component_separator_agreement():
             _assert_components_separate(m, rng.getrandbits(m.n))
 
 
+def _assert_components_by_definition(m, masks):
+    for t in masks:
+        comps = m.restriction_components(t)
+        assert comps == components_by_definition(m, t), (m, t)
+        assert comps == tuple(sorted(comps)) and sum(comps) == t and all(comps)
+        for e in bits(t):  # a loop or a coloop of M|t is a part on its own
+            if not m.rank(1 << e) or m.rank(t & ~(1 << e)) < m.rank(t):
+                assert 1 << e in comps, (m, t, e)
+
+
+def test_components_of_every_restriction_on_five_elements():
+    for n in range(1, 6):
+        for m in matroids_on(n):
+            _assert_components_by_definition(m, range(1 << n))
+
+
+@pytest.mark.parametrize(
+    "corpus_args", [("closure", 4, 1, 12), ("closure", 4, 2, 16), ("schubert", 4, 3, 16)]
+)
+def test_components_of_sampled_restrictions_at_n12_and_n16(corpus_args):
+    rng = random.Random(corpus_args[2])
+    for spec in generate_corpus(*corpus_args):
+        m = matroid_from_spec(spec).matroid
+        _assert_components_by_definition(
+            m, [m.full_mask] + [rng.getrandbits(m.n) for _ in range(170)]
+        )
+
+
 def test_direct_sum_basis_count_multiplies():
     rng = random.Random(3)
     for _ in range(10):
@@ -544,6 +582,27 @@ def test_ground_set_cap():
         uniform(0, 16).parallel_extend(0)
     assert uniform(2, 8).direct_sum(uniform(3, 8)).n == 16
     assert uniform(2, 15).parallel_extend(0).n == 16
+
+
+def test_shared_cached_arrays_are_read_only():
+    # a write to a cached array would change every later caller's answer:
+    # popcounts(4)[3] = 9 would drop basis 0b0011 from uniform(2, 4)
+    m = uniform(2, 4)
+    lattice = flat_lattice(m)
+    order, relation = lattice.weighted_predecessors()
+    cached = [
+        popcounts(4),
+        m.ensure_rank_table(),
+        m.delete(1).ensure_rank_table(),
+        *record_arrays(m),
+        lattice.is_flat,
+        order,
+        *relation,
+    ]
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert uniform(2, 4).bases == (3, 5, 6, 9, 10, 12)
 
 
 def test_rank_table_at_n15_n16():

@@ -1,7 +1,7 @@
 """Every matroid on at most five elements, up to isomorphism, on every route.
 
 Random corpora sample the inputs; this covers them at small n.  The
-matroids are found by brute force: every nonempty family of r-subsets of
+matroids come from `helpers.matroids_on`, by brute force: every nonempty family of r-subsets of
 an n-set goes through `from_bases`, which rejects the families that are
 not basis families, and the survivors are kept one per isomorphism class,
 keyed by their least relabelled basis list.  The counts are the known
@@ -12,38 +12,15 @@ of brute force: 2^C(6, 3) families are too many.
 """
 
 from functools import cache
-from itertools import combinations, permutations
 
 import pytest
+from helpers import matroids_on
 
 from omegacalc.closedform import omega_closed_form
 from omegacalc.engine import compute_omega
-from omegacalc.errors import NotAMatroid
-from omegacalc.matroid import Matroid, from_bases
+from omegacalc.matroid import Matroid
 
 COUNTS = {1: 2, 2: 4, 3: 8, 4: 17, 5: 38}
-
-
-def _relabel(mask: int, perm: tuple[int, ...]) -> int:
-    return sum(1 << image for e, image in enumerate(perm) if mask >> e & 1)
-
-
-@cache
-def matroids_on(n: int) -> tuple[Matroid, ...]:
-    """One matroid per isomorphism class on n elements."""
-    perms = list(permutations(range(n)))
-    found: dict[tuple[int, ...], Matroid] = {}
-    for r in range(n + 1):
-        subsets = [sum(1 << e for e in c) for c in combinations(range(n), r)]
-        for pick in range(1, 1 << len(subsets)):
-            bases = [s for i, s in enumerate(subsets) if pick >> i & 1]
-            try:
-                matroid = from_bases(n, bases)
-            except NotAMatroid:
-                continue
-            key = min(tuple(sorted(_relabel(b, p) for b in bases)) for p in perms)
-            found.setdefault(key, matroid)
-    return tuple(found.values())
 
 
 def omega(matroid: Matroid) -> int:
