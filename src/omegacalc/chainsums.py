@@ -31,7 +31,9 @@ import numpy as np
 
 from .altsum import alternating_chain_sum, popcounts, predecessor_walk, subset_pairs
 from .bitops import popcount
-from .crowding import crowded_flats, crowded_sets, crowding_records, is_crowding_record, zero_part
+from .crowding import (
+    crowded_flats, crowded_sets, crowding_records, is_crowding_record, record_arrays, zero_part
+)
 from .errors import VariantInapplicable
 from .lattice import flat_lattice
 from .matroid import Matroid
@@ -101,9 +103,10 @@ def covalue(matroid: Matroid, variant: Variant) -> ChainSumRun:
     return ChainSumRun(variant, value, None if sets else chains)
 
 
-def component_sign(matroid: Matroid) -> int:
-    """(-1)^(components - 1): the sign taking a covalue to the invariant."""
-    return -1 if matroid.component_count() % 2 == 0 else 1
+def component_sign(matroid: Matroid, mask: int | None = None) -> int:
+    """(-1)^(components - 1) of the restriction to mask (E if None): on E,
+    the sign taking a covalue to the invariant."""
+    return -1 if matroid.component_count(mask) % 2 == 0 else 1
 
 
 def omega_by_variant(matroid: Matroid, variant: Variant) -> int:
@@ -248,11 +251,11 @@ def _final_sum(matroid: Matroid, good, start, transfer) -> tuple[int, np.ndarray
     n, r, full = matroid.n, matroid.r, matroid.full_mask
     inner = np.flatnonzero(good[1:full]) + 1
     members = np.concatenate(([0], inner[np.argsort(popcounts(n)[inner], kind="stable")], [full]))
-    level = popcounts(n)[members] - 2 * matroid.ensure_rank_table()[members].astype(np.int64)
+    level = record_arrays(matroid)[0][members]  # c, built by the record test at E
     labelled = list(zip(members.tolist(), level.tolist()))
     zero = np.array([zero_part(matroid, t) if c else 0 for t, c in labelled])
-    even = [c == 0 and t > 0 and matroid.component_count(t) % 2 == 0 for t, c in labelled]
-    parity = np.where(even, -1, 1)  # (-1)^(components + 1) where c(t) = 0
+    # (-1)^(components + 1) where c(t) = 0
+    parity = np.array([component_sign(matroid, t) if c == 0 and t else 1 for t, c in labelled])
     level[0] = -1
     upper, below = subset_pairs(members)
     linked = (level[below] < level[upper]) & (zero[upper] & ~members[below] == 0)

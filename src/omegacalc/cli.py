@@ -2,9 +2,14 @@
 
 Exit codes, the same for every subcommand: 0 success (all agreement
 flags true, no identity failures); 1 disagreement or identity failure;
-2 malformed input; 3 infeasible size.  The subcommands raise typed
-errors and `main` alone maps them to codes: Infeasible to 3, any other
-OmegacalcError to 2, each with one "error: ..." line on stderr.  Which
+2 malformed input; 3 infeasible size.  Each subcommand returns its
+output lines and a verdict, and raises typed errors; `main` alone writes
+the lines, to `--out` or stdout, and maps the verdict to 0 or 1 and the
+errors to codes: Infeasible to 3, any other OmegacalcError to 2, each
+with one "error: ..." line on stderr.  Every subcommand that reads
+inputs runs them through one loop, `_map_inputs`, whose serial path
+holds one input at a time: an input, with every table built on it, is
+freed once its result is in.  Which
 methods apply to an input is the engine's decision (`compute_omega`).
 Which identity kinds apply, how the points are batched and which kind is
 reported from another's kernel call are decided in
@@ -60,17 +65,6 @@ IDENTITY_CAP = 12  # every point scans all 2^n subsets; the flats kinds are the 
 LIST_CAP = 100_000  # the largest --count and --samples: lists built in memory
 
 
-def _write_lines(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if out:
-        try:
-            Path(out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise SpecFileError(f"cannot write {out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-
-
 def _load_inputs(paths: list[str]) -> list[LoadedMatroid]:
     loaded: list[LoadedMatroid] = []
     for path in paths:
@@ -85,10 +79,13 @@ def worker_count(jobs: int, inputs: int) -> int:
 
 def _map_inputs(fn, payloads: list, jobs: int) -> list:
     """fn over the payloads, in order; in a process pool when it has more
-    than one worker."""
+    than one worker.  The serial path empties the list, taking each payload
+    off before its call, so that an input, and every table built on it, is
+    freed once its result is in: the caller must hold no other reference."""
     workers = worker_count(jobs, len(payloads))
     if workers == 1:
-        return [fn(p) for p in payloads]
+        payloads.reverse()
+        return [fn(payloads.pop()) for _ in range(len(payloads))]
     # imported here: it costs every CLI start ~20 ms and only pools use it
     from concurrent.futures import ProcessPoolExecutor
 
@@ -140,9 +137,9 @@ def _render_table(reports: list[OmegaReport]) -> list[str]:
     return lines
 
 
-def _write_reports(args, reports: list[OmegaReport], timings: bool, trailer: list[str]) -> int:
-    """The reports as JSON records, or as the table followed by the trailer
-    lines; exit 0 iff every report agrees."""
+def _report_lines(args, reports: list[OmegaReport], timings: bool, trailer: list[str]):
+    """(lines, ok): the reports as JSON records, or as the table followed
+    by the trailer lines; ok iff every report agrees."""
     if args.format == "json":
         lines = [
             json.dumps(rec, sort_keys=True)
@@ -151,14 +148,12 @@ def _write_reports(args, reports: list[OmegaReport], timings: bool, trailer: lis
         ]
     else:
         lines = _render_table(reports) + trailer
-    _write_lines(lines, args.out)
-    return EXIT_OK if all(rep.agree for rep in reports) else EXIT_DISAGREE
+    return lines, all(rep.agree for rep in reports)
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> tuple[list[str], bool]:
     payloads = [(item, args.method) for item in _load_inputs(args.input)]
-    reports = _map_inputs(_compute_one, payloads, args.jobs)
-    return _write_reports(args, reports, args.timings, [])
+    return _report_lines(args, _map_inputs(_compute_one, payloads, args.jobs), args.timings, [])
 
 
 def _identities_one(payload) -> tuple[list[str], list[dict], int]:
@@ -187,7 +182,7 @@ def _identities_one(payload) -> tuple[list[str], list[dict], int]:
     return lines, records, sum(map(len, failures.values()))
 
 
-def cmd_check_identities(args) -> int:
+def cmd_check_identities(args) -> tuple[list[str], bool]:
     loaded = _load_inputs(args.input)
     explicit = load_points_file(args.points) if args.points else None
     if explicit is not None:
@@ -204,20 +199,17 @@ def cmd_check_identities(args) -> int:
             f"identity checking is capped at n = {IDENTITY_CAP} "
             f"({oversized[0].matroid_id} has n = {oversized[0].matroid.n})"
         )
-    payloads = [(item, args.samples, args.seed, explicit) for item in loaded]
-    chunks = _map_inputs(_identities_one, payloads, args.jobs)
-    lines = [line for chunk in chunks for line in chunk[0]]
-    records = [rec for chunk in chunks for rec in chunk[1]]
-    failures = sum(chunk[2] for chunk in chunks)
+    # rebound, so that no list of the inputs outlives the payloads
+    loaded = [(item, args.samples, args.seed, explicit) for item in loaded]
+    chunks = _map_inputs(_identities_one, loaded, args.jobs)
     if args.format == "json":
-        out_lines = [json.dumps(rec, sort_keys=True) for rec in records]
+        lines = [json.dumps(rec, sort_keys=True) for chunk in chunks for rec in chunk[1]]
     else:
-        out_lines = lines
-    _write_lines(out_lines, args.out)
-    return EXIT_OK if failures == 0 else EXIT_DISAGREE
+        lines = [line for chunk in chunks for line in chunk[0]]
+    return lines, all(chunk[2] == 0 for chunk in chunks)
 
 
-def cmd_random(args) -> int:
+def cmd_random(args) -> tuple[list[str], bool]:
     check_ground_size(args.n)
     if args.r is not None and args.family != "schubert":
         raise SpecFileError("--r applies only to --family schubert")
@@ -230,9 +222,7 @@ def cmd_random(args) -> int:
     for spec in specs:
         # every generated spec must load back into a valid matroid
         matroid_from_spec(spec)
-    lines = [spec_to_json(spec) for spec in specs]
-    _write_lines(lines, args.out)
-    return EXIT_OK
+    return [spec_to_json(spec) for spec in specs], True
 
 
 # the standard corpus: four uniform matroids, the worked Schubert example
@@ -260,16 +250,12 @@ def _cancellation_lines(rep: OmegaReport) -> list[str]:
     return [f"{rep.matroid_id:<24} cancellation: " + " >= ".join(present)]
 
 
-def cmd_bench(args) -> int:
-    if args.input:
-        loaded = _load_inputs(args.input)
-    else:
-        loaded = [matroid_from_spec(spec) for spec in _BENCH_SPECS]
+def cmd_bench(args) -> tuple[list[str], bool]:
     # an empty --methods is the unknown method ''
     methods = METHOD_ALL if args.methods is None else args.methods.split(",")
-    reports = [
-        compute_omega(item.matroid, methods, item.matroid_id, item.schubert) for item in loaded
-    ]
+    loaded = _load_inputs(args.input) if args.input else map(matroid_from_spec, _BENCH_SPECS)
+    loaded = [(item, methods) for item in loaded]  # rebound, as in check-identities
+    reports = _map_inputs(_compute_one, loaded, 1)
     if args.methods is None:
         # closed and schubert count towards agreement but have no chains to compare
         hidden = (METHOD_CLOSED, METHOD_SCHUBERT)
@@ -278,7 +264,7 @@ def cmd_bench(args) -> int:
             for rep in reports
         ]
     trailer = [line for rep in reports for line in _cancellation_lines(rep)]
-    return _write_reports(args, reports, True, trailer)
+    return _report_lines(args, reports, True, trailer)
 
 
 def _int_between(low: int, high: int | None = None):
@@ -356,10 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        if args.out is not None and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
             # before any input is read; a write that fails later exits 2 too
             raise SpecFileError(f"cannot write {args.out}: not a file in an existing directory")
-        return args.func(args)
+        lines, ok = args.func(args)
+        text = "\n".join(lines) + ("\n" if lines else "")
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                Path(args.out).write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise SpecFileError(f"cannot write {args.out}: {exc}") from exc
+        return EXIT_OK if ok else EXIT_DISAGREE
     except OmegacalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE if isinstance(exc, Infeasible) else EXIT_PARSE

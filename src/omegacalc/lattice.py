@@ -25,9 +25,11 @@ from .matroid import Matroid
 
 @dataclass
 class FlatLattice:
-    """All flats of a matroid, marked by mask."""
+    """All flats of a matroid, marked by mask, with the rank table they
+    were read from (r = rank[-1]); it holds no reference to the matroid,
+    which caches the lattice."""
 
-    matroid: Matroid
+    rank: np.ndarray = field(repr=False)  # read-only, indexed by mask
     bottom: int
     is_flat: np.ndarray = field(repr=False)  # read-only, indexed by mask
     _table: tuple | None = field(default=None, init=False, repr=False)
@@ -74,13 +76,13 @@ class FlatLattice:
         # ascending, and mu(F, G)
         if self._table is None:
             flats = np.flatnonzero(self.is_flat)
-            ranks = self.matroid.ensure_rank_table()[flats]
+            ranks = self.rank[flats]
             order = flats[np.argsort(ranks, kind="stable")]
             position = np.zeros(len(self.is_flat), dtype=np.int64)
             position[order] = np.arange(len(order))
             upper, below = (a.astype(np.int32) for a in subset_pairs(order))
             keys = upper.astype(np.int64) * len(order) + below
-            ends = np.cumsum(np.bincount(ranks, minlength=self.matroid.r + 1))
+            ends = np.cumsum(np.bincount(ranks, minlength=int(self.rank[-1]) + 1))
             mu = _interval_mobius(upper, below, keys, ends)
             self._table = (order, position, upper, below, keys, mu)
         return self._table
@@ -127,7 +129,7 @@ def flat_lattice(matroid: Matroid) -> FlatLattice:
     rank = matroid.ensure_rank_table()
     _, is_flat = subset_pass((rank, np.ones(len(rank), dtype=np.bool_)), _rank_rises)
     is_flat.flags.writeable = False
-    lattice = FlatLattice(matroid=matroid, bottom=matroid.closure(0), is_flat=is_flat)
+    lattice = FlatLattice(rank=rank, bottom=matroid.closure(0), is_flat=is_flat)
     matroid._flat_lattice = lattice
     return lattice
 

@@ -37,9 +37,9 @@ def marked(marks: np.ndarray) -> list[int]:
 
 def flats_by_rank(lattice) -> tuple[tuple[int, ...], ...]:
     """The flats of a FlatLattice of each rank 0, ..., r, ascending by mask."""
-    rank = lattice.matroid.ensure_rank_table()
+    rank = lattice.rank
     flats = np.flatnonzero(lattice.is_flat)
-    return tuple(tuple(flats[rank[flats] == k].tolist()) for k in range(lattice.matroid.r + 1))
+    return tuple(tuple(flats[rank[flats] == k].tolist()) for k in range(rank[-1] + 1))
 
 
 def all_flats(lattice) -> list[int]:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from omegacalc.cli import LIST_CAP, main, worker_count
 from omegacalc.corpus import generate_corpus, sample_points
 from omegacalc.engine import ALL_METHOD_NAMES, compute_omega
 from omegacalc.polytopes import IdentityKind
-from omegacalc.specfile import load_matroid_file, load_points_file, matroid_from_spec
+from omegacalc.specfile import load_matroid_file, load_points_file, matroid_from_spec, spec_to_json
 
 EXAMPLE_SPEC = {
     "kind": "schubert_lower",
@@ -204,7 +206,7 @@ def test_random_empty_corpus(tmp_path):
     assert out.read_text() == ""
 
 
-@pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("target", ["missing-dir", "a-dir", "empty"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -220,7 +222,8 @@ def test_unwritable_out_exits_2(argv, target, example_file, tmp_path, capsys, mo
     # created or truncated
     for work in ("load_matroid_file", "compute_omega", "check_identities", "generate_corpus"):
         monkeypatch.setattr(cli, work, _never)
-    out = tmp_path / "no-such-dir" / "out.txt" if target == "missing-dir" else tmp_path
+    # "" names the working directory
+    out = {"missing-dir": tmp_path / "no-such-dir" / "out.txt", "a-dir": tmp_path, "empty": ""}[target]
     if argv[0] != "random":
         argv = [*argv, "-i", example_file]
     before = sorted(tmp_path.rglob("*"))
@@ -253,6 +256,38 @@ def test_out_that_fails_after_the_work_still_exits_2(target, example_file, tmp_p
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--method", "all"], ["bench"], ["check-identities", "--samples", "3"]],
+    ids=["compute", "bench", "check-identities"],
+)
+def test_each_input_is_freed_before_the_next_starts(argv, tmp_path, monkeypatch, capsys):
+    # with the cyclic collector off, a rank table dies with the last
+    # reference to its input; when input k starts, the tables of inputs
+    # 0, ..., k - 1 must be gone
+    path = tmp_path / "three.jsonl"
+    path.write_text("".join(spec_to_json(spec) + "\n" for spec in generate_corpus("closure", 3, 1, 7)))
+    tables, alive = [], []
+
+    def recording(work):
+        def run(matroid, *args):
+            alive.append(sum(ref() is not None for ref in tables))
+            tables.append(weakref.ref(matroid.ensure_rank_table()))
+            return work(matroid, *args)
+
+        return run
+
+    monkeypatch.setattr(cli, "compute_omega", recording(cli.compute_omega))
+    monkeypatch.setattr(cli, "check_identities", recording(cli.check_identities))
+    gc.disable()
+    try:
+        assert main([*argv, "-i", str(path)]) == 0
+    finally:
+        gc.enable()
+    assert alive == [0, 0, 0]
+    assert capsys.readouterr().out
 
 
 def _exit_code(argv):

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +8,7 @@ from helpers import all_flats, flats_by_rank
 
 from omegacalc.altsum import alternating_chain_sum, predecessor_walk
 from omegacalc.bitops import mask_of
+from omegacalc.engine import compute_omega
 from omegacalc.lattice import flat_lattice
 from omegacalc.matroid import from_bases, uniform
 
@@ -198,3 +201,17 @@ def test_chain_sum_against_the_cube_kernel():
             assert chains.tolist() == count.tolist(), spec["id"]
             checked += 1
     assert checked == 38
+
+
+def test_a_matroid_is_freed_without_the_cyclic_collector():
+    # the lattice keeps the rank table, not the matroid that caches the
+    # lattice: no reference cycle keeps a matroid and its tables alive
+    m = uniform(4, 9)
+    gc.disable()
+    try:
+        compute_omega(m, "all")
+        table = weakref.ref(m.ensure_rank_table())
+        del m
+        assert table() is None
+    finally:
+        gc.enable()
